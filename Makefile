@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-json bench-guard fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants ci
+.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-json bench-guard bench-contract fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants ci
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,13 @@ test-short:
 	$(GO) test -short ./...
 
 # Race-check the concurrency-heavy packages: the dynamic batcher and the
-# lock-free dense hot path live in serving; cluster and workload drive
+# lock-free dense hot path live in serving; metrics holds the lock-free
+# utility bitset every gather touches; cluster and workload drive
 # goroutine-based control loops and traffic generators. The scenario
 # harness runs without -short so its live runs (concurrent clients against
 # fault-injected pools) execute under the detector.
 race:
-	$(GO) test -race -short ./internal/serving/... ./internal/cluster/... ./internal/workload/...
+	$(GO) test -race -short ./internal/serving/... ./internal/metrics/... ./internal/cluster/... ./internal/workload/...
 	$(GO) test -race -count=1 ./internal/scenario/...
 
 bench:
@@ -72,6 +73,19 @@ bench-guard:
 	$(GO) run ./cmd/benchjson < bench-guard.txt > bench-guard.json
 	$(GO) run ./cmd/benchguard -baseline BENCH_serving.json -current bench-guard.json -filter Serving_EndToEndPredict,Serving_Repartition,Serving_QueueDepthScaling,Wire_Codec -max-regress 0.25
 
+# Benchmark contract: benchmark/ is a module of its own, so the root
+# `go build ./...` / `go test ./...` never compile it and an internal API
+# change can break the referee unnoticed. Vet and short-test it against the
+# current internals, then run one short timed workload end to end through
+# the contract entry point; its last line must report every reply correct
+# and none failed.
+bench-contract:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+	@out="$$(sh benchmark/run.sh --workload gather_tcp --seed 1 --seconds 4 --trace 0 | tail -n 1)"; \
+	echo "$$out"; \
+	case "$$out" in *'"correct":true'*) ;; *) echo "bench-contract: replies not all correct"; exit 1;; esac; \
+	case "$$out" in *'"failed":0,'*) ;; *) echo "bench-contract: failed requests"; exit 1;; esac
+
 # Fuzz smoke: run the wire-codec fuzz target briefly — malformed frames
 # must error, never panic or over-allocate, and every frame that decodes
 # must re-encode canonically. CI runs this in the checks job; run longer
@@ -122,4 +136,4 @@ lint-doc:
 lint-invariants:
 	$(GO) run ./cmd/invariantcheck ./internal/... ./cmd/...
 
-ci: fmt-check vet lint-doc lint-invariants build test-short race race-repartition lifecycle-smoke bench-smoke fuzz-smoke
+ci: fmt-check vet lint-doc lint-invariants build test-short race race-repartition lifecycle-smoke bench-smoke bench-contract fuzz-smoke

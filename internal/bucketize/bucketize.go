@@ -9,7 +9,6 @@ package bucketize
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/embedding"
 	"repro/internal/tensor"
@@ -85,10 +84,34 @@ func Split(batch *embedding.Batch, boundaries []int64) ([]*embedding.Batch, erro
 	return out, nil
 }
 
+// shardScanMax is the boundary count up to which ShardOf scans linearly:
+// partition plans have a handful of shards and the id space is
+// hotness-sorted, so most lookups stop at the first compare.
+const shardScanMax = 8
+
 // ShardOf returns the shard index owning sorted row idx under the given
-// boundaries, via binary search.
+// non-decreasing boundaries: the smallest s with idx < boundaries[s], or
+// len(boundaries) when idx is past the last one. It runs once per looked-up
+// index on the serving hot path, so it searches without a closure call.
 func ShardOf(idx int64, boundaries []int64) int {
-	return sort.Search(len(boundaries), func(s int) bool { return idx < boundaries[s] })
+	if len(boundaries) <= shardScanMax {
+		for s, b := range boundaries {
+			if idx < b {
+				return s
+			}
+		}
+		return len(boundaries)
+	}
+	lo, hi := 0, len(boundaries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if idx < boundaries[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // MergePooled sums the per-shard pooled outputs into dst. Each part must

@@ -1,6 +1,7 @@
 package bucketize
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -85,6 +86,40 @@ func TestShardOf(t *testing.T) {
 	for _, c := range cases {
 		if got := ShardOf(c.idx, boundaries); got != c.want {
 			t.Errorf("ShardOf(%d) = %d, want %d", c.idx, got, c.want)
+		}
+	}
+}
+
+// TestShardOfMatchesSortSearch pins the closure-free search against the
+// sort.Search it replaced, over random non-decreasing boundary lists on
+// both sides of the linear/binary switch — including empty shards
+// (repeated boundary values) — probing every boundary value, its
+// neighbours and random ids.
+func TestShardOfMatchesSortSearch(t *testing.T) {
+	rng := workload.NewRNG(7)
+	for trial := 0; trial < 2000; trial++ {
+		n := int(rng.Intn(2*shardScanMax + 4))
+		boundaries := make([]int64, n)
+		prev := int64(0)
+		for i := range boundaries {
+			// A third of the steps are zero: duplicates of a boundary value.
+			if rng.Intn(3) != 0 {
+				prev += 1 + rng.Intn(50)
+			}
+			boundaries[i] = prev
+		}
+		probes := []int64{-1, 0, prev + 1, prev + 100}
+		for _, b := range boundaries {
+			probes = append(probes, b-1, b, b+1)
+		}
+		for i := 0; i < 8; i++ {
+			probes = append(probes, rng.Intn(prev+2))
+		}
+		for _, idx := range probes {
+			want := sort.Search(n, func(s int) bool { return idx < boundaries[s] })
+			if got := ShardOf(idx, boundaries); got != want {
+				t.Fatalf("ShardOf(%d, %v) = %d, sort.Search says %d", idx, boundaries, got, want)
+			}
 		}
 	}
 }

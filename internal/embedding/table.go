@@ -103,22 +103,74 @@ func (t *Table) Clone() *Table {
 // GatherPool gathers the rows named by indices and sum-pools them into dst,
 // which must have length Dim. This is the embedding-layer operator: for a
 // pooling factor of n, n rows are read and reduced with element-wise
-// addition (Sec. II-A).
+// addition (Sec. II-A). Every index is range-checked before dst is
+// written, so a failed call leaves dst untouched.
 func (t *Table) GatherPool(dst tensor.Vector, indices []int64) error {
 	if len(dst) != t.Dim {
 		return fmt.Errorf("embedding: dst dim %d != table dim %d", len(dst), t.Dim)
 	}
-	tensor.Zero(dst)
+	if err := t.checkIndices(indices); err != nil {
+		return err
+	}
+	t.pool(dst, indices)
+	return nil
+}
+
+// checkIndices range-checks a lookup list against the table.
+func (t *Table) checkIndices(indices []int64) error {
 	for _, idx := range indices {
 		if idx < 0 || idx >= t.Rows {
 			return fmt.Errorf("%w: row %d of %d in table %q", ErrIndexRange, idx, t.Rows, t.Name)
 		}
-		row := t.data[idx*int64(t.Dim) : (idx+1)*int64(t.Dim)]
-		for i, x := range row {
-			dst[i] += x
-		}
 	}
 	return nil
+}
+
+// pool is the gather-and-pool kernel over already-validated indices
+// (len(dst) == Dim). Rows accumulate four at a time so four independent
+// row streams — four cache misses — are in flight at once and dst is
+// loaded and stored once per group instead of once per row.
+func (t *Table) pool(dst []float32, indices []int64) {
+	clear(dst)
+	dim := int64(len(dst))
+	data := t.data
+	for ; len(indices) >= 4; indices = indices[4:] {
+		o0, o1, o2, o3 := indices[0]*dim, indices[1]*dim, indices[2]*dim, indices[3]*dim
+		AddRows4(dst, data[o0:o0+dim], data[o1:o1+dim], data[o2:o2+dim], data[o3:o3+dim])
+	}
+	for _, idx := range indices {
+		o := idx * dim
+		AddRow(dst, data[o:o+dim])
+	}
+}
+
+// AddRows4 adds four rows into dst element-wise: dst[j] = (((dst[j] + r0[j])
+// + r1[j]) + r2[j]) + r3[j]. The float32 additions happen in exactly that
+// order — the order of four consecutive AddRow calls — so regrouping a
+// sum-pool into AddRows4 steps never changes a bit of the result; the
+// monolith oracle, the sharded gathers and the rows-mode merge all pool
+// through this one kernel and stay bit-identical to the naive loop. Every
+// row must be at least len(dst) long.
+func AddRows4(dst, r0, r1, r2, r3 []float32) {
+	n := len(dst)
+	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
+	for j := range dst {
+		d := dst[j]
+		d += r0[j]
+		d += r1[j]
+		d += r2[j]
+		d += r3[j]
+		dst[j] = d
+	}
+}
+
+// AddRow adds one row into dst element-wise (the tail step of AddRows4
+// grouping). r must be at least len(dst) long.
+func AddRow(dst, r []float32) {
+	r = r[:len(dst)]
+	for j := range dst {
+		dst[j] += r[j]
+	}
 }
 
 // Permute returns a new table whose row i is t.Row(perm[i]); perm must be a
@@ -212,7 +264,8 @@ func (b *Batch) Clone() *Batch {
 
 // GatherPoolBatch runs GatherPool for every input in the batch and writes
 // the pooled vector for input i into out.Row(i). out must be
-// (BatchSize x Dim).
+// (BatchSize x Dim). The batch structure and every index are validated
+// once, before out is written.
 func (t *Table) GatherPoolBatch(out *tensor.Matrix, b *Batch) error {
 	if err := b.Validate(); err != nil {
 		return err
@@ -220,10 +273,11 @@ func (t *Table) GatherPoolBatch(out *tensor.Matrix, b *Batch) error {
 	if out.Rows != b.BatchSize() || out.Cols != t.Dim {
 		return fmt.Errorf("embedding: out shape %dx%d want %dx%d", out.Rows, out.Cols, b.BatchSize(), t.Dim)
 	}
+	if err := t.checkIndices(b.Indices); err != nil {
+		return err
+	}
 	for i := 0; i < b.BatchSize(); i++ {
-		if err := t.GatherPool(out.Row(i), b.InputIndices(i)); err != nil {
-			return err
-		}
+		t.pool(out.Row(i), b.InputIndices(i))
 	}
 	return nil
 }

@@ -278,3 +278,93 @@ func TestPermuteReadbackProperty(t *testing.T) {
 		}
 	}
 }
+
+// naiveGatherPool is the one-row-at-a-time reference loop GatherPool's
+// grouped kernel must match bit for bit: zero, then dst[i] += row[i] in
+// index order.
+func naiveGatherPool(tab *Table, indices []int64) []float32 {
+	dst := make([]float32, tab.Dim)
+	for _, idx := range indices {
+		row, _ := tab.Vector(idx)
+		for i, x := range row {
+			dst[i] += x
+		}
+	}
+	return dst
+}
+
+// TestGatherPoolBitExact pins the order-preserving contract: for every
+// index count around the 4-row grouping and a long tail, odd and even
+// dims, repeated indices and values spanning sixteen orders of magnitude
+// (where float32 addition is far from associative), the kernel's output
+// has the reference loop's exact bits.
+func TestGatherPoolBitExact(t *testing.T) {
+	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129}
+	const rows = 64 // far fewer rows than the long lists: indices repeat
+	for _, dim := range []int{1, 3, 32, 64} {
+		tab := mustTable(t, rows, dim)
+		seed := uint64(dim)
+		next := func() uint64 { // splitmix64
+			seed += 0x9e3779b97f4a7c15
+			z := seed
+			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+			return z ^ (z >> 31)
+		}
+		for i := range tab.data {
+			mag := math.Pow(10, float64(next()%17)-8) // 1e-8 … 1e8
+			frac := 1 + float64(next()%1000)/1000
+			if next()%2 == 0 {
+				mag = -mag
+			}
+			tab.data[i] = float32(mag * frac)
+		}
+		for _, n := range counts {
+			indices := make([]int64, n)
+			for i := range indices {
+				indices[i] = int64(next() % rows)
+			}
+			if n >= 2 {
+				indices[1] = indices[0] // an adjacent repeat inside one group
+			}
+			want := naiveGatherPool(tab, indices)
+			got := make(tensor.Vector, dim)
+			for i := range got {
+				got[i] = float32(math.NaN()) // stale contents must not leak through
+			}
+			if err := tab.GatherPool(got, indices); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("dim %d, %d indices, element %d: kernel %x (%v) != reference %x (%v)",
+						dim, n, i, math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
+				}
+			}
+		}
+	}
+}
+
+// A failed gather must not have written dst: every index is range-checked
+// before the first accumulate, wherever the bad one sits.
+func TestGatherPoolValidatesBeforeWriting(t *testing.T) {
+	tab := mustTable(t, 8, 2)
+	for _, indices := range [][]int64{{8, 1, 2, 3, 4}, {0, 1, -1, 3, 4}, {0, 1, 2, 3, 8}} {
+		dst := tensor.Vector{7, 7}
+		if err := tab.GatherPool(dst, indices); !errors.Is(err, ErrIndexRange) {
+			t.Fatalf("indices %v: want ErrIndexRange, got %v", indices, err)
+		}
+		if dst[0] != 7 || dst[1] != 7 {
+			t.Fatalf("indices %v: failed gather wrote dst = %v", indices, dst)
+		}
+		out := tensor.NewMatrix(2, 2)
+		out.Data[0], out.Data[3] = 7, 7
+		b := &Batch{Indices: indices, Offsets: []int32{0, 2}}
+		if err := tab.GatherPoolBatch(out, b); !errors.Is(err, ErrIndexRange) {
+			t.Fatalf("batch %v: want ErrIndexRange, got %v", indices, err)
+		}
+		if out.Data[0] != 7 || out.Data[3] != 7 {
+			t.Fatalf("batch %v: failed gather wrote out = %v", indices, out.Data)
+		}
+	}
+}

@@ -11,8 +11,10 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -366,11 +368,15 @@ func (h *Histogram) String() string {
 
 // UtilityTracker measures memory utility for one embedding shard: the
 // fraction of the shard's rows touched at least once while servicing
-// queries (Sec. VI-B measures this over the first 1,000 queries).
+// queries (Sec. VI-B measures this over the first 1,000 queries). It is a
+// lock-free bitset — one bit per row — because Touch runs once per
+// looked-up index on the gather hot path: the steady state (a row already
+// seen) is a single atomic load with no write. The count is popcounted on
+// read, so it is exact whenever no Touch or Reset is in flight and can only
+// be momentarily stale — never outside [0, rows] — while they race.
 type UtilityTracker struct {
-	mu      sync.Mutex
-	touched map[int64]struct{}
-	rows    int64
+	words []atomic.Uint64 // bit r&63 of words[r>>6] is set once row r was touched
+	rows  int64
 }
 
 // NewUtilityTracker creates a tracker for a shard holding rows embedding
@@ -379,48 +385,61 @@ func NewUtilityTracker(rows int64) *UtilityTracker {
 	if rows < 0 {
 		rows = 0
 	}
-	return &UtilityTracker{touched: make(map[int64]struct{}), rows: rows}
+	return &UtilityTracker{words: make([]atomic.Uint64, (rows+63)/64), rows: rows}
 }
 
-// Touch records an access to the given local row index.
+// Touch records an access to the given local row index. Rows outside
+// [0, rows) are ignored.
 func (u *UtilityTracker) Touch(row int64) {
-	u.mu.Lock()
-	u.touched[row] = struct{}{}
-	u.mu.Unlock()
+	if uint64(row) >= uint64(u.rows) {
+		return
+	}
+	w := &u.words[row>>6]
+	m := uint64(1) << (uint(row) & 63)
+	// A CompareAndSwap loop, not atomic.Uint64.Or: the go1.24.0 amd64
+	// toolchain miscompiles an Or whose old value is used once it is
+	// inlined into the gather path (a wild 0x2000000000 slice pointer
+	// faults in rowCache.fill, every run of TestRowCacheEquivalence). Keep
+	// Or/And out of this package until the toolchain moves. The load-first
+	// test is the fast path anyway: a hot row is already set.
+	for {
+		old := w.Load()
+		if old&m != 0 || w.CompareAndSwap(old, old|m) {
+			return
+		}
+	}
 }
 
 // TouchAll records accesses to a batch of local row indices.
 func (u *UtilityTracker) TouchAll(rows []int64) {
-	u.mu.Lock()
 	for _, r := range rows {
-		u.touched[r] = struct{}{}
+		u.Touch(r)
 	}
-	u.mu.Unlock()
 }
 
 // Utility returns touched-rows / total-rows in [0, 1]. A shard with zero
 // rows reports utility 0.
 func (u *UtilityTracker) Utility() float64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	if u.rows == 0 {
 		return 0
 	}
-	return float64(len(u.touched)) / float64(u.rows)
+	return float64(u.TouchedRows()) / float64(u.rows)
 }
 
 // TouchedRows returns the number of distinct rows accessed.
 func (u *UtilityTracker) TouchedRows() int64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return int64(len(u.touched))
+	var n int
+	for i := range u.words {
+		n += bits.OnesCount64(u.words[i].Load())
+	}
+	return int64(n)
 }
 
 // Reset clears the access set.
 func (u *UtilityTracker) Reset() {
-	u.mu.Lock()
-	u.touched = make(map[int64]struct{})
-	u.mu.Unlock()
+	for i := range u.words {
+		u.words[i].Store(0)
+	}
 }
 
 // FormatBytes renders a byte count in human-readable GB/MB/KB form, used by

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -171,21 +172,110 @@ func TestUtilityTrackerZeroRows(t *testing.T) {
 	}
 }
 
+// Eight goroutines TouchAll overlapping id sets (neighbours share half
+// their ids, many ids share a word): no first touch may be lost to a
+// concurrent CompareAndSwap on the same word.
 func TestUtilityTrackerConcurrent(t *testing.T) {
-	u := NewUtilityTracker(1000)
+	const rows, span, step = 5000, 1000, 500
+	u := NewUtilityTracker(rows)
+	distinct := make(map[int64]struct{})
+	sets := make([][]int64, 8)
+	for g := range sets {
+		for i := 0; i < span; i++ {
+			// Stride 3 from an overlapping base, wrapped into range.
+			id := int64((g*step + i*3) % rows)
+			sets[g] = append(sets[g], id)
+			distinct[id] = struct{}{}
+		}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for _, set := range sets {
+		wg.Add(1)
+		go func(set []int64) {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				u.TouchAll(set)
+			}
+		}(set)
+	}
+	wg.Wait()
+	if got, want := u.TouchedRows(), int64(len(distinct)); got != want {
+		t.Fatalf("TouchedRows = %d, want %d distinct", got, want)
+	}
+}
+
+// Reset racing Touch may leave the count momentarily stale, but never
+// outside the shard: Utility stays in [0, 1] at every read.
+func TestUtilityTrackerResetRacesTouch(t *testing.T) {
+	const rows = 300
+	u := NewUtilityTracker(rows)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := int64(0); i < 1000; i++ {
-				u.Touch(i)
+			for i := int64(g); ; i = (i + 7) % rows {
+				select {
+				case <-stop:
+					return
+				default:
+					u.Touch(i)
+				}
 			}
 		}(g)
 	}
+	for i := 0; i < 2000; i++ {
+		if i%3 == 0 {
+			u.Reset()
+		}
+		if got := u.Utility(); got < 0 || got > 1 {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("Utility = %v outside [0, 1] while Reset races Touch", got)
+		}
+	}
+	close(stop)
 	wg.Wait()
-	if u.TouchedRows() != 1000 {
-		t.Fatalf("TouchedRows = %d, want 1000", u.TouchedRows())
+	u.Reset()
+	if u.TouchedRows() != 0 {
+		t.Fatal("a quiescent Reset must clear every row")
+	}
+}
+
+func TestUtilityTrackerIgnoresOutOfRange(t *testing.T) {
+	u := NewUtilityTracker(70) // two words, the second partly used
+	u.TouchAll([]int64{-1, -64, 70, 71, 127, 128, 1 << 40})
+	if got := u.TouchedRows(); got != 0 {
+		t.Fatalf("out-of-range rows counted: TouchedRows = %d", got)
+	}
+	u.TouchAll([]int64{0, 63, 64, 69})
+	if got := u.TouchedRows(); got != 4 {
+		t.Fatalf("TouchedRows = %d, want 4", got)
+	}
+	if got := u.Utility(); got != 4.0/70 {
+		t.Fatalf("Utility = %v, want 4/70", got)
+	}
+}
+
+// A tracker costs one bit per row — a 200k-row shard's is 25 KB, where
+// the map it replaced grew to megabytes — and touching allocates nothing.
+func TestUtilityTrackerFootprint(t *testing.T) {
+	const rows = 200_000
+	var u *UtilityTracker
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	u = NewUtilityTracker(rows)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 32<<10 {
+		t.Fatalf("NewUtilityTracker(%d) allocated %d bytes, want < 32 KB", rows, got)
+	}
+	ids := make([]int64, 4096)
+	for i := range ids {
+		ids[i] = int64(i * 48)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { u.TouchAll(ids) }); allocs != 0 {
+		t.Fatalf("TouchAll allocated %v times per call, want 0", allocs)
 	}
 }
 

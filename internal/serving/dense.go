@@ -56,11 +56,13 @@ type DenseShard struct {
 // returns can never race an in-flight gather.
 type predictScratch struct {
 	calls   []gatherCall
-	counts  []int   // per-shard lookup counts of the table being split
-	starts  []int   // per-shard segment starts within idxBuf
-	cursors []int   // per-shard fill cursors within idxBuf
-	idxBuf  []int64 // backing for every shard's rebased indices
-	offBuf  []int32 // backing for every shard's local offsets
+	counts  []int    // per-shard lookup counts of the table being split
+	starts  []int    // per-shard segment starts within idxBuf
+	cursors []int    // per-shard fill cursors within idxBuf
+	idxBuf  []int64  // backing for every shard's rebased indices
+	offBuf  []int32  // backing for every shard's local offsets
+	localID []int64  // per index of the table being split, its shard-local id
+	shardNo []uint16 // per index of the table being split, its owning shard
 	pooled  []float32
 	rows    []tensor.Vector
 
@@ -205,9 +207,9 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 	// shard's local ID space, with exact-size segments carved out of the
 	// reusable scratch backing (no intermediate remapped request, no
 	// append growth). bucketize.Split is the allocating reference
-	// implementation of the same count-then-carve partition; the
-	// monolith-equivalence tests pin this fused path against it
-	// end-to-end, so a carve fix must land in both.
+	// implementation of the same count-then-carve partition;
+	// TestFusedBucketizeMatchesSplit pins this fused path against it
+	// exactly, so a carve fix must land in both.
 	nt := d.cfg.NumTables
 	totalCalls, idxNeed := 0, 0
 	for t := 0; t < nt; t++ {
@@ -238,8 +240,19 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 		for s := range counts {
 			counts[s] = 0
 		}
-		// Pass 1: remap, validate and count each shard's lookups.
-		for _, idx := range tb.Indices {
+		// Pass 1: remap and validate each index once, then record its
+		// shard-local id and owning shard while counting each shard's
+		// lookups, so pass 2 never repeats the cache-missing rank lookup
+		// or the boundary search. The remap runs as its own loop: free of
+		// the shard search's data-dependent branches, its rank[idx] misses
+		// overlap instead of being flushed with each mispredict.
+		if cap(sc.localID) < len(tb.Indices) {
+			sc.localID = make([]int64, len(tb.Indices))
+			sc.shardNo = make([]uint16, len(tb.Indices))
+		}
+		localID := sc.localID[:len(tb.Indices)]
+		shardNo := sc.shardNo[:len(tb.Indices)]
+		for p, idx := range tb.Indices {
 			r := idx
 			if rank != nil {
 				if idx < 0 || idx >= int64(len(rank)) {
@@ -249,7 +262,16 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 			} else if idx < 0 || idx >= bnd[ns-1] {
 				return fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, bnd[ns-1])
 			}
-			counts[bucketize.ShardOf(r, bnd)]++
+			localID[p] = r
+		}
+		for p, r := range localID {
+			s := bucketize.ShardOf(r, bnd)
+			counts[s]++
+			if s > 0 {
+				r -= bnd[s-1]
+			}
+			localID[p] = r
+			shardNo[p] = uint16(s)
 		}
 		sc.starts = growInts(sc.starts, ns)
 		sc.cursors = growInts(sc.cursors, ns)
@@ -259,7 +281,7 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 			pos += counts[s]
 		}
 		// Pass 2: per input, record every shard's local offset, then
-		// scatter the input's remapped indices into the shard segments.
+		// scatter the input's shard-local ids into the shard segments.
 		for i := 0; i < bs; i++ {
 			for s := 0; s < ns; s++ {
 				sc.offBuf[offPos+s*bs+i] = int32(sc.cursors[s] - sc.starts[s])
@@ -269,17 +291,9 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 			if i+1 < bs {
 				hi = int(tb.Offsets[i+1])
 			}
-			for _, idx := range tb.Indices[lo:hi] {
-				r := idx
-				if rank != nil {
-					r = rank[idx]
-				}
-				s := bucketize.ShardOf(r, bnd)
-				base := int64(0)
-				if s > 0 {
-					base = bnd[s-1]
-				}
-				sc.idxBuf[sc.cursors[s]] = r - base
+			for p := lo; p < hi; p++ {
+				s := shardNo[p]
+				sc.idxBuf[sc.cursors[s]] = localID[p]
 				sc.cursors[s]++
 			}
 		}
@@ -680,24 +694,15 @@ func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply
 			// distinguish), killing the 32KB memclr a recycled scratch
 			// would otherwise need per request.
 			copy(dst, rowView[slotBuf[ibase+lo]])
-			for p := lo + 1; p < hi; p++ {
-				src := rowView[slotBuf[ibase+p]]
-				// 4-wide unroll: the adds are independent across k, so
-				// shrinking loop overhead is nearly free throughput on this
-				// all-CPU path (a float32 add per element is all the work
-				// there is). dst reslices to len(src) so every index below
-				// proves in-bounds once.
-				d4 := dst[:len(src)]
-				k := 0
-				for ; k+4 <= len(src); k += 4 {
-					d4[k] += src[k]
-					d4[k+1] += src[k+1]
-					d4[k+2] += src[k+2]
-					d4[k+3] += src[k+3]
-				}
-				for ; k < len(src); k++ {
-					d4[k] += src[k]
-				}
+			// The rest accumulate through the shared pooling kernel, four
+			// row streams at a time; its add order is the one-row-at-a-time
+			// order, so the grouping changes no bit.
+			slots := slotBuf[ibase+lo+1 : ibase+hi]
+			for ; len(slots) >= 4; slots = slots[4:] {
+				embedding.AddRows4(dst, rowView[slots[0]], rowView[slots[1]], rowView[slots[2]], rowView[slots[3]])
+			}
+			for _, u := range slots {
+				embedding.AddRow(dst, rowView[u])
 			}
 		}
 		ibase += len(tb.Indices)

@@ -122,13 +122,12 @@ func (s *EmbeddingShard) Gather(ctx context.Context, req *GatherRequest, reply *
 		return nil
 	}
 	b := embedding.Batch{Indices: req.Indices, Offsets: req.Offsets}
-	if err := b.Validate(); err != nil {
-		return fmt.Errorf("serving: shard t%d s%d: %w", s.TableIndex, s.ShardIndex, err)
-	}
 	bs := b.BatchSize()
 	// The pooled output draws from the shared buffer pool; the dense
-	// shard recycles it after merging (GatherPool zeroes each row before
-	// accumulating, so recycled contents never leak through).
+	// shard recycles it after merging (GatherPoolBatch zeroes each row
+	// before accumulating, so recycled contents never leak through). It
+	// also validates the request — offsets and every index, once, before
+	// writing — so a bad request hands the untouched buffer straight back.
 	out := tensor.Matrix{Rows: bs, Cols: s.table.Dim, Data: wire.GetFloat32(bs * s.table.Dim)}
 	if err := s.table.GatherPoolBatch(&out, &b); err != nil {
 		wire.PutFloat32(out.Data)

@@ -86,6 +86,10 @@ type RoutingTable struct {
 	inflight atomic.Int64
 }
 
+// maxShardsPerTable bounds one table's plan so DenseShard.Predict can keep
+// each index's owning shard in a uint16 side array.
+const maxShardsPerTable = 1 << 16
+
 // NewRoutingTable validates plan geometry and wraps it as an immutable
 // epoch. boundaries[t] and clients[t][s] follow the DenseShard layout.
 func NewRoutingTable(epoch int64, cfg model.Config, pre *Preprocessed, boundaries [][]int64, clients [][]GatherClient) (*RoutingTable, error) {
@@ -100,6 +104,10 @@ func NewRoutingTable(epoch int64, cfg model.Config, pre *Preprocessed, boundarie
 		if len(clients[t]) != len(boundaries[t]) {
 			return nil, fmt.Errorf("serving: table %d has %d clients for %d shards",
 				t, len(clients[t]), len(boundaries[t]))
+		}
+		if len(boundaries[t]) > maxShardsPerTable {
+			return nil, fmt.Errorf("serving: table %d has %d shards, more than the %d a plan may number",
+				t, len(boundaries[t]), maxShardsPerTable)
 		}
 		if last := boundaries[t][len(boundaries[t])-1]; last != cfg.RowsPerTable {
 			return nil, fmt.Errorf("serving: table %d boundaries end at %d, want %d",
