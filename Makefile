@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-json bench-guard bench-contract fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants ci
+.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-json bench-guard bench-contract fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants lint-deps ci
 
 build:
 	$(GO) build ./...
@@ -35,8 +35,8 @@ race-repartition:
 	$(GO) test -race -run 'Repartition|Straggler|Cancels|Lifecycle|ReplanMemo|PullPool' -count=1 ./internal/serving/
 
 # Control-plane smoke: the model-lifecycle closed loop (deploy/undeploy
-# over the versioned admin RPC) in short mode — CI runs this in the checks
-# job.
+# over the versioned admin frames on the predict listener) in short mode —
+# CI runs this in the checks job.
 lifecycle-smoke:
 	$(GO) run ./cmd/elasticrec -short lifecycle
 
@@ -86,12 +86,14 @@ bench-contract:
 	case "$$out" in *'"correct":true'*) ;; *) echo "bench-contract: replies not all correct"; exit 1;; esac; \
 	case "$$out" in *'"failed":0,'*) ;; *) echo "bench-contract: failed requests"; exit 1;; esac
 
-# Fuzz smoke: run the wire-codec fuzz target briefly — malformed frames
-# must error, never panic or over-allocate, and every frame that decodes
-# must re-encode canonically. CI runs this in the checks job; run longer
-# locally with e.g. -fuzztime=5m when touching the codec.
+# Fuzz smoke: run the wire fuzz targets briefly (the message codec, then
+# the admin frame header) — malformed frames must error, never panic or
+# over-allocate, and every frame that decodes must re-encode canonically.
+# CI runs this in the checks job; run longer locally with e.g.
+# -fuzztime=5m when touching the codec.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWireCodec -fuzztime=10s ./internal/serving/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzAdminFrame -fuzztime=10s ./internal/serving/wire/
 
 # Scenario smoke: run every checked-in declarative scenario
 # (examples/scenarios/*.json) in short mode against a live deployment,
@@ -136,4 +138,14 @@ lint-doc:
 lint-invariants:
 	$(GO) run ./cmd/invariantcheck ./internal/... ./cmd/...
 
-ci: fmt-check vet lint-doc lint-invariants build test-short race race-repartition lifecycle-smoke bench-smoke bench-contract fuzz-smoke
+# Dependency lint: the serving plane speaks one protocol
+# (internal/serving/wire). net/rpc and encoding/gob would be a second one;
+# neither module may depend on them, directly, transitively or from a test.
+lint-deps:
+	@for dir in . benchmark; do \
+		found="$$(cd $$dir && $(GO) list -deps -test ./... | grep -x -e net/rpc -e encoding/gob)"; \
+		if [ -n "$$found" ]; then \
+			echo "lint-deps: module in $$dir depends on:"; echo "$$found"; exit 1; fi; \
+	done
+
+ci: fmt-check vet lint-doc lint-invariants lint-deps build test-short race race-repartition lifecycle-smoke bench-smoke bench-contract fuzz-smoke

@@ -13,9 +13,7 @@
 package repro_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -594,16 +592,16 @@ func BenchmarkServing_ConcurrentPredict(b *testing.B) {
 }
 
 // concurrentPredictTCPFixture builds a wire-bound deployment behind
-// loopback TCP with the given gather codec, exports the predict frontend
-// over the same codec, and returns a dialed network client. The geometry
+// loopback TCP, exports the predict frontend the same way, and returns a
+// dialed network client. The geometry
 // isolates the transport: RM1's batch/pooling (32x128 indices per table,
 // 64-wide embeddings) keeps the payloads realistic while tiny MLPs keep
 // dense compute off the critical path, and the deployment is unbatched so
 // each predict fans out 12 gather RPCs (4 tables x 3 shards). opts
 // layers gather-path options (GatherRows, RowCacheBytes, WireFP16) on
-// top of the transport, which the fixture pins to TCP+codec itself; the
+// top of the transport, which the fixture pins to TCP itself; the
 // returned deployment exposes BuildCounters for cache-metric reporting.
-func concurrentPredictTCPFixture(b *testing.B, codec serving.WireCodec, opts serving.BuildOptions) (serving.PredictClient, []*serving.PredictRequest, *serving.LiveDeployment, func()) {
+func concurrentPredictTCPFixture(b *testing.B, opts serving.BuildOptions) (serving.PredictClient, []*serving.PredictRequest, *serving.LiveDeployment, func()) {
 	b.Helper()
 	cfg := model.Config{
 		Name:          "wire-bench",
@@ -640,7 +638,6 @@ func concurrentPredictTCPFixture(b *testing.B, codec serving.WireCodec, opts ser
 		b.Fatal(err)
 	}
 	opts.Transport = serving.TransportTCP
-	opts.WireCodec = codec
 	ld, err := serving.BuildElastic(m, stats, []int64{5_000, 20_000, cfg.RowsPerTable}, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -650,22 +647,10 @@ func concurrentPredictTCPFixture(b *testing.B, codec serving.WireCodec, opts ser
 		ld.Close()
 		b.Fatal(err)
 	}
-	var client serving.PredictClient
-	var closeClient func() error
-	if codec == serving.WireGob {
-		c, err := serving.DialPredictGob(addr, "WireBench")
-		if err != nil {
-			ld.Close()
-			b.Fatal(err)
-		}
-		client, closeClient = c, c.Close
-	} else {
-		c, err := serving.DialPredict(addr, "WireBench")
-		if err != nil {
-			ld.Close()
-			b.Fatal(err)
-		}
-		client, closeClient = c, c.Close
+	client, err := serving.DialPredict(addr, "WireBench")
+	if err != nil {
+		ld.Close()
+		b.Fatal(err)
 	}
 	rng := workload.NewRNG(77)
 	reqs := make([]*serving.PredictRequest, 32)
@@ -685,25 +670,21 @@ func concurrentPredictTCPFixture(b *testing.B, codec serving.WireCodec, opts ser
 		reqs[i] = req
 	}
 	return client, reqs, ld, func() {
-		_ = closeClient()
+		_ = client.Close()
 		ld.Close()
 	}
 }
 
-// BenchmarkServing_ConcurrentPredictWire is the transport shoot-out: the
-// identical deployment and workload served over loopback TCP with gob vs
-// binary framed shard+frontend wiring, 8 closed-loop clients each.
-// Compare the qps metric between the two rows — the binary codec's
-// no-reflection encode/decode and pipelined connections are the entire
-// difference.
+// BenchmarkServing_ConcurrentPredictWire is the transport-bound row: a
+// deployment whose shard gathers and frontend both ride loopback TCP,
+// under 8 closed-loop clients. The row keeps the name it had when a gob
+// row sat beside it, so its trajectory continues.
 func BenchmarkServing_ConcurrentPredictWire(b *testing.B) {
-	for _, codec := range []serving.WireCodec{serving.WireGob, serving.WireBinary} {
-		client, reqs, _, cleanup := concurrentPredictTCPFixture(b, codec, serving.BuildOptions{})
-		b.Run("tcp/wire="+string(codec)+"/clients=8", func(b *testing.B) {
-			runClosedLoopPredict(b, client, reqs, 8)
-		})
-		cleanup()
-	}
+	client, reqs, _, cleanup := concurrentPredictTCPFixture(b, serving.BuildOptions{})
+	defer cleanup()
+	b.Run("tcp/wire=binary/clients=8", func(b *testing.B) {
+		runClosedLoopPredict(b, client, reqs, 8)
+	})
 }
 
 // BenchmarkServing_HotRowCache is the gather-path-v2 shoot-out on the
@@ -722,7 +703,7 @@ func BenchmarkServing_HotRowCache(b *testing.B) {
 		{"tcp/path=rows", serving.BuildOptions{GatherRows: true}},
 		{"tcp/path=rows+cache", serving.BuildOptions{RowCacheBytes: 32 << 20}},
 	} {
-		client, reqs, ld, cleanup := concurrentPredictTCPFixture(b, serving.WireBinary, sub.opts)
+		client, reqs, ld, cleanup := concurrentPredictTCPFixture(b, sub.opts)
 		b.Run(sub.name+"/clients=8", func(b *testing.B) {
 			runClosedLoopPredict(b, client, reqs, 8)
 			if bc := ld.BuildCounters(); bc.RowCacheHits+bc.RowCacheMisses > 0 {
@@ -762,31 +743,10 @@ func wireBenchMessages() (*wire.GatherReply, *wire.PredictRequest) {
 	return rep, req
 }
 
-// BenchmarkWire_Codec compares one encode+decode round trip per op under
-// the two codecs, message by message. The gob rows use a persistent
-// encoder/decoder pair over one buffer — exactly net/rpc's steady state,
-// so gob's one-time type descriptors are excluded. wire-bytes/op is the
-// encoded frame size.
+// BenchmarkWire_Codec measures one encode+decode round trip per op,
+// message by message. wire-bytes/op is the encoded frame size.
 func BenchmarkWire_Codec(b *testing.B) {
 	rep, req := wireBenchMessages()
-	b.Run("gather-reply/gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		var n int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(rep); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-			var got wire.GatherReply
-			if err := dec.Decode(&got); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(n), "wire-bytes/op")
-	})
 	b.Run("gather-reply/binary", func(b *testing.B) {
 		var buf []byte
 		b.ReportAllocs()
@@ -812,24 +772,6 @@ func BenchmarkWire_Codec(b *testing.B) {
 			wire.FreeGatherReply(&got)
 		}
 		b.ReportMetric(float64(len(buf)), "wire-bytes/op")
-	})
-	b.Run("predict-request/gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		dec := gob.NewDecoder(&buf)
-		var n int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := enc.Encode(req); err != nil {
-				b.Fatal(err)
-			}
-			n = buf.Len()
-			var got wire.PredictRequest
-			if err := dec.Decode(&got); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(n), "wire-bytes/op")
 	})
 	b.Run("predict-request/binary", func(b *testing.B) {
 		var buf []byte

@@ -3,7 +3,7 @@
 // zero-downtime repartitioning per variant, and runtime model lifecycle
 // driven over the admin API.
 //
-// Every embedding shard of every variant runs behind its own net/rpc
+// Every embedding shard of every variant runs behind its own TCP
 // server (the stand-in for the paper's gRPC mesh); a round-robin replica
 // pool plays Linkerd; an HPA-style control loop watches each variant's own
 // offered load and scales shard replicas in and out while a Poisson client
@@ -165,7 +165,7 @@ func main() {
 			name, ld.Table().NumShards(0), byName[name].cfg.NumTables)
 	}
 
-	// Export the multi-model dispatching frontend over net/rpc and drive
+	// Export the multi-model dispatching frontend over TCP and drive
 	// all traffic through the wire; the Model field routes each request.
 	// The same listener carries the versioned admin control plane.
 	addr, err := md.ExportPredict("Frontend")

@@ -12,8 +12,8 @@ import (
 
 // LifecycleTable runs the model-lifecycle closed loop: a live multi-model
 // frontend whose served set changes under traffic, driven entirely over
-// the versioned admin RPC endpoints (Admin.Deploy / Admin.Undeploy /
-// Admin.Status) that ride the same TCP listener as the predict traffic.
+// the versioned admin RPC endpoints (Deploy / Undeploy / Status) that
+// ride the same TCP listener as the predict traffic.
 // The loop starts with two variants, deploys a third into the running
 // frontend mid-run (build → warm → publish, no restart), drains the first
 // variant out while the others keep serving, and finally redeploys under

@@ -2,32 +2,40 @@ package serving
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"net/rpc"
 
 	"repro/internal/embedding"
 	"repro/internal/model"
+	"repro/internal/serving/wire"
 )
 
 // This file is the wire form of the control plane: the Controller's
-// lifecycle API (Deploy / Undeploy / Status) exposed as a versioned net/rpc
-// admin service on the same frontend endpoint that serves Predict traffic.
-// Every request carries AdminAPIVersion; a frontend refuses a request from
-// a different control-plane generation instead of misinterpreting it, so
-// admin tooling and servers can roll independently. A Deploy request does
-// not ship model weights — it ships the variant's spec (architecture
-// config + parameter seed + profiling-window counts), and the frontend
-// instantiates the model locally, exactly how every other layer of this
-// repository materializes variants.
+// lifecycle API (Deploy / Undeploy / Status) exposed as a versioned admin
+// service on the same listener, and under the same name, as the frontend
+// that serves Predict traffic. It rides wire.KindAdmin frames: the header
+// carries an op code and the caller's deadline, the body is the JSON of
+// the structs below — three low-rate calls need no hand-written codec,
+// and JSON skips unknown fields, so ModelStatus and BuildCounters can
+// grow without a version bump. Every request carries AdminAPIVersion; a
+// frontend refuses a request from a different control-plane generation
+// instead of misinterpreting it, so admin tooling and servers can roll
+// independently. A Deploy request does not ship model weights — it ships
+// the variant's spec (architecture config + parameter seed +
+// profiling-window counts), and the frontend instantiates the model
+// locally, exactly how every other layer of this repository materializes
+// variants.
 
 // AdminAPIVersion is the control-plane wire version. Bump it when a
 // request/reply shape changes incompatibly; servers reject mismatches.
 const AdminAPIVersion = 1
 
-// AdminServiceName returns the admin service name exported alongside a
-// predict frontend registered under frontend (net/rpc service names cannot
-// be dotted, so the suffix is appended directly).
-func AdminServiceName(frontend string) string { return frontend + "Admin" }
+// Admin frame op codes.
+const (
+	adminOpDeploy   byte = 1
+	adminOpUndeploy byte = 2
+	adminOpStatus   byte = 3
+)
 
 // AdminDeployRequest asks a frontend to build and publish a new variant.
 type AdminDeployRequest struct {
@@ -47,11 +55,6 @@ type AdminDeployRequest struct {
 	Boundaries []int64
 	// Options configures transport/replicas/batching/plan-cache.
 	Options BuildOptions
-	// Deadline bounds the deploy server-side (unix nanos, 0 = none), like
-	// every other wire deadline in this repository. It is checked at the
-	// build boundary: a deploy whose deadline passed mid-build is torn
-	// down instead of published, so a timed-out client can safely retry.
-	Deadline int64
 }
 
 // AdminDeployReply reports the published variant.
@@ -65,8 +68,6 @@ type AdminDeployReply struct {
 type AdminUndeployRequest struct {
 	APIVersion int
 	Model      string
-	// Deadline bounds the drain server-side (unix nanos, 0 = none).
-	Deadline int64
 }
 
 // AdminUndeployReply reports the retired variant.
@@ -78,7 +79,6 @@ type AdminUndeployReply struct {
 type AdminStatusRequest struct {
 	APIVersion int
 	Model      string
-	Deadline   int64
 }
 
 // AdminStatusReply carries the snapshots in registration order.
@@ -95,19 +95,52 @@ func checkAdminVersion(got int) error {
 	return nil
 }
 
-// adminRPC adapts a Controller to net/rpc's method signature (deadlines
-// ride the requests, same contract as the predict/gather services).
-type adminRPC struct{ ctrl *Controller }
+// adminService serves a Controller's lifecycle API as a
+// wire.AdminService. ctx carries the frame header's deadline: a Deploy
+// that outlives it is torn down at the build boundary instead of
+// published, so a timed-out client can safely retry; an Undeploy bounds
+// its drain by it.
+type adminService struct{ ctrl *Controller }
 
-// Deploy is the exported RPC method: it reconstructs the variant from its
-// spec (model weights from Config+Seed, profiling window from Counts) and
-// publishes it into the running frontend.
-func (a *adminRPC) Deploy(req *AdminDeployRequest, reply *AdminDeployReply) error {
+// Admin implements wire.AdminService.
+func (a adminService) Admin(ctx context.Context, op byte, body []byte) ([]byte, error) {
+	switch op {
+	case adminOpDeploy:
+		return serveAdmin(ctx, body, a.deploy)
+	case adminOpUndeploy:
+		return serveAdmin(ctx, body, a.undeploy)
+	case adminOpStatus:
+		return serveAdmin(ctx, body, a.status)
+	default:
+		return nil, fmt.Errorf("serving: unknown admin op %d", op)
+	}
+}
+
+// serveAdmin decodes one request body, runs its handler and encodes the
+// reply.
+func serveAdmin[Req, Rep any](ctx context.Context, body []byte, handle func(context.Context, *Req, *Rep) error) ([]byte, error) {
+	var req Req
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, fmt.Errorf("serving: admin request body: %w", err)
+	}
+	var reply Rep
+	if err := handle(ctx, &req, &reply); err != nil {
+		return nil, err
+	}
+	out, err := json.Marshal(&reply)
+	if err != nil {
+		return nil, fmt.Errorf("serving: admin reply body: %w", err)
+	}
+	return out, nil
+}
+
+// deploy reconstructs the variant from its spec (model weights from
+// Config+Seed, profiling window from Counts) and publishes it into the
+// running frontend.
+func (a adminService) deploy(ctx context.Context, req *AdminDeployRequest, reply *AdminDeployReply) error {
 	if err := checkAdminVersion(req.APIVersion); err != nil {
 		return err
 	}
-	ctx, cancel := deadlineContext(req.Deadline)
-	defer cancel()
 	m, err := model.New(req.Config, req.Seed)
 	if err != nil {
 		return fmt.Errorf("serving: admin deploy %q: %w", req.Name, err)
@@ -122,7 +155,7 @@ func (a *adminRPC) Deploy(req *AdminDeployRequest, reply *AdminDeployReply) erro
 			return fmt.Errorf("serving: admin deploy %q: table %d counts cover %d rows, want %d",
 				req.Name, t, len(counts), req.Config.RowsPerTable)
 		}
-		st := &embedding.AccessStats{Counts: append([]int64(nil), counts...)}
+		st := &embedding.AccessStats{Counts: counts} // the decoded request owns them
 		for _, c := range counts {
 			st.Total += c
 		}
@@ -144,14 +177,11 @@ func (a *adminRPC) Deploy(req *AdminDeployRequest, reply *AdminDeployReply) erro
 	return nil
 }
 
-// Undeploy is the exported RPC method: it drains the variant out of the
-// frontend within the request deadline.
-func (a *adminRPC) Undeploy(req *AdminUndeployRequest, reply *AdminUndeployReply) error {
+// undeploy drains the variant out of the frontend within the deadline.
+func (a adminService) undeploy(ctx context.Context, req *AdminUndeployRequest, reply *AdminUndeployReply) error {
 	if err := checkAdminVersion(req.APIVersion); err != nil {
 		return err
 	}
-	ctx, cancel := deadlineContext(req.Deadline)
-	defer cancel()
 	if err := a.ctrl.Undeploy(ctx, req.Model); err != nil {
 		return err
 	}
@@ -159,8 +189,8 @@ func (a *adminRPC) Undeploy(req *AdminUndeployRequest, reply *AdminUndeployReply
 	return nil
 }
 
-// Status is the exported RPC method.
-func (a *adminRPC) Status(req *AdminStatusRequest, reply *AdminStatusReply) error {
+// status snapshots one variant, or all of them.
+func (a adminService) status(_ context.Context, req *AdminStatusRequest, reply *AdminStatusReply) error {
 	if err := checkAdminVersion(req.APIVersion); err != nil {
 		return err
 	}
@@ -177,51 +207,56 @@ func (a *adminRPC) Status(req *AdminStatusRequest, reply *AdminStatusReply) erro
 }
 
 // AdminClient drives a remote frontend's control plane. Every call stamps
-// AdminAPIVersion and the context deadline onto the wire and follows the
-// rpcGo cancel contract.
+// AdminAPIVersion into the request and the context deadline into the frame
+// header, and is abandoned on cancel (see call).
 type AdminClient struct {
-	client *rpc.Client
-	name   string
+	conn *wire.Conn
 }
 
-// DialAdmin connects to the admin service exported alongside the predict
-// frontend registered under frontend at addr (see AdminServiceName).
-// Admin traffic rides the gob codec — the sniffing listener serves it
-// beside binary predict connections — and the dial is bounded by
-// DialTimeout like every other transport dial.
+// DialAdmin connects to the admin endpoint registered beside the predict
+// frontend named frontend at addr; the dial is bounded by DialTimeout
+// like every other transport dial.
 func DialAdmin(addr, frontend string) (*AdminClient, error) {
-	c, err := dialGob(addr)
+	c, err := wire.Dial(addr, frontend, wire.KindAdmin, DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return &AdminClient{client: c, name: AdminServiceName(frontend)}, nil
+	return &AdminClient{conn: c}, nil
+}
+
+// callAdmin issues one admin op.
+func callAdmin[Rep any](ctx context.Context, c *AdminClient, op byte, req any, reply *Rep) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return fmt.Errorf("serving: admin request body: %w", err)
+	}
+	return call(ctx, c.conn,
+		func(b []byte) []byte { return wire.AppendAdminRequest(b, op, wire.CtxDeadlineNanos(ctx), body) },
+		func(p []byte, r *Rep) error { return json.Unmarshal(p, r) }, reply)
 }
 
 // Deploy builds and publishes a variant on the remote frontend.
 func (c *AdminClient) Deploy(ctx context.Context, req *AdminDeployRequest, reply *AdminDeployReply) error {
 	stamped := *req
 	stamped.APIVersion = AdminAPIVersion
-	stamped.Deadline = ctxDeadlineNanos(ctx)
-	return rpcGo(ctx, c.client, c.name+".Deploy", &stamped, reply)
+	return callAdmin(ctx, c, adminOpDeploy, &stamped, reply)
 }
 
 // Undeploy drains a variant out of the remote frontend.
 func (c *AdminClient) Undeploy(ctx context.Context, mdl string) (AdminUndeployReply, error) {
-	req := &AdminUndeployRequest{APIVersion: AdminAPIVersion, Model: mdl, Deadline: ctxDeadlineNanos(ctx)}
 	var reply AdminUndeployReply
-	err := rpcGo(ctx, c.client, c.name+".Undeploy", req, &reply)
+	err := callAdmin(ctx, c, adminOpUndeploy, &AdminUndeployRequest{APIVersion: AdminAPIVersion, Model: mdl}, &reply)
 	return reply, err
 }
 
 // Status snapshots the remote frontend's variants (mdl empty = all).
 func (c *AdminClient) Status(ctx context.Context, mdl string) ([]ModelStatus, error) {
-	req := &AdminStatusRequest{APIVersion: AdminAPIVersion, Model: mdl, Deadline: ctxDeadlineNanos(ctx)}
 	var reply AdminStatusReply
-	if err := rpcGo(ctx, c.client, c.name+".Status", req, &reply); err != nil {
+	if err := callAdmin(ctx, c, adminOpStatus, &AdminStatusRequest{APIVersion: AdminAPIVersion, Model: mdl}, &reply); err != nil {
 		return nil, err
 	}
 	return reply.Models, nil
 }
 
 // Close tears down the connection.
-func (c *AdminClient) Close() error { return c.client.Close() }
+func (c *AdminClient) Close() error { return c.conn.Close() }

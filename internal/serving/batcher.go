@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/serving/wire"
 )
 
 // This file implements dynamic request batching for the dense hot path.
@@ -153,7 +154,7 @@ func (b *Batcher) Predict(ctx context.Context, req *PredictRequest, reply *Predi
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p := &pendingPredict{req: req, deadline: ctxDeadlineNanos(ctx), done: make(chan error, 1)}
+	p := &pendingPredict{req: req, deadline: wire.CtxDeadlineNanos(ctx), done: make(chan error, 1)}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -271,7 +272,7 @@ func batchContext(batch []*pendingPredict) (context.Context, context.CancelFunc)
 			earliest = p.deadline
 		}
 	}
-	return deadlineContext(earliest)
+	return wire.DeadlineContext(earliest)
 }
 
 // dispatch runs one fused batch against the backend and demuxes results.

@@ -77,8 +77,8 @@ type ModelStatus struct {
 	// Queues is the per-shard pull-queue pressure of the current epoch
 	// (one entry per replica pool) — the signal the queue-depth
 	// autoscaler scales on, surfaced so operators can see a hot shard
-	// building backlog before it sheds. Added fields ride the versioned
-	// gob admin RPC without a version bump (absent on old peers).
+	// building backlog before it sheds. Added fields ride the admin API's
+	// JSON bodies without a version bump (absent on old peers).
 	Queues []ShardQueueStatus
 }
 

@@ -3,7 +3,6 @@ package serving
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,51 +20,34 @@ const (
 	// TransportLocal wires shards with direct method calls (fast,
 	// deterministic; used by tests and the quickstart).
 	TransportLocal Transport = "local"
-	// TransportTCP runs every shard behind net/rpc on loopback TCP —
-	// real microservices exchanging serialized messages.
+	// TransportTCP runs every shard behind its own loopback-TCP listener
+	// speaking the binary framed protocol (internal/serving/wire) — real
+	// microservices exchanging serialized messages.
 	TransportTCP Transport = "tcp"
-)
-
-// WireCodec selects the serialization a TCP deployment's shard gathers
-// ride on.
-type WireCodec string
-
-// Supported wire codecs.
-const (
-	// WireBinary is the length-prefixed binary codec
-	// (internal/serving/wire): no reflection, pooled buffers, pipelined
-	// sticky connections. The default.
-	WireBinary WireCodec = "binary"
-	// WireGob is the legacy net/rpc gob codec, kept for mixed-fleet
-	// interop and as the benchmark baseline.
-	WireGob WireCodec = "gob"
 )
 
 // BuildOptions configures BuildElastic.
 type BuildOptions struct {
 	Transport Transport
-	// WireCodec selects the TCP gather codec (empty = WireBinary).
-	// Ignored on the local transport.
-	WireCodec WireCodec
-	// WireQuant enables the int8-quantized gather-reply wire encoding on
-	// the binary codec: each row rides as one float32 scale plus Dim
-	// int8s and is dequantized to float32 before the dense-side
-	// accumulate. Off by default so sharded serving stays bit-exact
-	// against the monolith; turning it on trades ≤ 1/254 of each row's
-	// max magnitude in error for ~4x smaller gather replies (dim 32).
-	// Ignored on the local transport and the gob codec.
+	// WireQuant enables the int8-quantized gather-reply wire encoding:
+	// each row rides as one float32 scale plus Dim int8s and is
+	// dequantized to float32 before the dense-side accumulate. Off by
+	// default so sharded serving stays bit-exact against the monolith;
+	// turning it on trades ≤ 1/254 of each row's max magnitude in error
+	// for ~4x smaller gather replies (dim 32). Ignored on the local
+	// transport.
 	WireQuant bool
-	// WireFP16 enables the half-precision gather-reply wire encoding on
-	// the binary codec: rows ride as IEEE 754 binary16 and widen to
-	// float32 before the dense-side accumulate. Off by default so sharded
-	// serving stays bit-exact against the monolith; mutually exclusive
-	// with WireQuant. Ignored on the local transport and the gob codec.
+	// WireFP16 enables the half-precision gather-reply wire encoding:
+	// rows ride as IEEE 754 binary16 and widen to float32 before the
+	// dense-side accumulate. Off by default so sharded serving stays
+	// bit-exact against the monolith; mutually exclusive with WireQuant.
+	// Ignored on the local transport.
 	WireFP16 bool
 	// GatherRows switches the dense fan-out to gather path v2: per-table
 	// in-batch row dedup (sorted-unique ids, multiplicities re-expanded at
 	// merge time) with rows-mode gathers returning raw rows instead of
-	// pooled-per-input sums. On the binary codec rows-mode replies take
-	// the zero-copy encode path straight from sorted-table storage.
+	// pooled-per-input sums. Over TCP rows-mode replies take the
+	// zero-copy encode path straight from sorted-table storage.
 	// Implied by RowCacheBytes > 0.
 	GatherRows bool
 	// RowCacheBytes, when positive, enables the frontend hot-row cache
@@ -465,20 +447,13 @@ func (ld *LiveDeployment) warmFresh(pre *Preprocessed, fresh []*shardUnit) int64
 	return warmed
 }
 
-// exportGather wraps a shard service in the chosen transport and wire
-// codec, recording any servers/connections on the owning shard unit.
+// exportGather wraps a shard service in the chosen transport, recording
+// any servers/connections on the owning shard unit.
 func exportGather(u *shardUnit, svc GatherClient, name string, opts BuildOptions) (GatherClient, error) {
 	switch opts.Transport {
 	case TransportLocal:
 		return svc, nil
 	case TransportTCP:
-		codec := opts.WireCodec
-		if codec == "" {
-			codec = WireBinary
-		}
-		if codec != WireBinary && codec != WireGob {
-			return nil, fmt.Errorf("serving: unknown wire codec %q", codec)
-		}
 		srv, err := NewRPCServer("127.0.0.1:0")
 		if err != nil {
 			return nil, err
@@ -489,23 +464,12 @@ func exportGather(u *shardUnit, svc GatherClient, name string, opts BuildOptions
 			return nil, err
 		}
 		u.servers = append(u.servers, srv)
-		var client GatherClient
-		var closer io.Closer
-		if codec == WireGob {
-			c, err := DialGatherGob(srv.Addr(), name)
-			if err != nil {
-				return nil, err
-			}
-			client, closer = c, c
-		} else {
-			c, err := DialGather(srv.Addr(), name)
-			if err != nil {
-				return nil, err
-			}
-			client, closer = c, c
+		c, err := DialGather(srv.Addr(), name)
+		if err != nil {
+			return nil, err
 		}
-		u.closers = append(u.closers, closer)
-		return client, nil
+		u.closers = append(u.closers, c)
+		return c, nil
 	default:
 		return nil, fmt.Errorf("serving: unknown transport %q", opts.Transport)
 	}
@@ -755,27 +719,20 @@ func (ld *LiveDeployment) ShardUtility(t, s int) float64 {
 }
 
 // ExportPredict exposes the deployment's predict frontend (batcher-routed
-// when batching is on) as a net/rpc service under name on loopback TCP,
-// returning the address to dial with DialPredict. The server is torn down
-// by Close.
+// when batching is on) as a wire predict service under name on loopback
+// TCP, returning the address to dial with DialPredict. The server is torn
+// down by Close.
 func (ld *LiveDeployment) ExportPredict(name string) (string, error) {
 	srv, err := NewRPCServer("127.0.0.1:0")
 	if err != nil {
 		return "", err
 	}
-	if err := srv.RegisterPredict(name, predictFunc(ld.Predict)); err != nil {
+	if err := srv.RegisterPredict(name, ld); err != nil {
 		srv.Close()
 		return "", err
 	}
 	ld.servers = append(ld.servers, srv)
 	return srv.Addr(), nil
-}
-
-// predictFunc adapts a function to PredictClient.
-type predictFunc func(context.Context, *PredictRequest, *PredictReply) error
-
-func (f predictFunc) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	return f(ctx, req, reply)
 }
 
 var _ PredictClient = (*LiveDeployment)(nil)

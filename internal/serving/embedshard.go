@@ -91,7 +91,7 @@ func (s *EmbeddingShard) ParamBytes() int64 { return s.table.SizeBytes() }
 
 // Gather services one bucketized gather-and-pool request. It satisfies
 // GatherClient, so a shard can be called directly (in-process transport)
-// or registered with net/rpc. A context canceled before the gather starts
+// or registered on an RPCServer. A context canceled before the gather starts
 // aborts the call without touching the utility counters, which is what
 // lets the dense shard cancel straggler gathers after a sibling failure.
 func (s *EmbeddingShard) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
@@ -101,7 +101,7 @@ func (s *EmbeddingShard) Gather(ctx context.Context, req *GatherRequest, reply *
 	}
 	if len(req.Offsets) == 0 {
 		// Rows mode (gather path v2): one raw row per index, no pooling.
-		// This is the local/gob transport's analogue of AppendGatherRows.
+		// This is the local transport's analogue of AppendGatherRows.
 		n := len(req.Indices)
 		dim := s.table.Dim
 		out := wire.GetFloat32(n * dim)

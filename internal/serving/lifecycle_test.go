@@ -2,9 +2,11 @@ package serving
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
-	"net/rpc"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/embedding"
 	"repro/internal/model"
+	"repro/internal/serving/wire"
 )
 
 // This file is the model-lifecycle acceptance suite (run under -race via
@@ -331,24 +334,31 @@ func TestLifecycleAdminRPC(t *testing.T) {
 	}
 	defer predict.Close()
 
-	// A request from a different control-plane generation is refused.
-	raw, err := rpc.Dial("tcp", addr)
+	// A request from a different control-plane generation is refused —
+	// AdminClient always stamps its own version, so the probe is a
+	// hand-built frame.
+	body, err := json.Marshal(&AdminStatusRequest{APIVersion: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	var verReply AdminStatusReply
-	err = raw.Call(AdminServiceName("Frontend")+".Status", &AdminStatusRequest{APIVersion: 99}, &verReply)
-	if err == nil || !strings.Contains(err.Error(), "version 99 not supported") {
-		t.Fatalf("foreign API version error = %v", err)
+	raw := dialRawWire(t, addr, "Frontend", wire.KindAdmin)
+	raw.send(1, wire.AppendAdminRequest(nil, adminOpStatus, 0, body))
+	if _, st, msg := raw.recv(); st != 1 || !strings.Contains(string(msg), "version 99 not supported") {
+		t.Fatalf("foreign API version reply: status %d %q", st, msg)
 	}
 
+	// No request has been served yet: every meter and EWMA in the snapshot
+	// is at its zero-traffic value, and the JSON body must carry them all
+	// (it refuses non-finite floats) without losing a field.
 	sts, err := admin.Status(bg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sts) != 2 || sts[0].Model != "a" || sts[1].Model != "b" {
 		t.Fatalf("initial status = %+v", sts)
+	}
+	if local := md.Controller().Status(); !reflect.DeepEqual(sts, local) {
+		t.Fatalf("status over the wire = %+v\nlocal snapshot = %+v", sts, local)
 	}
 	if sts[0].Counters.CachedSortedBytes <= 0 {
 		t.Fatalf("status reports %d cached sorted-table bytes, want > 0", sts[0].Counters.CachedSortedBytes)
@@ -568,6 +578,58 @@ func TestLifecycleDeployDeadlineNotPublished(t *testing.T) {
 	}
 	if err := ctrl.Undeploy(bg, "c"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLifecycleAdminDeployAbandoned is the same contract over the wire: a
+// client whose ctx ends while the frontend is still deploying gets its
+// error promptly (the call is abandoned, not waited out), the deadline
+// that rode the admin frame keeps the late build from being published,
+// and the connection and the name both stay usable for the retry.
+func TestLifecycleAdminDeployAbandoned(t *testing.T) {
+	md, _, _ := multiFixture(t, BuildOptions{}, BuildOptions{})
+	addr, err := md.ExportPredict("Frontend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin, err := DialAdmin(addr, "Frontend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	cfgC := lifecycleCfgC()
+	_, statsC, _ := buildFixture(t, cfgC)
+	req := &AdminDeployRequest{Name: "c", Config: cfgC, Seed: 123,
+		Boundaries: []int64{100, 400, cfgC.RowsPerTable}}
+	for _, st := range statsC {
+		req.Counts = append(req.Counts, st.Counts)
+	}
+
+	// Holding the control-plane lock parks the server-side deploy until
+	// the client's deadline has passed.
+	md.mutateMu.Lock()
+	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	var reply AdminDeployReply
+	err = admin.Deploy(ctx, req, &reply)
+	took := time.Since(start)
+	md.mutateMu.Unlock()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("abandoned deploy = %v, want deadline exceeded", err)
+	}
+	if took > 5*time.Second {
+		t.Fatalf("abandoned deploy returned after %v", took)
+	}
+
+	// The retry queues behind the parked deploy on the same lock; had that
+	// one been published, this would be "already deployed".
+	if err := admin.Deploy(bg, req, &reply); err != nil {
+		t.Fatalf("retry after abandoned deploy: %v", err)
+	}
+	sts, err := admin.Status(bg, "c")
+	if err != nil || len(sts) != 1 || sts[0].Epoch != 0 {
+		t.Fatalf("status after retry = %+v, %v", sts, err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/embedding"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/serving/wire"
 )
 
 // This file implements the multi-model data plane: one frontend, one
@@ -264,24 +265,17 @@ func (md *MultiDeployment) unpublishModel(name string) (*LiveDeployment, error) 
 
 // ExportPredict exposes the multi-model dispatching frontend as one
 // network service under name on loopback TCP: a single wire endpoint
-// serves every variant, routed by PredictRequest.Model, reachable over
-// both the binary framed codec (DialPredict) and legacy gob
-// (DialPredictGob). The same listener also carries the lifecycle control
-// plane as the versioned admin service AdminServiceName(name)
-// (Admin.Deploy / Admin.Undeploy / Admin.Status via DialAdmin): admin
-// connections open with gob, so the codec-sniffing accept loop passes
-// them through to net/rpc while predict traffic rides binary frames. The
-// server is torn down by Close.
+// serves every variant, routed by PredictRequest.Model (DialPredict).
+// The same listener carries the versioned lifecycle control plane
+// (Deploy / Undeploy / Status) under the same name as the admin
+// connection kind (DialAdmin). The server is torn down by Close.
 func (md *MultiDeployment) ExportPredict(name string) (string, error) {
 	srv, err := NewRPCServer("127.0.0.1:0")
 	if err != nil {
 		return "", err
 	}
-	if err := srv.RegisterPredict(name, predictFunc(md.Predict)); err != nil {
-		srv.Close()
-		return "", err
-	}
-	if err := srv.RegisterAdmin(AdminServiceName(name), md.ctrl); err != nil {
+	ep := wire.Endpoint{Predict: md, Admin: adminService{ctrl: md.ctrl}}
+	if err := srv.register(name, ep); err != nil {
 		srv.Close()
 		return "", err
 	}

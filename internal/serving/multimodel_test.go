@@ -325,7 +325,7 @@ func TestModelMismatchRejectedEverywhere(t *testing.T) {
 }
 
 // TestMultiModelOverTCPFrontend exports the dispatching frontend over
-// net/rpc and checks the Model field survives the wire: both variants are
+// TCP and checks the Model field survives the wire: both variants are
 // served through one TCP endpoint.
 func TestMultiModelOverTCPFrontend(t *testing.T) {
 	md, monos, reqs := multiFixture(t, BuildOptions{}, BuildOptions{})

@@ -341,7 +341,7 @@ type BuildCounters struct {
 	// miss counts on the dense fan-out, entries evicted (budget pressure
 	// or epoch staleness), entries installed by publish-time seeding, and
 	// the cache's current byte footprint. All zero when the cache is off.
-	// Like every field here, they ride the versioned gob admin RPC without
+	// Like every field here, they ride the admin API's JSON bodies without
 	// a version bump (absent on old peers).
 	RowCacheHits    int64
 	RowCacheMisses  int64

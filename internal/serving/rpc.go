@@ -3,10 +3,8 @@ package serving
 import (
 	"context"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -16,27 +14,25 @@ import (
 // This file provides the loopback-TCP transport. Every shard can be
 // exported as a network service (the stand-in for the paper's C++ gRPC
 // layer) and consumed through a GatherClient/PredictClient that dials it.
-// One listener speaks two codecs: the binary framed protocol
-// (internal/serving/wire — the hot path: no reflection, pooled buffers,
-// pipelined sticky connections) and net/rpc gob (the legacy codec, still
-// carrying the admin control plane and any pre-wire clients). The codec
-// is negotiated at accept time by sniffing the first four bytes of the
-// connection: the wire magic routes to the framed server, anything else
-// replays into gob.
+// Every listener speaks one protocol, the binary framed one in
+// internal/serving/wire (no reflection, pooled buffers, pipelined sticky
+// connections): gathers, predicts and the admin control plane are three
+// connection kinds of it, and a peer that opens with anything else is
+// closed.
 
-// DialTimeout bounds every transport dial (TCP connect plus, for the
-// binary codec, the handshake), so a hung shard address fails pool
-// construction promptly instead of blocking it forever.
+// DialTimeout bounds every transport dial (TCP connect plus handshake),
+// so a hung shard address fails pool construction promptly instead of
+// blocking it forever. Servers bound the same handshake from their side
+// with it, so a peer that connects and goes silent is dropped.
 const DialTimeout = 5 * time.Second
 
-// RPCServer hosts one or more shard services on a TCP listener, serving
-// each accepted connection in whichever codec the client opens with.
+// RPCServer hosts one or more services on a TCP listener.
 type RPCServer struct {
-	listener net.Listener
-	server   *rpc.Server
-	mu       sync.Mutex
-	conns    map[net.Conn]struct{}
-	done     chan struct{}
+	listener         net.Listener
+	handshakeTimeout time.Duration // bounds each accepted connection's preamble
+	mu               sync.Mutex
+	conns            map[net.Conn]struct{}
+	done             chan struct{}
 
 	epMu      sync.RWMutex
 	endpoints map[string]wire.Endpoint
@@ -44,16 +40,22 @@ type RPCServer struct {
 
 // NewRPCServer starts a server on addr ("127.0.0.1:0" picks a free port).
 func NewRPCServer(addr string) (*RPCServer, error) {
+	return newRPCServer(addr, DialTimeout)
+}
+
+// newRPCServer is NewRPCServer with the handshake bound exposed, so the
+// silent-peer test need not wait out DialTimeout.
+func newRPCServer(addr string, handshakeTimeout time.Duration) (*RPCServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("serving: rpc listen: %w", err)
 	}
 	s := &RPCServer{
-		listener:  ln,
-		server:    rpc.NewServer(),
-		conns:     make(map[net.Conn]struct{}),
-		done:      make(chan struct{}),
-		endpoints: make(map[string]wire.Endpoint),
+		listener:         ln,
+		handshakeTimeout: handshakeTimeout,
+		conns:            make(map[net.Conn]struct{}),
+		done:             make(chan struct{}),
+		endpoints:        make(map[string]wire.Endpoint),
 	}
 	go s.acceptLoop()
 	return s, nil
@@ -62,67 +64,46 @@ func NewRPCServer(addr string) (*RPCServer, error) {
 // Addr returns the listener's address for clients to dial.
 func (s *RPCServer) Addr() string { return s.listener.Addr().String() }
 
-// GatherWireOptions selects the per-service gather-reply encoding on the
-// binary codec (gob replies are unaffected; these are wire encodings, not
-// service changes). At most one of Quant/FP16 may be set.
+// GatherWireOptions selects the per-service gather-reply wire encoding;
+// at most one of Quant/FP16 may be set.
 type GatherWireOptions struct {
 	Quant bool // int8-quantized rows
 	FP16  bool // half-precision rows
 }
 
-// RegisterGather exposes a gather service under name on both codecs.
+// RegisterGather exposes a gather service under name.
 func (s *RPCServer) RegisterGather(name string, svc GatherClient) error {
 	return s.RegisterGatherWire(name, svc, GatherWireOptions{})
 }
 
-// RegisterQuantGather is RegisterGather with the int8-quantized
-// gather-reply encoding on the binary codec.
-func (s *RPCServer) RegisterQuantGather(name string, svc GatherClient) error {
-	return s.RegisterGatherWire(name, svc, GatherWireOptions{Quant: true})
-}
-
 // RegisterGatherWire is RegisterGather with explicit wire options. If svc
-// also implements wire.RowSource, rows-mode gathers on the binary codec
-// take the zero-copy encode path.
+// also implements wire.RowSource, rows-mode gathers take the zero-copy
+// encode path.
 func (s *RPCServer) RegisterGatherWire(name string, svc GatherClient, opts GatherWireOptions) error {
 	if opts.Quant && opts.FP16 {
 		return fmt.Errorf("serving: service %q: quant and fp16 wire encodings are mutually exclusive", name)
 	}
-	if err := s.server.RegisterName(name, &gatherRPC{svc: svc}); err != nil {
-		return err
-	}
-	ep := wire.Endpoint{Gather: svc, Quant: opts.Quant, FP16: opts.FP16}
-	if rs, ok := svc.(wire.RowSource); ok {
-		ep.Rows = rs
-	}
-	s.epMu.Lock()
-	s.endpoints[name] = ep
-	s.epMu.Unlock()
-	return nil
+	rows, _ := svc.(wire.RowSource) // nil when svc has no zero-copy path
+	return s.register(name, wire.Endpoint{Gather: svc, Rows: rows, Quant: opts.Quant, FP16: opts.FP16})
 }
 
-// RegisterPredict exposes a predict service under name on both codecs.
+// RegisterPredict exposes a predict service under name.
 func (s *RPCServer) RegisterPredict(name string, svc PredictClient) error {
-	if err := s.server.RegisterName(name, &predictRPC{svc: svc}); err != nil {
-		return err
-	}
+	return s.register(name, wire.Endpoint{Predict: svc})
+}
+
+// register claims name for ep; a name serves one endpoint for good.
+func (s *RPCServer) register(name string, ep wire.Endpoint) error {
 	s.epMu.Lock()
-	s.endpoints[name] = wire.Endpoint{Predict: svc}
-	s.epMu.Unlock()
+	defer s.epMu.Unlock()
+	if _, dup := s.endpoints[name]; dup {
+		return fmt.Errorf("serving: service %q already registered", name)
+	}
+	s.endpoints[name] = ep
 	return nil
 }
 
-// RegisterAdmin exposes a deployment's lifecycle control plane under name
-// (conventionally AdminServiceName(frontend), so the admin endpoint rides
-// the same listener as the predict traffic it administers). Admin traffic
-// stays on the gob codec: it is low-rate control-plane work, and the
-// sniffing accept loop gives it passthrough alongside binary predict
-// connections for free.
-func (s *RPCServer) RegisterAdmin(name string, ctrl *Controller) error {
-	return s.server.RegisterName(name, &adminRPC{ctrl: ctrl})
-}
-
-// resolve maps a binary preamble to a registered endpoint.
+// resolve maps a connection preamble to a registered endpoint.
 func (s *RPCServer) resolve(kind byte, name string) (wire.Endpoint, error) {
 	s.epMu.RLock()
 	ep, ok := s.endpoints[name]
@@ -138,6 +119,10 @@ func (s *RPCServer) resolve(kind byte, name string) (wire.Endpoint, error) {
 	case wire.KindPredict:
 		if ep.Predict == nil {
 			return wire.Endpoint{}, fmt.Errorf("serving: service %q is not a predict service", name)
+		}
+	case wire.KindAdmin:
+		if ep.Admin == nil {
+			return wire.Endpoint{}, fmt.Errorf("serving: service %q has no admin endpoint", name)
 		}
 	default:
 		return wire.Endpoint{}, fmt.Errorf("serving: unknown connection kind %d", kind)
@@ -164,45 +149,13 @@ func (s *RPCServer) acceptLoop() {
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
 		go func() {
-			s.serveConn(conn)
+			wire.ServeConn(conn, s.resolve, s.handshakeTimeout)
 			_ = conn.Close()
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
 		}()
 	}
-}
-
-// serveConn sniffs the codec from the connection's first four bytes and
-// serves it: the wire magic selects the binary framed protocol, anything
-// else (a gob type descriptor never starts with the magic's first byte)
-// replays the sniffed bytes into net/rpc.
-func (s *RPCServer) serveConn(conn net.Conn) {
-	var first [4]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return
-	}
-	if first == wire.Magic {
-		wire.ServeConn(conn, s.resolve)
-		return
-	}
-	s.server.ServeConn(&sniffedConn{Conn: conn, prefix: first[:]})
-}
-
-// sniffedConn replays sniffed bytes ahead of the remaining stream.
-type sniffedConn struct {
-	net.Conn
-	prefix []byte
-}
-
-// Read drains the replay prefix before the live connection.
-func (c *sniffedConn) Read(p []byte) (int, error) {
-	if len(c.prefix) > 0 {
-		n := copy(p, c.prefix)
-		c.prefix = c.prefix[n:]
-		return n, nil
-	}
-	return c.Conn.Read(p)
 }
 
 // Close stops the listener and all live connections.
@@ -217,28 +170,6 @@ func (s *RPCServer) Close() error {
 	return err
 }
 
-// gatherRPC adapts a GatherClient to net/rpc's method signature. net/rpc
-// methods carry no context, so the caller's deadline rides in the request
-// (GatherRequest.Deadline) and is reconstructed here.
-type gatherRPC struct{ svc GatherClient }
-
-// Gather is the exported RPC method.
-func (g *gatherRPC) Gather(req *GatherRequest, reply *GatherReply) error {
-	ctx, cancel := deadlineContext(req.Deadline)
-	defer cancel()
-	return g.svc.Gather(ctx, req, reply)
-}
-
-// predictRPC adapts a PredictClient to net/rpc's method signature.
-type predictRPC struct{ svc PredictClient }
-
-// Predict is the exported RPC method.
-func (p *predictRPC) Predict(req *PredictRequest, reply *PredictReply) error {
-	ctx, cancel := deadlineContext(req.Deadline)
-	defer cancel()
-	return p.svc.Predict(ctx, req, reply)
-}
-
 // RPCGatherClient calls a remote gather service over the binary framed
 // codec: one sticky pipelined connection, any number of concurrent calls.
 type RPCGatherClient struct {
@@ -246,8 +177,8 @@ type RPCGatherClient struct {
 }
 
 // DialGather connects to a gather service registered under name at addr,
-// negotiating the binary codec (and failing fast on an unregistered name
-// or a hung address — the dial and handshake are bounded by DialTimeout).
+// failing fast on an unregistered name or a hung address — the dial and
+// handshake are bounded by DialTimeout.
 func DialGather(addr, name string) (*RPCGatherClient, error) {
 	c, err := wire.Dial(addr, name, wire.KindGather, DialTimeout)
 	if err != nil {
@@ -256,26 +187,31 @@ func DialGather(addr, name string) (*RPCGatherClient, error) {
 	return &RPCGatherClient{conn: c}, nil
 }
 
-// Gather implements GatherClient over the wire: the context deadline is
-// stamped onto the request (copy-on-write, the caller's request is never
-// mutated) and the call follows the rpcGo cancel contract — a canceled
-// context unblocks the caller immediately, and the abandoned call's
-// eventual reply decodes into a private struct the reader discards.
-func (c *RPCGatherClient) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
-	if dl := ctxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
-		stamped := *req
-		stamped.Deadline = dl
-		req = &stamped
-	}
-	var inner GatherReply
-	err := c.conn.Call(ctx,
-		func(b []byte) []byte { return wire.AppendGatherRequest(b, req) },
-		func(p []byte) error { return wire.DecodeGatherReply(p, &inner) })
-	if err != nil {
+// call issues one request on conn and stores the reply only on success. A
+// canceled context unblocks the caller immediately (see wire.Conn.Call)
+// while the reader goroutine may still be decoding the abandoned call's
+// late reply, so decode fills a private value, copied out on completion.
+func call[Rep any](ctx context.Context, conn *wire.Conn, encode func([]byte) []byte, decode func([]byte, *Rep) error, reply *Rep) error {
+	var inner Rep
+	if err := conn.Call(ctx, encode, func(p []byte) error { return decode(p, &inner) }); err != nil {
 		return err
 	}
 	*reply = inner
 	return nil
+}
+
+// Gather implements GatherClient over the wire: the context deadline is
+// stamped onto the request (copy-on-write, the caller's request is never
+// mutated) and the call is abandoned on cancel (see call).
+func (c *RPCGatherClient) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
+	if dl := wire.CtxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
+		stamped := *req
+		stamped.Deadline = dl
+		req = &stamped
+	}
+	return call(ctx, c.conn,
+		func(b []byte) []byte { return wire.AppendGatherRequest(b, req) },
+		wire.DecodeGatherReply, reply)
 }
 
 // Close tears down the connection.
@@ -290,7 +226,7 @@ type RPCPredictClient struct {
 }
 
 // DialPredict connects to a predict service registered under name at
-// addr over the binary codec (see DialGather).
+// addr (see DialGather).
 func DialPredict(addr, name string) (*RPCPredictClient, error) {
 	c, err := wire.Dial(addr, name, wire.KindPredict, DialTimeout)
 	if err != nil {
@@ -302,119 +238,17 @@ func DialPredict(addr, name string) (*RPCPredictClient, error) {
 // Predict implements PredictClient over the wire (same deadline/cancel
 // contract as RPCGatherClient.Gather).
 func (c *RPCPredictClient) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	if dl := ctxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
+	if dl := wire.CtxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
 		stamped := *req
 		stamped.Deadline = dl
 		req = &stamped
 	}
-	var inner PredictReply
-	err := c.conn.Call(ctx,
+	return call(ctx, c.conn,
 		func(b []byte) []byte { return wire.AppendPredictRequest(b, req) },
-		func(p []byte) error { return wire.DecodePredictReply(p, &inner) })
-	if err != nil {
-		return err
-	}
-	*reply = inner
-	return nil
+		wire.DecodePredictReply, reply)
 }
 
 // Close tears down the connection.
 func (c *RPCPredictClient) Close() error { return c.conn.Close() }
 
 var _ PredictClient = (*RPCPredictClient)(nil)
-
-// dialGob dials a net/rpc gob connection with the same bound as the
-// binary codec's dial.
-func dialGob(addr string) (*rpc.Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("serving: rpc dial %s: %w", addr, err)
-	}
-	return rpc.NewClient(conn), nil
-}
-
-// rpcGo issues one net/rpc call with context cancellation: a canceled
-// context unblocks the caller immediately, while the in-flight RPC's
-// eventual reply lands in a private struct and is discarded — an
-// abandoned call can never race a reply the caller has moved on from.
-func rpcGo[Rep any](ctx context.Context, client *rpc.Client, method string, req any, reply *Rep) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var inner Rep
-	call := client.Go(method, req, &inner, make(chan *rpc.Call, 1))
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case done := <-call.Done:
-		if done.Error != nil {
-			return done.Error
-		}
-		*reply = inner
-		return nil
-	}
-}
-
-// GobGatherClient calls a remote gather service over the legacy net/rpc
-// gob codec. The binary codec (DialGather) is the default everywhere; gob
-// clients remain for mixed-fleet interop and as the benchmark baseline
-// the wire codec is measured against.
-type GobGatherClient struct {
-	client *rpc.Client
-	method string
-}
-
-// DialGatherGob connects to a gather service over the gob codec.
-func DialGatherGob(addr, name string) (*GobGatherClient, error) {
-	c, err := dialGob(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &GobGatherClient{client: c, method: name + ".Gather"}, nil
-}
-
-// Gather implements GatherClient over gob (rpcGo cancel contract).
-func (c *GobGatherClient) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
-	if dl := ctxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
-		stamped := *req
-		stamped.Deadline = dl
-		req = &stamped
-	}
-	return rpcGo(ctx, c.client, c.method, req, reply)
-}
-
-// Close tears down the connection.
-func (c *GobGatherClient) Close() error { return c.client.Close() }
-
-var _ GatherClient = (*GobGatherClient)(nil)
-
-// GobPredictClient calls a remote predict service over the legacy gob
-// codec (see GobGatherClient).
-type GobPredictClient struct {
-	client *rpc.Client
-	method string
-}
-
-// DialPredictGob connects to a predict service over the gob codec.
-func DialPredictGob(addr, name string) (*GobPredictClient, error) {
-	c, err := dialGob(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &GobPredictClient{client: c, method: name + ".Predict"}, nil
-}
-
-// Predict implements PredictClient over gob (rpcGo cancel contract).
-func (c *GobPredictClient) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	if dl := ctxDeadlineNanos(ctx); dl != 0 && dl != req.Deadline {
-		stamped := *req
-		stamped.Deadline = dl
-		req = &stamped
-	}
-	return rpcGo(ctx, c.client, c.method, req, reply)
-}
-
-// Close tears down the connection.
-func (c *GobPredictClient) Close() error { return c.client.Close() }
-
-var _ PredictClient = (*GobPredictClient)(nil)

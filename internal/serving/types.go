@@ -1,6 +1,6 @@
 // Package serving is the live microservice engine: real goroutine-backed
-// model-shard services communicating over loopback TCP (a length-prefixed
-// binary codec by default, net/rpc gob for legacy/admin traffic — see
+// model-shard services communicating over loopback TCP (one
+// length-prefixed binary protocol for data and control plane alike — see
 // internal/serving/wire) or a zero-copy in-process transport. It
 // implements the paper's life-of-a-query path (Sec. IV-A): a dense DNN
 // shard receives the query, bucketizes the sparse inputs, fans gather
@@ -17,9 +17,8 @@ import (
 )
 
 // The serving messages are defined in internal/serving/wire (the codec
-// cannot depend on this package) and aliased here, so every call site —
-// and the gob transport, which encodes concrete struct shapes, not
-// package paths — is untouched by the move.
+// cannot depend on this package) and aliased here, so call sites name
+// them without importing the codec.
 type (
 	// GatherRequest asks an embedding shard to gather-and-pool one batch
 	// (see wire.GatherRequest).
@@ -48,14 +47,4 @@ type GatherClient interface {
 // the GatherClient contract.
 type PredictClient interface {
 	Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error
-}
-
-// ctxDeadlineNanos converts a context deadline to the wire encoding
-// (unix nanoseconds, 0 = none).
-func ctxDeadlineNanos(ctx context.Context) int64 { return wire.CtxDeadlineNanos(ctx) }
-
-// deadlineContext reconstructs a context from the wire encoding. The
-// returned cancel func must always be called.
-func deadlineContext(nanos int64) (context.Context, context.CancelFunc) {
-	return wire.DeadlineContext(nanos)
 }

@@ -15,11 +15,10 @@ import (
 // This file is the client half of the framed transport. A Conn is sticky
 // and pipelined: one TCP connection per (address, service), any number of
 // in-flight calls identified by u64 request IDs, replies completed out of
-// order by a single reader goroutine. Cancellation follows the serving
-// package's rpcGo contract — an abandoned call unblocks its caller
-// immediately, and its eventual reply decodes into a private per-call
-// struct that is discarded, so it can never race state the caller has
-// moved on from.
+// order by a single reader goroutine. Cancellation is abandon-on-cancel:
+// a call whose context ends unblocks its caller immediately, and its
+// eventual reply decodes into a private per-call struct that is
+// discarded, so it can never race state the caller has moved on from.
 //
 // Frame layout (both directions, little-endian):
 //
@@ -34,9 +33,8 @@ import (
 // connection.
 var ErrClosed = errors.New("wire: connection closed")
 
-// ServerError is a service-level failure relayed over the wire, mirroring
-// net/rpc.ServerError so callers can distinguish remote errors from
-// transport ones.
+// ServerError is a service-level failure relayed over the wire, typed so
+// callers can distinguish remote errors from transport ones.
 type ServerError string
 
 // Error implements the error interface.
@@ -67,9 +65,9 @@ type Conn struct {
 
 // Dial connects to the service registered under name at addr, negotiates
 // the binary codec (magic/version preamble, bounded by timeout along with
-// the TCP dial itself) and starts the reader. kind is KindGather or
-// KindPredict; the server refuses a name not registered for that kind at
-// dial time rather than at first call.
+// the TCP dial itself) and starts the reader. kind is KindGather,
+// KindPredict or KindAdmin; the server refuses a name not registered for
+// that kind at dial time rather than at first call.
 func Dial(addr, name string, kind byte, timeout time.Duration) (*Conn, error) {
 	if len(name) > MaxName {
 		return nil, fmt.Errorf("wire: service name %q too long", name)
@@ -78,41 +76,7 @@ func Dial(addr, name string, kind byte, timeout time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
-	if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
-	}
-	pre := make([]byte, 0, len(Magic)+4+len(name))
-	pre = append(pre, Magic[:]...)
-	pre = append(pre, Version, kind)
-	pre = le.AppendUint16(pre, uint16(len(name)))
-	pre = append(pre, name...)
-	if _, err := nc.Write(pre); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("wire: dial %s: preamble: %w", addr, err)
-	}
-	// Ack: u8 status | u16 msgLen | msg. Status 0 accepts; anything else
-	// carries the refusal reason.
-	var hdr [3]byte
-	if _, err := io.ReadFull(nc, hdr[:]); err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("wire: dial %s: ack: %w", addr, err)
-	}
-	if n := le.Uint16(hdr[1:]); n > 0 {
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(nc, msg); err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("wire: dial %s: ack: %w", addr, err)
-		}
-		if hdr[0] != 0 {
-			nc.Close()
-			return nil, fmt.Errorf("wire: dial %s: %s", addr, msg)
-		}
-	} else if hdr[0] != 0 {
-		nc.Close()
-		return nil, fmt.Errorf("wire: dial %s: server refused connection (status %d)", addr, hdr[0])
-	}
-	if err := nc.SetDeadline(time.Time{}); err != nil {
+	if err := clientHandshake(nc, name, kind, timeout); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
@@ -121,11 +85,47 @@ func Dial(addr, name string, kind byte, timeout time.Duration) (*Conn, error) {
 	return c, nil
 }
 
+// clientHandshake sends the preamble and reads the ack (u8 status | u16
+// msgLen | msg: status 0 accepts, anything else carries the refusal
+// reason), all within timeout.
+func clientHandshake(nc net.Conn, name string, kind byte, timeout time.Duration) error {
+	if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return err
+	}
+	pre := make([]byte, 0, len(Magic)+4+len(name))
+	pre = append(pre, Magic[:]...)
+	pre = append(pre, Version, kind)
+	pre = le.AppendUint16(pre, uint16(len(name)))
+	pre = append(pre, name...)
+	if _, err := nc.Write(pre); err != nil {
+		return fmt.Errorf("preamble: %w", err)
+	}
+	var hdr [3]byte
+	if _, err := io.ReadFull(nc, hdr[:]); err != nil {
+		return fmt.Errorf("ack: %w", err)
+	}
+	msg := make([]byte, le.Uint16(hdr[1:]))
+	if _, err := io.ReadFull(nc, msg); err != nil {
+		return fmt.Errorf("ack: %w", err)
+	}
+	switch {
+	case hdr[0] == 0:
+		return nc.SetDeadline(time.Time{})
+	case len(msg) == 0:
+		return fmt.Errorf("server refused connection (status %d)", hdr[0])
+	default:
+		return errors.New(string(msg))
+	}
+}
+
 // Call issues one pipelined request: encode appends the payload onto the
 // frame buffer, decode materializes the reply payload (into storage only
 // this call observes). Call blocks until the reply arrives, ctx is done,
 // or the connection fails; on ctx cancellation the call is abandoned and
-// its late reply, if any, is discarded by the reader.
+// its late reply, if any, is discarded by the reader. A request that
+// encodes past MaxFrame fails this call alone, before anything is
+// written: the server would answer it by dropping the connection, and
+// every other call in flight with it.
 func (c *Conn) Call(ctx context.Context, encode func([]byte) []byte, decode func([]byte) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -146,6 +146,14 @@ func (c *Conn) Call(ctx context.Context, encode func([]byte) []byte, decode func
 	b := append(c.wbuf[:0], 0, 0, 0, 0)
 	b = appendU64(b, id)
 	b = encode(b)
+	if n := len(b) - 4; n > MaxFrame {
+		c.wbuf = nil // don't pin the oversized scratch for the connection's lifetime
+		c.wmu.Unlock()
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return fmt.Errorf("wire: request frame of %d bytes exceeds MaxFrame (%d)", n, MaxFrame)
+	}
 	le.PutUint32(b, uint32(len(b)-4))
 	c.wbuf = b
 	_, err := c.conn.Write(b)

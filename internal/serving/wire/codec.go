@@ -8,7 +8,8 @@ import (
 )
 
 // This file is the codec proper: append-style encoders and pooled
-// decoders for the four serving messages. Everything is little-endian
+// decoders for the four serving messages (and the admin request header,
+// whose body is opaque here). Everything is little-endian
 // with fixed headers followed by raw element arrays — no reflection, no
 // per-field tags — so encode/decode cost is a handful of bounds checks
 // plus bulk 4/8-byte loads and stores. Decoders validate every count
@@ -30,6 +31,8 @@ import (
 //	                 nDense × f32 | per table (u32 nIdx | u32 nOff |
 //	                 nIdx × u64 | nOff × u32)
 //	PredictReply   = u32 n | n × f32
+//	AdminRequest   = u8 op | i64 deadline (unix ns, 0 = none) | body
+//	AdminReply     = body
 
 // errShort reports a frame that ended before its declared contents.
 var errShort = errors.New("wire: truncated frame")
@@ -429,4 +432,24 @@ func DecodePredictReply(data []byte, rep *PredictReply) error {
 	rep.Probs = make([]float32, n)
 	decodeFloat32s(r.bytes(n*4), rep.Probs)
 	return nil
+}
+
+// adminHeaderLen is the fixed part of an admin request: op + deadline.
+const adminHeaderLen = 1 + 8
+
+// AppendAdminRequest appends an admin request: the op code, the caller's
+// deadline (unix nanoseconds, 0 = none) and the opaque body.
+func AppendAdminRequest(b []byte, op byte, deadline int64, body []byte) []byte {
+	b = append(b, op)
+	b = appendU64(b, uint64(deadline))
+	return append(b, body...)
+}
+
+// DecodeAdminRequest splits an admin request. body aliases data — nothing
+// is allocated — so a caller that outlives data's buffer must copy it.
+func DecodeAdminRequest(data []byte) (op byte, deadline int64, body []byte, err error) {
+	if len(data) < adminHeaderLen {
+		return 0, 0, nil, errShort
+	}
+	return data[0], int64(le.Uint64(data[1:])), data[adminHeaderLen:], nil
 }

@@ -89,3 +89,32 @@ func FuzzWireCodec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAdminFrame drives the admin request decoder with arbitrary bytes.
+// It must never panic; it must never allocate — the body it returns is
+// the tail of the input, so a decoded request can never be larger than
+// the frame that carried it; and anything it accepts must re-encode to
+// the input byte-for-byte.
+func FuzzAdminFrame(f *testing.F) {
+	f.Add(AppendAdminRequest(nil, 1, 0, []byte(`{"APIVersion":1,"Name":"c"}`)))
+	f.Add(AppendAdminRequest(nil, 3, 1<<62, nil))
+	f.Add(AppendAdminRequest(nil, 0xff, -1, []byte{0xff, 0x00}))
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		op, deadline, body, err := DecodeAdminRequest(data)
+		if err != nil {
+			if len(data) >= adminHeaderLen {
+				t.Fatalf("rejected a %d-byte frame: %v", len(data), err)
+			}
+			return
+		}
+		if len(body) != len(data)-adminHeaderLen || (len(body) > 0 && &body[0] != &data[adminHeaderLen]) {
+			t.Fatalf("body (%d bytes) is not the tail of the %d-byte frame", len(body), len(data))
+		}
+		if out := AppendAdminRequest(nil, op, deadline, body); !bytes.Equal(out, data) {
+			t.Fatalf("AdminRequest not canonical: %x -> %x", data, out)
+		}
+	})
+}

@@ -8,28 +8,30 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // This file is the server half of the framed transport. The serving
-// package's RPCServer sniffs each accepted connection's first four bytes:
-// the Magic prefix routes here, anything else replays into net/rpc's gob
-// codec — which is how binary, gob and admin clients coexist on one
-// listener. ServeConn finishes the preamble (version, kind, service
-// name), resolves the endpoint, acks, and then serves frames: requests
+// package's RPCServer hands every accepted connection to ServeConn, which
+// reads the preamble (magic, version, kind, service name) under a
+// deadline, resolves the endpoint, acks, and then serves frames: requests
 // are decoded serially on the connection's reader (into pooled slices),
-// handled on one goroutine each (so a slow gather never blocks the
-// pipeline behind it), and replies are written under a per-connection
-// write lock with frame buffers recycled after every write.
+// handled on one goroutine each (so a slow gather or a long deploy never
+// blocks the pipeline behind it), and replies are written under a
+// per-connection write lock with frame buffers recycled after every write.
 
-// Endpoint is one resolvable service: exactly one of Gather/Predict is
-// set, matching the preamble kind. Quant selects the int8-quantized
-// gather-reply encoding for this service; FP16 the half-precision one
-// (at most one of the two). Rows, when non-nil, is the zero-copy fast
-// path for rows-mode gathers: the service encodes rows straight into the
-// reply frame, skipping the intermediate GatherReply materialization.
+// Endpoint is what one service name resolves to: a gather service, or a
+// predict service with (optionally) the control plane that administers it
+// registered beside it — the preamble kind picks which one a connection
+// talks to. Quant selects the int8-quantized gather-reply encoding for
+// this service; FP16 the half-precision one (at most one of the two).
+// Rows, when non-nil, is the zero-copy fast path for rows-mode gathers:
+// the service encodes rows straight into the reply frame, skipping the
+// intermediate GatherReply materialization.
 type Endpoint struct {
 	Gather  GatherService
 	Predict PredictService
+	Admin   AdminService
 	Rows    RowSource
 	Quant   bool
 	FP16    bool
@@ -51,43 +53,57 @@ func (ep *Endpoint) encoding() byte {
 // error refuses the connection in the ack.
 type Resolver func(kind byte, name string) (Endpoint, error)
 
-// ServeConn serves one sniffed binary connection whose Magic prefix has
-// already been consumed. It blocks until the client hangs up or a
-// transport error occurs, and does not close conn — the caller owns it.
-func ServeConn(conn net.Conn, resolve Resolver) {
-	ep, err := handshake(conn, resolve)
+// ServeConn serves one accepted connection. The handshake — magic,
+// preamble, ack — must finish within timeout, so a peer that connects and
+// says nothing (a port scan, a half-open socket) holds a goroutine and a
+// descriptor that long at most; nothing after the ack is bounded here.
+// ServeConn blocks until the client hangs up or a transport error occurs,
+// and does not close conn — the caller owns it.
+func ServeConn(conn net.Conn, resolve Resolver, timeout time.Duration) {
+	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+		return
+	}
+	kind, ep, err := handshake(conn, resolve)
 	if err != nil {
 		return
 	}
-	serveFrames(conn, ep)
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return
+	}
+	serveFrames(conn, kind, ep)
 }
 
-// handshake finishes the preamble and writes the ack.
-func handshake(conn net.Conn, resolve Resolver) (Endpoint, error) {
-	var hdr [4]byte // version, kind, u16 nameLen
+// handshake reads the preamble and writes the ack. A peer that does not
+// open with Magic speaks another protocol: no ack, the caller closes it.
+func handshake(conn net.Conn, resolve Resolver) (kind byte, ep Endpoint, err error) {
+	var hdr [len(Magic) + 4]byte // magic, version, kind, u16 nameLen
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return Endpoint{}, err
+		return 0, Endpoint{}, err
 	}
-	nameLen := int(le.Uint16(hdr[2:]))
+	if [len(Magic)]byte(hdr[:len(Magic)]) != Magic {
+		return 0, Endpoint{}, errors.New("wire: connection does not open with the protocol magic")
+	}
+	version, kind := hdr[len(Magic)], hdr[len(Magic)+1]
+	nameLen := int(le.Uint16(hdr[len(Magic)+2:]))
 	if nameLen > MaxName {
 		err := fmt.Errorf("wire: service name length %d exceeds %d", nameLen, MaxName)
 		_ = writeAck(conn, err)
-		return Endpoint{}, err
+		return 0, Endpoint{}, err
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(conn, name); err != nil {
-		return Endpoint{}, err
+		return 0, Endpoint{}, err
 	}
-	if hdr[0] != Version {
-		err := fmt.Errorf("wire: protocol version %d not supported (server speaks v%d)", hdr[0], Version)
+	if version != Version {
+		err := fmt.Errorf("wire: protocol version %d not supported (server speaks v%d)", version, Version)
 		_ = writeAck(conn, err)
-		return Endpoint{}, err
+		return 0, Endpoint{}, err
 	}
-	ep, err := resolve(hdr[1], string(name))
+	ep, err = resolve(kind, string(name))
 	if err := writeAck(conn, err); err != nil {
-		return Endpoint{}, err
+		return 0, Endpoint{}, err
 	}
-	return ep, err
+	return kind, ep, nil
 }
 
 // writeAck sends the handshake verdict (status 0 accepts; otherwise the
@@ -109,8 +125,9 @@ func writeAck(conn net.Conn, verdict error) error {
 	return verdict
 }
 
-// serveFrames is the per-connection request loop.
-func serveFrames(conn net.Conn, ep Endpoint) {
+// serveFrames is the per-connection request loop; kind is the preamble's
+// connection kind, which the resolver has vetted against ep.
+func serveFrames(conn net.Conn, kind byte, ep Endpoint) {
 	var wmu sync.Mutex // serializes reply writes from handler goroutines
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -137,8 +154,8 @@ func serveFrames(conn net.Conn, ep Endpoint) {
 		// Decode on the reader (the frame buffer is reused by the next
 		// iteration; decoded messages own pooled copies), handle on a
 		// fresh goroutine so completions pipeline out of order.
-		switch {
-		case ep.Gather != nil:
+		switch kind {
+		case KindGather:
 			var req GatherRequest
 			if err := DecodeGatherRequest(payload, &req); err != nil {
 				writeErrorReply(conn, &wmu, id, err)
@@ -149,7 +166,7 @@ func serveFrames(conn net.Conn, ep Endpoint) {
 				defer wg.Done()
 				handleGather(conn, &wmu, ep, id, &req)
 			}()
-		case ep.Predict != nil:
+		case KindPredict:
 			var req PredictRequest
 			if err := DecodePredictRequest(payload, &req); err != nil {
 				writeErrorReply(conn, &wmu, id, err)
@@ -160,8 +177,20 @@ func serveFrames(conn net.Conn, ep Endpoint) {
 				defer wg.Done()
 				handlePredict(conn, &wmu, ep, id, &req)
 			}()
+		case KindAdmin:
+			op, deadline, body, err := DecodeAdminRequest(payload)
+			if err != nil {
+				writeErrorReply(conn, &wmu, id, err)
+				continue
+			}
+			body = append([]byte(nil), body...) // the handler outlives the frame buffer
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				handleAdmin(conn, &wmu, ep, id, op, deadline, body)
+			}()
 		default:
-			return // unreachable: the resolver vets the endpoint
+			return // unreachable: the resolver vets the kind
 		}
 	}
 }
@@ -216,6 +245,22 @@ func handlePredict(conn net.Conn, wmu *sync.Mutex, ep Endpoint, id uint64, req *
 	b := GetBuf(64 + 4*len(reply.Probs))
 	b = beginReply(b, id)
 	b = AppendPredictReply(b, &reply)
+	finishReply(conn, wmu, b)
+}
+
+// handleAdmin services one admin frame end to end; body and reply are
+// plain allocations — the control plane is a few calls a minute.
+func handleAdmin(conn net.Conn, wmu *sync.Mutex, ep Endpoint, id uint64, op byte, deadline int64, body []byte) {
+	ctx, cancel := DeadlineContext(deadline)
+	out, err := ep.Admin.Admin(ctx, op, body)
+	cancel()
+	if err != nil {
+		writeErrorReply(conn, wmu, id, err)
+		return
+	}
+	b := GetBuf(16 + len(out))
+	b = beginReply(b, id)
+	b = append(b, out...)
 	finishReply(conn, wmu, b)
 }
 

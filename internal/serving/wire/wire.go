@@ -1,13 +1,13 @@
-// Package wire is the serving plane's binary wire protocol: a
+// Package wire is the serving plane's one wire protocol: a
 // length-prefixed, little-endian codec for the four predict/gather
 // messages (raw []float32/[]int64/[]int32 payloads, no reflection) plus
 // the framed-TCP transport that carries it — a magic/version preamble
 // negotiated at dial time, pipelined request IDs with out-of-order
 // completion on sticky connections, per-connection pooled buffers, and an
-// optional int8-quantized encoding of gather rows. It replaces net/rpc's
-// gob encoding on the hot path; package serving keeps gob alongside it on
-// the same listener (connections are sniffed by the magic bytes), so
-// admin traffic and legacy clients interoperate with binary ones.
+// optional int8-quantized encoding of gather rows. The same frames carry
+// the control plane as a third connection kind (KindAdmin) whose request
+// body is opaque to this package, so every listener in package serving
+// speaks exactly this protocol and nothing else.
 package wire
 
 import (
@@ -18,10 +18,10 @@ import (
 	"repro/internal/embedding"
 )
 
-// Magic opens every binary-protocol connection. The first byte can never
-// begin a net/rpc gob stream (gob's length prefixes are either < 0x80 or
-// a byte-count marker ≥ 0xf8), so a server can sniff the first four bytes
-// of an accepted connection and route it to the right codec.
+// Magic opens every connection. The server's handshake closes a peer that
+// opens with anything else (a port scan, an HTTP probe, a foreign
+// protocol) before parsing a single length field from it; the first byte
+// is not valid ASCII or UTF-8, so no text protocol can collide.
 var Magic = [4]byte{0xf5, 'E', 'R', 'W'}
 
 // Version is the protocol generation carried in the preamble; servers
@@ -34,6 +34,9 @@ const (
 	KindGather byte = 1
 	// KindPredict connects to a predict service.
 	KindPredict byte = 2
+	// KindAdmin connects to the control plane registered beside a predict
+	// service (same name, same listener).
+	KindAdmin byte = 3
 )
 
 // GatherReply payload encodings (the reply is self-describing, so clients
@@ -159,6 +162,14 @@ type GatherService interface {
 // invokes.
 type PredictService interface {
 	Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error
+}
+
+// AdminService is the server-side control-plane endpoint the transport
+// invokes. The codec carries an op code and an opaque body each way; what
+// the ops mean and how bodies are encoded belongs to the implementer, so
+// this package never sees the control plane's types.
+type AdminService interface {
+	Admin(ctx context.Context, op byte, req []byte) ([]byte, error)
 }
 
 // RowSource is the optional zero-copy fast path for rows-mode gathers
