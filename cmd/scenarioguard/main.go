@@ -1,23 +1,25 @@
 // Command scenarioguard diffs a directory of freshly measured scenario
 // artifacts (BENCH_scenario_*.json, see internal/scenario) against their
-// checked-in baselines and fails on latency or error-rate regressions, the
-// run-over-run gate the CI scenario-matrix job enforces. Latency is judged
-// as a ratio against the baseline row (p50, p95 and p99 separately) with a
-// deliberately generous default threshold — CI runners vary — while
-// error-rate is judged as an absolute increase, which is
-// hardware-independent: a scenario whose fault injection starts leaking
-// failed requests trips the guard no matter how fast the machine is.
+// checked-in baselines, the run-over-run gate the CI scenario-matrix job
+// enforces. It judges only what does not depend on the machine: the
+// absolute error-rate increase per row (a scenario whose fault injection
+// starts leaking failed requests trips the guard no matter how fast the
+// runner is) and the deterministic counters a row carries — replicas_added
+// keeps its floor, swaps never exceed baseline, rowcache_hit_rate keeps half
+// of baseline. Latency quantiles stay in the artifacts as information and
+// are not compared: whether a change is slower is benchmark/'s question
+// (BENCHMARK.json, `servingbench -repeat/-compare`), not this command's.
 //
-// Every scenario phase present in both artifacts additionally gets its own
-// guard row on stdout ("phase=<name>: p95 ...x of baseline, error-rate
-// ... -> ..."), so a regression confined to one phase — say, the
-// fault-injection window of an otherwise healthy run — is visible in the
-// CI log by phase name, not just as a whole-scenario aggregate.
+// Things that vanish are regressions too: a baseline row (a whole phase, a
+// model's row) absent from the fresh artifact, or a baseline whose
+// scenario produced no artifact at all, exits 1 and is named. Rows and
+// artifacts present only on the current side pass — new rows must not
+// fail retroactively.
 //
 // Usage:
 //
 //	scenarioguard -baseline-dir examples/scenarios/baselines -current-dir . \
-//	    [-max-latency-ratio 4.0] [-max-error-increase 0.01]
+//	    [-filter steady,flash] [-max-error-increase 0.01]
 package main
 
 import (
@@ -31,76 +33,64 @@ import (
 	"repro/internal/benchio"
 )
 
-// regression is one row metric that got worse past its threshold.
+// missing is the metric of a regression that is an absence, not a value.
+const missing = "missing"
+
+// regression is one thing that got worse: a row metric past its gate, a
+// baseline row missing from the current artifact (metric missing), or a
+// whole artifact missing (row "" as well).
 type regression struct {
 	artifact, row, metric string
 	baseline, actual      float64
 }
 
 func (r regression) String() string {
-	return fmt.Sprintf("%s: %s %s regressed %.3f -> %.3f", r.artifact, r.row, r.metric, r.baseline, r.actual)
+	switch {
+	case r.metric != missing:
+		return fmt.Sprintf("%s: %s %s regressed %.3f -> %.3f", r.artifact, r.row, r.metric, r.baseline, r.actual)
+	case r.row == "":
+		return fmt.Sprintf("%s: baseline has no current artifact (scenario did not run or wrote nothing)", r.artifact)
+	default:
+		return fmt.Sprintf("%s: baseline row %s is missing from the current artifact", r.artifact, r.row)
+	}
 }
 
-// thresholds configures the per-metric gates.
-type thresholds struct {
-	// latencyRatio is the allowed p50/p99 multiple of baseline (4.0 =
-	// current may be up to 4x the baseline quantile).
-	latencyRatio float64
-	// errorIncrease is the allowed absolute error-rate increase over
-	// baseline (0.01 = one extra failed request per hundred).
-	errorIncrease float64
-}
-
-// compareRows diffs one artifact's rows against its baseline rows. Rows
-// missing from either side are skipped (new rows must not fail
-// retroactively); compared counts row/metric pairs actually judged.
-func compareRows(artifact string, baseline, current []benchio.Row, th thresholds) (compared int, regs []regression) {
-	base := benchio.ByName(baseline)
-	for _, cur := range current {
-		b, ok := base[cur.Name]
+// compareRows judges every baseline row of one artifact against the
+// current row of the same name; a baseline row with no current row is a
+// regression. Rows only in current are not visited (new rows must not fail
+// retroactively). errorIncrease is the allowed absolute error-rate increase
+// over baseline (0.01 = one extra failed request per hundred); compared
+// counts row/metric pairs actually judged.
+func compareRows(artifact string, baseline, current []benchio.Row, errorIncrease float64) (compared int, regs []regression) {
+	cur := benchio.ByName(current)
+	for _, b := range baseline {
+		c, ok := cur[b.Name]
 		if !ok {
+			regs = append(regs, regression{artifact: artifact, row: b.Name, metric: missing})
 			continue
 		}
-		for _, m := range []struct {
-			metric       string
-			base, actual float64
-		}{
-			{"p50_ms", b.P50Ms, cur.P50Ms},
-			{"p95_ms", b.P95Ms, cur.P95Ms},
-			{"p99_ms", b.P99Ms, cur.P99Ms},
-		} {
-			if m.base <= 0 {
-				continue // no baseline signal for this quantile
-			}
-			compared++
-			if m.actual > m.base*th.latencyRatio {
-				regs = append(regs, regression{artifact: artifact, row: cur.Name,
-					metric: m.metric, baseline: m.base, actual: m.actual})
-			}
+		worse := func(metric string, bv, cv float64) {
+			regs = append(regs, regression{artifact: artifact, row: b.Name, metric: metric, baseline: bv, actual: cv})
 		}
 		compared++
-		if cur.ErrorRate > b.ErrorRate+th.errorIncrease {
-			regs = append(regs, regression{artifact: artifact, row: cur.Name,
-				metric: "error_rate", baseline: b.ErrorRate, actual: cur.ErrorRate})
+		if c.ErrorRate > b.ErrorRate+errorIncrease {
+			worse("error_rate", b.ErrorRate, c.ErrorRate)
 		}
 		// Counter gates, judged only when both sides carry the key (so
 		// rows from before a counter existed never fail retroactively).
-		// Both are deterministic, not hardware-dependent: autoscaler runs
-		// must keep scaling out (a baseline that added replicas sets the
-		// floor), and swaps only come from timeline events, so extra
-		// swaps mean an unexpected repartition.
-		if bv, cv, ok := extraPair(b, cur, "replicas_added"); ok {
+		// Autoscaler runs must keep scaling out (a baseline that added
+		// replicas sets the floor), and swaps only come from timeline
+		// events, so extra swaps mean an unexpected repartition.
+		if bv, cv, ok := extraPair(b, c, "replicas_added"); ok {
 			compared++
 			if bv >= 1 && cv < 1 {
-				regs = append(regs, regression{artifact: artifact, row: cur.Name,
-					metric: "replicas_added", baseline: bv, actual: cv})
+				worse("replicas_added", bv, cv)
 			}
 		}
-		if bv, cv, ok := extraPair(b, cur, "swaps"); ok {
+		if bv, cv, ok := extraPair(b, c, "swaps"); ok {
 			compared++
 			if cv > bv {
-				regs = append(regs, regression{artifact: artifact, row: cur.Name,
-					metric: "swaps", baseline: bv, actual: cv})
+				worse("swaps", bv, cv)
 			}
 		}
 		// Hot-row cache hit-rate floor: when both runs carried a live
@@ -108,11 +98,10 @@ func compareRows(artifact string, baseline, current []benchio.Row, th thresholds
 		// must keep at least half the baseline's hit rate — a collapse
 		// means the cache stopped being consulted or seeded, which is a
 		// code regression, not runner noise.
-		if bv, cv, ok := extraPair(b, cur, "rowcache_hit_rate"); ok && bv >= 0.05 {
+		if bv, cv, ok := extraPair(b, c, "rowcache_hit_rate"); ok && bv >= 0.05 {
 			compared++
 			if cv < bv*0.5 {
-				regs = append(regs, regression{artifact: artifact, row: cur.Name,
-					metric: "rowcache_hit_rate", baseline: bv, actual: cv})
+				worse("rowcache_hit_rate", bv, cv)
 			}
 		}
 	}
@@ -125,58 +114,6 @@ func extraPair(b, cur benchio.Row, key string) (bv, cv float64, ok bool) {
 	bv, bok := b.Extra[key]
 	cv, cok := cur.Extra[key]
 	return bv, cv, bok && cok
-}
-
-// phaseReport is one per-phase guard row: a scenario phase's p95 and
-// error-rate judged against its baseline phase row.
-type phaseReport struct {
-	artifact, phase    string
-	p95Ratio           float64 // current p95 as a multiple of baseline (0 = no baseline signal)
-	errBase, errActual float64
-	ok                 bool
-}
-
-func (p phaseReport) String() string {
-	verdict := "ok"
-	if !p.ok {
-		verdict = "REGRESSED"
-	}
-	p95 := "p95 n/a"
-	if p.p95Ratio > 0 {
-		p95 = fmt.Sprintf("p95 %.2fx of baseline", p.p95Ratio)
-	}
-	return fmt.Sprintf("%s phase=%s: %s, error-rate %.3f -> %.3f [%s]",
-		p.artifact, p.phase, p95, p.errBase, p.errActual, verdict)
-}
-
-// phaseReports builds the per-phase guard rows for one artifact: every
-// "/phase=" row present in both current and baseline gets an explicit
-// verdict against the same thresholds compareRows gates on.
-func phaseReports(artifact string, baseline, current []benchio.Row, th thresholds) []phaseReport {
-	base := benchio.ByName(baseline)
-	var out []phaseReport
-	for _, cur := range current {
-		_, phase, ok := strings.Cut(cur.Name, "/phase=")
-		if !ok {
-			continue
-		}
-		b, ok := base[cur.Name]
-		if !ok {
-			continue
-		}
-		p := phaseReport{artifact: artifact, phase: phase, errBase: b.ErrorRate, errActual: cur.ErrorRate, ok: true}
-		if b.P95Ms > 0 {
-			p.p95Ratio = cur.P95Ms / b.P95Ms
-			if p.p95Ratio > th.latencyRatio {
-				p.ok = false
-			}
-		}
-		if cur.ErrorRate > b.ErrorRate+th.errorIncrease {
-			p.ok = false
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // scenarioArtifacts lists the BENCH_scenario_*.json files in dir by base
@@ -194,8 +131,10 @@ func scenarioArtifacts(dir string) (map[string]string, error) {
 }
 
 // run executes the guard and returns its exit code (0 pass, 1 regression,
-// 2 usage/overlap error), printing to stdout/stderr.
-func run(baselineDir, currentDir, filter string, th thresholds) int {
+// 2 usage error: unreadable input or nothing to judge), printing to
+// stdout/stderr. filter narrows which baselines are expected; every
+// baseline it keeps must have a current artifact.
+func run(baselineDir, currentDir, filter string, errorIncrease float64) int {
 	baselines, err := scenarioArtifacts(baselineDir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scenarioguard: %v\n", err)
@@ -208,14 +147,13 @@ func run(baselineDir, currentDir, filter string, th thresholds) int {
 	}
 	names := make([]string, 0, len(baselines))
 	for name := range baselines {
-		if _, ok := currents[name]; ok && benchio.MatchesAny(name, filter) {
+		if benchio.MatchesAny(name, filter) {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		fmt.Fprintf(os.Stderr, "scenarioguard: no scenario artifacts in common between %s and %s\n",
-			baselineDir, currentDir)
+		fmt.Fprintf(os.Stderr, "scenarioguard: no baseline artifacts to guard in %s\n", baselineDir)
 		return 2
 	}
 	var (
@@ -223,27 +161,25 @@ func run(baselineDir, currentDir, filter string, th thresholds) int {
 		regs     []regression
 	)
 	for _, name := range names {
+		artifact := strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_scenario_"), ".json")
+		curPath, ok := currents[name]
+		if !ok {
+			regs = append(regs, regression{artifact: artifact, metric: missing})
+			continue
+		}
 		base, err := benchio.LoadRows(baselines[name])
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scenarioguard: %v\n", err)
 			return 2
 		}
-		cur, err := benchio.LoadRows(currents[name])
+		cur, err := benchio.LoadRows(curPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scenarioguard: %v\n", err)
 			return 2
 		}
-		artifact := strings.TrimSuffix(strings.TrimPrefix(name, "BENCH_scenario_"), ".json")
-		c, r := compareRows(artifact, base, cur, th)
+		c, r := compareRows(artifact, base, cur, errorIncrease)
 		compared += c
 		regs = append(regs, r...)
-		for _, p := range phaseReports(artifact, base, cur, th) {
-			fmt.Printf("scenarioguard: %s\n", p)
-		}
-	}
-	if compared == 0 {
-		fmt.Fprintln(os.Stderr, "scenarioguard: artifacts overlap but no comparable metrics (empty baselines?)")
-		return 2
 	}
 	if len(regs) > 0 {
 		for _, r := range regs {
@@ -251,18 +187,20 @@ func run(baselineDir, currentDir, filter string, th thresholds) int {
 		}
 		return 1
 	}
-	fmt.Printf("scenarioguard: %d scenarios, %d metrics within thresholds (latency <= %.1fx, error-rate <= +%.3f)\n",
-		len(names), compared, th.latencyRatio, th.errorIncrease)
+	if compared == 0 {
+		fmt.Fprintln(os.Stderr, "scenarioguard: no comparable metrics (empty baselines?)")
+		return 2
+	}
+	fmt.Printf("scenarioguard: %d scenarios, %d metrics within gates (error-rate <= +%.3f, counters, no missing rows)\n",
+		len(names), compared, errorIncrease)
 	return 0
 }
 
 func main() {
 	baselineDir := flag.String("baseline-dir", "examples/scenarios/baselines", "directory of checked-in BENCH_scenario_*.json baselines")
 	currentDir := flag.String("current-dir", ".", "directory of freshly measured BENCH_scenario_*.json artifacts")
-	filter := flag.String("filter", "", "only guard artifact names containing one of these comma-separated substrings")
-	latencyRatio := flag.Float64("max-latency-ratio", 4.0, "allowed p50/p99 multiple of the baseline quantile")
+	filter := flag.String("filter", "", "only guard baseline artifact names containing one of these comma-separated substrings")
 	errorIncrease := flag.Float64("max-error-increase", 0.01, "allowed absolute error-rate increase over baseline")
 	flag.Parse()
-	os.Exit(run(*baselineDir, *currentDir, *filter,
-		thresholds{latencyRatio: *latencyRatio, errorIncrease: *errorIncrease}))
+	os.Exit(run(*baselineDir, *currentDir, *filter, *errorIncrease))
 }

@@ -3,177 +3,197 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/benchio"
 )
 
+const maxErrInc = 0.01
+
 func healthyRows() []benchio.Row {
 	return []benchio.Row{
 		{Name: "Scenario_steady", QPS: 95, OfferedQPS: 100, P50Ms: 2, P95Ms: 6, P99Ms: 10, ErrorRate: 0},
 		{Name: "Scenario_steady/model=rm1", Model: "rm1", QPS: 95, P50Ms: 2, P99Ms: 10},
+		{Name: "Scenario_steady/phase=faults", QPS: 90, P50Ms: 3, P99Ms: 12},
 	}
 }
 
-func TestCompareRowsPassesWithinThresholds(t *testing.T) {
-	cur := healthyRows()
-	cur[0].P99Ms = 35 // 3.5x, inside the 4x default
-	compared, regs := compareRows("steady", healthyRows(), cur, thresholds{latencyRatio: 4, errorIncrease: 0.01})
-	if compared == 0 || len(regs) != 0 {
-		t.Fatalf("compared=%d regs=%v", compared, regs)
+// hotRows is one autoscaled model row carrying the deterministic counters.
+func hotRows(added, swaps, hitRate float64) []benchio.Row {
+	return []benchio.Row{{
+		Name: "Scenario_hot/model=hot", P50Ms: 2, P99Ms: 10,
+		Extra: map[string]float64{"replicas_added": added, "swaps": swaps, "rowcache_hit_rate": hitRate},
+	}}
+}
+
+// TestCompareRows drives every gate through one table: what is judged,
+// what is flagged, and what a row that exists on one side only means.
+func TestCompareRows(t *testing.T) {
+	healthyBut := func(f func([]benchio.Row)) []benchio.Row {
+		r := healthyRows()
+		f(r)
+		return r
+	}
+	for _, tc := range []struct {
+		name          string
+		base, cur     []benchio.Row
+		wantCompared  int
+		wantRegs      []string // "row metric" per regression, in baseline order
+		wantInMessage string   // substring of the first regression's message
+	}{
+		{
+			name: "identical rows pass", base: healthyRows(), cur: healthyRows(),
+			wantCompared: 3,
+		},
+		{
+			// Latency is information, not a gate: 100x the baseline
+			// quantiles on every row is not this command's business.
+			name: "latency is not judged", base: healthyRows(),
+			cur: healthyBut(func(r []benchio.Row) {
+				for i := range r {
+					r[i].P50Ms, r[i].P95Ms, r[i].P99Ms = r[i].P50Ms*100, 600, r[i].P99Ms*100
+				}
+			}),
+			wantCompared: 3,
+		},
+		{
+			name: "error-rate increase past the allowance", base: healthyRows(),
+			cur: healthyBut(func(r []benchio.Row) {
+				r[2].ErrorRate = 0.05 // the fault-injection phase started leaking failures
+			}),
+			wantCompared: 3, wantRegs: []string{"Scenario_steady/phase=faults error_rate"},
+			wantInMessage: "phase=faults error_rate regressed 0.000 -> 0.050",
+		},
+		{
+			name: "error-rate increase inside the allowance", base: healthyRows(),
+			cur: healthyBut(func(r []benchio.Row) {
+				r[0].ErrorRate = 0.005
+			}),
+			wantCompared: 3,
+		},
+		{
+			name: "row only in current is not judged", base: healthyRows(),
+			cur:          append(healthyRows(), benchio.Row{Name: "Scenario_steady/phase=new", ErrorRate: 1}),
+			wantCompared: 3,
+		},
+		{
+			name: "baseline phase row missing from current", base: healthyRows(),
+			cur:          healthyRows()[:2],
+			wantCompared: 2, wantRegs: []string{"Scenario_steady/phase=faults missing"},
+			wantInMessage: "baseline row Scenario_steady/phase=faults is missing",
+		},
+		{
+			name: "baseline model row missing from current", base: healthyRows(),
+			cur:          []benchio.Row{healthyRows()[0], healthyRows()[2]},
+			wantCompared: 2, wantRegs: []string{"Scenario_steady/model=rm1 missing"},
+		},
+		{
+			name: "every baseline row missing", base: healthyRows(), cur: nil,
+			wantRegs: []string{"Scenario_steady missing", "Scenario_steady/model=rm1 missing", "Scenario_steady/phase=faults missing"},
+		},
+		{
+			name: "autoscaler stopped scaling out", base: hotRows(2, 0, 0), cur: hotRows(0, 0, 0),
+			wantCompared: 3, wantRegs: []string{"Scenario_hot/model=hot replicas_added"},
+		},
+		{
+			name: "unexpected repartition", base: hotRows(2, 1, 0), cur: hotRows(2, 2, 0),
+			wantCompared: 3, wantRegs: []string{"Scenario_hot/model=hot swaps"},
+		},
+		{
+			name: "counters at or better than baseline", base: hotRows(2, 1, 0.6), cur: hotRows(3, 1, 0.4),
+			wantCompared: 4, // error_rate + replicas_added + swaps + rowcache_hit_rate
+		},
+		{
+			name: "hit rate collapsed below half of baseline", base: hotRows(2, 1, 0.6), cur: hotRows(2, 1, 0.2),
+			wantCompared: 4, wantRegs: []string{"Scenario_hot/model=hot rowcache_hit_rate"},
+		},
+		{
+			// A baseline from before the counters existed never judges
+			// them retroactively.
+			name: "baseline without counters", base: []benchio.Row{{Name: "Scenario_hot/model=hot"}},
+			cur:          hotRows(0, 99, 0),
+			wantCompared: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			compared, regs := compareRows("a", tc.base, tc.cur, maxErrInc)
+			var got []string
+			for _, r := range regs {
+				got = append(got, r.row+" "+r.metric)
+			}
+			if compared != tc.wantCompared || strings.Join(got, ";") != strings.Join(tc.wantRegs, ";") {
+				t.Fatalf("compared=%d regs=%v, want compared=%d regs=%v", compared, got, tc.wantCompared, tc.wantRegs)
+			}
+			if tc.wantInMessage != "" && !strings.Contains(regs[0].String(), tc.wantInMessage) {
+				t.Fatalf("message %q does not contain %q", regs[0], tc.wantInMessage)
+			}
+		})
 	}
 }
 
-func TestCompareRowsFlagsLatencyRegression(t *testing.T) {
-	cur := healthyRows()
-	cur[0].P99Ms = 50 // 5x baseline
-	_, regs := compareRows("steady", healthyRows(), cur, thresholds{latencyRatio: 4, errorIncrease: 0.01})
-	if len(regs) != 1 || regs[0].metric != "p99_ms" {
-		t.Fatalf("regs = %v, want the p99 regression flagged", regs)
-	}
-}
-
-func TestCompareRowsFlagsErrorRateRegression(t *testing.T) {
-	cur := healthyRows()
-	cur[0].ErrorRate = 0.05 // fault injection started leaking failures
-	_, regs := compareRows("steady", healthyRows(), cur, thresholds{latencyRatio: 4, errorIncrease: 0.01})
-	if len(regs) != 1 || regs[0].metric != "error_rate" {
-		t.Fatalf("regs = %v, want the error-rate regression flagged", regs)
-	}
-}
-
-func TestCompareRowsSkipsNewRowsAndZeroBaselines(t *testing.T) {
-	base := []benchio.Row{{Name: "Scenario_steady", P50Ms: 0, P99Ms: 0, ErrorRate: 0}}
-	cur := []benchio.Row{
-		{Name: "Scenario_steady", P50Ms: 100, P99Ms: 100},     // zero-latency baseline: only error-rate judged
-		{Name: "Scenario_steady/phase=new", P99Ms: 1_000_000}, // not in baseline
-	}
-	compared, regs := compareRows("steady", base, cur, thresholds{latencyRatio: 4, errorIncrease: 0.01})
-	if compared != 1 || len(regs) != 0 {
-		t.Fatalf("compared=%d regs=%v, want only the error-rate judged", compared, regs)
-	}
-}
-
-// TestCompareRowsGatesAutoscaleCounters checks the Extra counter gates: a
-// baseline that scaled out sets a replicas_added floor, extra swaps over
-// baseline flag an unexpected repartition, and rows missing a counter on
-// either side are never judged on it.
-func TestCompareRowsGatesAutoscaleCounters(t *testing.T) {
-	th := thresholds{latencyRatio: 4, errorIncrease: 0.01}
-	mk := func(added, swaps float64) []benchio.Row {
-		return []benchio.Row{{
-			Name: "Scenario_hot/model=hot", P50Ms: 2, P99Ms: 10,
-			Extra: map[string]float64{"replicas_added": added, "swaps": swaps},
-		}}
-	}
-
-	// Autoscaler stopped firing against a baseline that scaled out.
-	_, regs := compareRows("hot", mk(2, 0), mk(0, 0), th)
-	if len(regs) != 1 || regs[0].metric != "replicas_added" {
-		t.Fatalf("regs = %v, want the replicas_added floor flagged", regs)
-	}
-
-	// Unexpected repartition: swaps above baseline.
-	_, regs = compareRows("hot", mk(2, 1), mk(2, 2), th)
-	if len(regs) != 1 || regs[0].metric != "swaps" {
-		t.Fatalf("regs = %v, want the swaps ceiling flagged", regs)
-	}
-
-	// Matching counters pass, and the counter pairs count as compared.
-	compared, regs := compareRows("hot", mk(2, 1), mk(3, 1), th)
-	if len(regs) != 0 || compared != 5 { // p50 + p99 + error_rate + 2 counters
-		t.Fatalf("compared=%d regs=%v, want 5 metrics judged and no regressions", compared, regs)
-	}
-
-	// A baseline without the counters never judges them retroactively.
-	old := []benchio.Row{{Name: "Scenario_hot/model=hot", P50Ms: 2, P99Ms: 10}}
-	compared, regs = compareRows("hot", old, mk(0, 99), th)
-	if len(regs) != 0 || compared != 3 {
-		t.Fatalf("compared=%d regs=%v, want counters skipped when baseline lacks them", compared, regs)
-	}
-}
-
-// TestPhaseReportsJudgePerPhase checks the per-phase guard rows: each
-// "/phase=" row shared with the baseline gets its own verdict, a phase
-// whose p95 or error-rate blew past the thresholds is marked regressed,
-// and phases new in the current run are skipped.
-func TestPhaseReportsJudgePerPhase(t *testing.T) {
-	base := []benchio.Row{
-		{Name: "Scenario_s", P95Ms: 6},
-		{Name: "Scenario_s/phase=warm", P95Ms: 4, ErrorRate: 0},
-		{Name: "Scenario_s/phase=faults", P95Ms: 8, ErrorRate: 0},
-	}
-	cur := []benchio.Row{
-		{Name: "Scenario_s", P95Ms: 6},
-		{Name: "Scenario_s/phase=warm", P95Ms: 5, ErrorRate: 0},
-		{Name: "Scenario_s/phase=faults", P95Ms: 8, ErrorRate: 0.2}, // leaking failures
-		{Name: "Scenario_s/phase=new", P95Ms: 1000},                 // no baseline
-	}
-	reports := phaseReports("s", base, cur, thresholds{latencyRatio: 4, errorIncrease: 0.01})
-	if len(reports) != 2 {
-		t.Fatalf("reports = %v, want the two shared phases", reports)
-	}
-	if reports[0].phase != "warm" || !reports[0].ok {
-		t.Fatalf("warm phase = %+v, want ok", reports[0])
-	}
-	if reports[1].phase != "faults" || reports[1].ok {
-		t.Fatalf("faults phase = %+v, want regressed on error-rate", reports[1])
-	}
-	if r := reports[0].p95Ratio; r < 1.24 || r > 1.26 {
-		t.Fatalf("warm p95 ratio = %v, want 1.25", r)
-	}
-}
-
-// TestRunFailsOnDegradedArtifact is the end-to-end acceptance check: an
-// artificially degraded run against a healthy checked-in baseline must
-// exit non-zero.
-func TestRunFailsOnDegradedArtifact(t *testing.T) {
-	baseDir, curDir := t.TempDir(), t.TempDir()
-	write := func(dir string, rows []benchio.Row) {
-		t.Helper()
-		if err := benchio.WriteRows(filepath.Join(dir, "BENCH_scenario_steady.json"), rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(baseDir, healthyRows())
-
+// TestRun checks the exit code over whole directories: 0 pass, 1 regression
+// (degraded, missing row, missing artifact), 2 nothing to judge or
+// unreadable input.
+func TestRun(t *testing.T) {
 	degraded := healthyRows()
-	degraded[0].P50Ms, degraded[0].P99Ms, degraded[0].ErrorRate = 40, 200, 0.2
-	write(curDir, degraded)
-	th := thresholds{latencyRatio: 4, errorIncrease: 0.01}
-	if code := run(baseDir, curDir, "", th); code != 1 {
-		t.Fatalf("degraded run: exit %d, want 1", code)
-	}
-
-	// The same baseline against itself passes.
-	write(curDir, healthyRows())
-	if code := run(baseDir, curDir, "", th); code != 0 {
-		t.Fatalf("healthy run: exit %d, want 0", code)
-	}
-}
-
-func TestRunExitsUsageOnNoOverlap(t *testing.T) {
-	baseDir, curDir := t.TempDir(), t.TempDir()
-	if err := benchio.WriteRows(filepath.Join(baseDir, "BENCH_scenario_a.json"), healthyRows()); err != nil {
-		t.Fatal(err)
-	}
-	if err := benchio.WriteRows(filepath.Join(curDir, "BENCH_scenario_b.json"), healthyRows()); err != nil {
-		t.Fatal(err)
-	}
-	if code := run(baseDir, curDir, "", thresholds{latencyRatio: 4, errorIncrease: 0.01}); code != 2 {
-		t.Fatalf("no overlap: exit %d, want 2", code)
-	}
-}
-
-func TestRunRejectsMalformedArtifact(t *testing.T) {
-	baseDir, curDir := t.TempDir(), t.TempDir()
-	if err := benchio.WriteRows(filepath.Join(baseDir, "BENCH_scenario_a.json"), healthyRows()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(curDir, "BENCH_scenario_a.json"), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run(baseDir, curDir, "", thresholds{latencyRatio: 4, errorIncrease: 0.01}); code != 2 {
-		t.Fatalf("malformed artifact: exit %d, want 2", code)
+	degraded[0].ErrorRate = 0.2
+	type files map[string][]benchio.Row // artifact name -> rows
+	for _, tc := range []struct {
+		name       string
+		base, cur  files
+		rawCurrent map[string]string // artifact name -> raw file content
+		filter     string
+		want       int
+	}{
+		{name: "baseline against itself", base: files{"steady": healthyRows()}, cur: files{"steady": healthyRows()}, want: 0},
+		{name: "degraded artifact", base: files{"steady": healthyRows()}, cur: files{"steady": degraded}, want: 1},
+		{name: "current lost a row", base: files{"steady": healthyRows()}, cur: files{"steady": healthyRows()[:1]}, want: 1},
+		{
+			// One scenario silently produced no artifact; the other
+			// overlapping and healthy must not mask it.
+			name: "baseline without a current artifact",
+			base: files{"steady": healthyRows(), "flash": healthyRows()}, cur: files{"steady": healthyRows()}, want: 1,
+		},
+		{name: "no current artifacts at all", base: files{"steady": healthyRows()}, cur: files{}, want: 1},
+		{
+			name: "filter narrows which baselines are expected",
+			base: files{"steady": healthyRows(), "flash": healthyRows()}, cur: files{"steady": healthyRows()},
+			filter: "steady", want: 0,
+		},
+		{
+			name: "artifact only in current passes",
+			base: files{"steady": healthyRows()}, cur: files{"steady": healthyRows(), "new": degraded}, want: 0,
+		},
+		{name: "no baselines", base: files{}, cur: files{"steady": healthyRows()}, want: 2},
+		{name: "filter matches no baseline", base: files{"steady": healthyRows()}, cur: files{"steady": healthyRows()}, filter: "flash", want: 2},
+		{name: "empty baseline rows", base: files{"steady": nil}, cur: files{"steady": healthyRows()}, want: 2},
+		{
+			name: "malformed current artifact", base: files{"steady": healthyRows()},
+			rawCurrent: map[string]string{"steady": "not json"}, want: 2,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseDir, curDir := t.TempDir(), t.TempDir()
+			path := func(dir, name string) string { return filepath.Join(dir, "BENCH_scenario_"+name+".json") }
+			for name, rows := range tc.base {
+				if err := benchio.WriteRows(path(baseDir, name), rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, rows := range tc.cur {
+				if err := benchio.WriteRows(path(curDir, name), rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, raw := range tc.rawCurrent {
+				if err := os.WriteFile(path(curDir, name), []byte(raw), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if code := run(baseDir, curDir, tc.filter, maxErrInc); code != tc.want {
+				t.Fatalf("exit %d, want %d", code, tc.want)
+			}
+		})
 	}
 }

@@ -1,10 +1,10 @@
-// Package benchio defines the machine-readable benchmark-artifact schema
-// shared by every BENCH_*.json file this repository emits, and the small
-// load/compare helpers the guard commands build on. One row type serves
-// both artifact families: cmd/benchjson flattens `go test -bench` output
-// into rows (BENCH_serving.json), and internal/scenario emits rows for
-// whole scenario runs (BENCH_scenario_<name>.json) — so cmd/benchguard and
-// cmd/scenarioguard diff either kind run-over-run with the same schema.
+// Package benchio defines the schema of the scenario artifacts
+// (BENCH_scenario_<name>.json) and the load/write helpers around it. It is
+// the one contract between its one producer, internal/scenario, which
+// emits a row per scenario run, model and phase, and its one consumer,
+// cmd/scenarioguard, which diffs fresh artifacts against the checked-in
+// baselines. Performance numbers proper live elsewhere: benchmark/ has its
+// own output format (see BENCHMARK.json).
 package benchio
 
 import (
@@ -14,34 +14,27 @@ import (
 	"strings"
 )
 
-// Row is one benchmark or scenario measurement, flattened. Fields a
-// producer doesn't measure stay zero and (mostly) omit from the JSON; a
-// consumer reads the subset it guards.
+// Row is one scenario measurement, flattened. Fields the producer doesn't
+// measure stay zero and (mostly) omit from the JSON; the guard reads the
+// subset it gates on.
 type Row struct {
-	// Name identifies the measurement: a benchmark name for benchjson
-	// rows, or "Scenario_<name>" (optionally with a "/model=NAME" or
-	// "/phase=NAME" suffix) for scenario rows.
+	// Name identifies the measurement: "Scenario_<name>", optionally
+	// with a "/model=NAME" or "/phase=NAME" suffix.
 	Name string `json:"name"`
-	// Model is the DLRM variant the row measures ("" for aggregate or
-	// single-model rows), so per-model trajectories can be filtered.
+	// Model is the DLRM variant the row measures ("" for aggregate
+	// rows), so per-model rows can be filtered.
 	Model string `json:"model,omitempty"`
 
-	// Iterations/NsPerOp/BytesPerOp/AllocsPerOp carry `go test -bench`
-	// measurements (zero on scenario rows).
-	Iterations  int64   `json:"iterations,omitempty"`
-	NsPerOp     float64 `json:"ns_per_op,omitempty"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-
-	// QPS is achieved throughput: the serving benches' custom "qps"
-	// metric, or a scenario's completed requests per measured second.
+	// QPS is achieved throughput: completed requests per measured
+	// second.
 	QPS float64 `json:"qps,omitempty"`
 	// OfferedQPS is the load the driver offered over the measured
 	// window; QPS/OfferedQPS < 1 means requests were shed or failed.
 	OfferedQPS float64 `json:"offered_qps,omitempty"`
 
 	// P50Ms/P95Ms/P99Ms are client-observed latency quantiles in
-	// milliseconds over the measurement window.
+	// milliseconds over the measurement window. They are information
+	// for whoever reads the artifact; the guard does not gate on them.
 	P50Ms float64 `json:"p50_ms,omitempty"`
 	P95Ms float64 `json:"p95_ms,omitempty"`
 	P99Ms float64 `json:"p99_ms,omitempty"`
@@ -49,8 +42,8 @@ type Row struct {
 	// request succeeded — absent and zero mean the same thing).
 	ErrorRate float64 `json:"error_rate,omitempty"`
 
-	// Extra holds any remaining metrics by name (custom bench units,
-	// scenario swap/replan/cache/shed counters).
+	// Extra holds any remaining metrics by name (swap, replan, cache,
+	// replica and shed counters).
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -66,7 +59,7 @@ func WriteRows(path string, rows []Row) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-// LoadRows reads a BENCH_*.json artifact.
+// LoadRows reads a BENCH_scenario_*.json artifact.
 func LoadRows(path string) ([]Row, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -89,8 +82,7 @@ func ByName(rows []Row) map[string]Row {
 }
 
 // MatchesAny reports whether name contains at least one of the
-// comma-separated substrings in filter (an empty filter matches all) —
-// the guard commands' shared name filter.
+// comma-separated substrings in filter (an empty filter matches all).
 func MatchesAny(name, filter string) bool {
 	if filter == "" {
 		return true

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/bucketize"
 	"repro/internal/deploy"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
 	"repro/internal/workload"
@@ -13,23 +15,6 @@ import (
 // is the fraction of a shard's embeddings touched while servicing the
 // first 1,000 queries.
 const UtilityQueries = 1000
-
-// bitset tracks distinct touched rows without per-row map overhead (the
-// paper-scale tables have 20M rows).
-type bitset struct {
-	words []uint64
-	count int64
-}
-
-func newBitset(n int64) *bitset { return &bitset{words: make([]uint64, (n+63)/64)} }
-
-func (b *bitset) set(i int64) {
-	w, m := i/64, uint64(1)<<(uint(i)%64)
-	if b.words[w]&m == 0 {
-		b.words[w] |= m
-		b.count++
-	}
-}
 
 // ShardUtility is one row of the Fig. 14/17 output.
 type ShardUtility struct {
@@ -59,12 +44,12 @@ func MeasureUtility(platform perfmodel.Platform, cfg model.Config, seed uint64) 
 		return nil, err
 	}
 	rng := workload.NewRNG(seed)
-	touched := newBitset(cfg.RowsPerTable)
+	touched := metrics.NewUtilityTracker(cfg.RowsPerTable)
 	perRow := make([]int64, 0, UtilityQueries*cfg.BatchSize*cfg.Pooling)
 	for q := 0; q < UtilityQueries; q++ {
 		for i := 0; i < cfg.BatchSize*cfg.Pooling; i++ {
 			r := sampler.SampleRank(rng)
-			touched.set(r)
+			touched.Touch(r)
 			perRow = append(perRow, r)
 		}
 	}
@@ -75,21 +60,23 @@ func MeasureUtility(platform perfmodel.Platform, cfg model.Config, seed uint64) 
 		Policy:   deploy.PolicyModelWise,
 		Shard:    "S1",
 		Rows:     cfg.RowsPerTable,
-		Utility:  float64(touched.count) / float64(cfg.RowsPerTable),
+		Utility:  touched.Utility(),
 		Replicas: cmp.ModelWise.Shards[0].Replicas,
 	})
 
 	// ElasticRec: per-shard distinct counts over the same draw.
 	plan := cmp.Elastic.TablePlan
-	counts := make([]*bitset, plan.NumShards())
+	counts := make([]*metrics.UtilityTracker, plan.NumShards())
 	for s := range counts {
 		lo, hi := plan.ShardRange(s)
-		counts[s] = newBitset(hi - lo)
+		counts[s] = metrics.NewUtilityTracker(hi - lo)
 	}
 	for _, r := range perRow {
-		s := shardOf(r, plan.Boundaries)
+		// SampleRank < RowsPerTable == the last boundary, so s is a valid
+		// shard; a row past it would panic below rather than be clamped.
+		s := bucketize.ShardOf(r, plan.Boundaries)
 		lo, _ := plan.ShardRange(s)
-		counts[s].set(r - lo)
+		counts[s].Touch(r - lo)
 	}
 	// Replica counts from the plan's table-0 embedding shards.
 	replicas := make(map[int]int)
@@ -104,20 +91,11 @@ func MeasureUtility(platform perfmodel.Platform, cfg model.Config, seed uint64) 
 			Policy:   deploy.PolicyElastic,
 			Shard:    fmt.Sprintf("S%d", s+1),
 			Rows:     hi - lo,
-			Utility:  float64(counts[s].count) / float64(hi-lo),
+			Utility:  counts[s].Utility(),
 			Replicas: replicas[s],
 		})
 	}
 	return out, nil
-}
-
-func shardOf(row int64, boundaries []int64) int {
-	for s, b := range boundaries {
-		if row < b {
-			return s
-		}
-	}
-	return len(boundaries) - 1
 }
 
 // utilityFigure is the shared body of Figs. 14 and 17.

@@ -89,7 +89,7 @@ func (r *Result) ArtifactName() string {
 	return fmt.Sprintf("BENCH_scenario_%s.json", r.Name)
 }
 
-// Rows flattens the result into the shared benchio schema: one aggregate
+// Rows flattens the result into the benchio schema: one aggregate
 // row, one per model (with the control plane's swap/replan/cache counters
 // in Extra), one per phase.
 func (r *Result) Rows() []benchio.Row {

@@ -358,14 +358,10 @@ func (r *runner) wireAutoscale(v *variant) {
 			hi := rt.Boundaries[t][s]
 			sorted := rt.Pre.Sorted[t]
 			shards = append(shards, &serving.AutoscaledShard{
-				Name:  fmt.Sprintf("%s-e%d-t%d-s%d", v.spec.Name, rt.Epoch, t, s),
-				Model: v.spec.Name,
-				Pool:  rt.Pools[t][s],
-				Queue: &serving.QueuePolicy{
-					HighDepth: a.HighDepth,
-					LowDepth:  a.LowDepth,
-					Cooldown:  a.Cooldown.D(),
-				},
+				Name:        fmt.Sprintf("%s-e%d-t%d-s%d", v.spec.Name, rt.Epoch, t, s),
+				Model:       v.spec.Name,
+				Pool:        rt.Pools[t][s],
+				Queue:       a.queuePolicy(),
 				MaxReplicas: a.MaxReplicas,
 				Spawn: func() (serving.GatherClient, error) {
 					return serving.NewEmbeddingShard(t, s, sorted, lo, hi)

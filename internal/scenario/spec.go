@@ -25,6 +25,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/serving"
 )
 
 // Duration is a time.Duration that unmarshals from JSON strings like
@@ -144,6 +146,11 @@ type Autoscale struct {
 	Cooldown Duration `json:"cooldown"`
 	// MaxReplicas caps each shard's scale-out (0 = unlimited).
 	MaxReplicas int `json:"max_replicas"`
+}
+
+// queuePolicy is the serving-side policy the block declares.
+func (a *Autoscale) queuePolicy() *serving.QueuePolicy {
+	return &serving.QueuePolicy{HighDepth: a.HighDepth, LowDepth: a.LowDepth, Cooldown: a.Cooldown.D()}
 }
 
 // Batching configures a variant's dynamic batcher.
@@ -350,14 +357,11 @@ func (s *Spec) Validate() error {
 			}
 		}
 		if a := m.Autoscale; a != nil {
-			if a.HighDepth <= 0 {
-				return fmt.Errorf("scenario %s: model %q: autoscale high_depth must be positive", s.Name, m.Name)
+			if err := a.queuePolicy().Validate(); err != nil {
+				return fmt.Errorf("scenario %s: model %q: autoscale: %w", s.Name, m.Name, err)
 			}
-			if a.LowDepth < 0 || a.LowDepth >= a.HighDepth {
-				return fmt.Errorf("scenario %s: model %q: autoscale low_depth must be in [0, high_depth)", s.Name, m.Name)
-			}
-			if a.Interval < 0 || a.Cooldown < 0 {
-				return fmt.Errorf("scenario %s: model %q: autoscale times must not be negative", s.Name, m.Name)
+			if a.Interval < 0 {
+				return fmt.Errorf("scenario %s: model %q: autoscale interval must not be negative", s.Name, m.Name)
 			}
 			if a.MaxReplicas < 0 {
 				return fmt.Errorf("scenario %s: model %q: autoscale max_replicas must not be negative", s.Name, m.Name)

@@ -107,6 +107,13 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 		{"duplicate model", func(s *Spec) { s.Models = append(s.Models, s.Models[0]) }},
 		{"warmup past duration", func(s *Spec) { s.Warmup = s.Duration }},
 		{"drift without cadence", func(s *Spec) { s.Models[0].Drift = &Drift{} }},
+		// The first three are serving.QueuePolicy.Validate's checks,
+		// the last two the block's own.
+		{"autoscale no high depth", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{} }},
+		{"autoscale no hysteresis band", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, LowDepth: 2} }},
+		{"autoscale negative cooldown", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, Cooldown: -1} }},
+		{"autoscale negative interval", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, Interval: -1} }},
+		{"autoscale negative max replicas", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, MaxReplicas: -1} }},
 	}
 	for _, tc := range cases {
 		spec, err := Parse([]byte(validSpec))

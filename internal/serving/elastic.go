@@ -79,23 +79,31 @@ type BuildOptions struct {
 	// eviction reclaims them — size it against table memory, or disable
 	// caching for workloads that never revisit a distribution.
 	PlanCacheEpochs int
-	// WarmCDF selects how much of the fresh profiling window's access
-	// CDF is pre-touched on freshly built shards before an epoch is
-	// published, so the first post-swap queries don't pay cold latency.
-	// 0 selects the default (DefaultWarmCDF); a negative value disables
-	// pre-warming.
-	WarmCDF float64
 }
 
-// Epoch-reuse defaults (see BuildOptions.PlanCacheEpochs / WarmCDF).
-const (
-	// DefaultPlanCacheEpochs keeps a plan warm for this many epochs past
-	// its last use before the cache evicts it.
-	DefaultPlanCacheEpochs = 4
-	// DefaultWarmCDF pre-touches the rows covering this fraction of the
-	// fresh window's accesses on every freshly built shard.
-	DefaultWarmCDF = 0.9
-)
+// DefaultPlanCacheEpochs keeps a plan warm for this many epochs past its
+// last use before the cache evicts it (see BuildOptions.PlanCacheEpochs).
+const DefaultPlanCacheEpochs = 4
+
+// warmCDF is how much of the fresh profiling window's access CDF is
+// pre-touched on freshly built shards, and seeded into the row cache,
+// before an epoch is published, so the first post-swap queries don't pay
+// cold latency.
+const warmCDF = 0.9
+
+// warmPrefixes returns, per table, the first sorted row past the warm set:
+// the table is hotness-sorted, so the rows covering warmCDF of the window's
+// accesses are the prefix [0, hot[t]).
+func warmPrefixes(pre *Preprocessed) []int64 {
+	hot := make([]int64, len(pre.CDFs))
+	for t, cdf := range pre.CDFs {
+		rows := cdf.Rows()
+		hot[t] = int64(sort.Search(int(rows), func(j int) bool {
+			return cdf.At(int64(j)+1) >= warmCDF
+		})) + 1
+	}
+	return hot
+}
 
 // LiveDeployment is a fully wired ElasticRec serving instance for one DLRM
 // variant. The partition plan lives in an epoch-versioned Router:
@@ -346,20 +354,7 @@ func (ld *LiveDeployment) seedRowCache(epoch int64, pre *Preprocessed) {
 		return
 	}
 	c.advance(epoch)
-	frac := ld.opts.WarmCDF
-	if frac < 0 {
-		return
-	}
-	if frac == 0 {
-		frac = DefaultWarmCDF
-	}
-	hot := make([]int64, len(pre.CDFs))
-	for t, cdf := range pre.CDFs {
-		rows := cdf.Rows()
-		hot[t] = int64(sort.Search(int(rows), func(j int) bool {
-			return cdf.At(int64(j)+1) >= frac
-		})) + 1
-	}
+	hot := warmPrefixes(pre)
 	b := c.newPrefixBuilder(epoch, len(pre.Sorted), ld.cfg.EmbeddingDim)
 	for r := int64(0); ; r++ {
 		any, full := false, false
@@ -412,26 +407,14 @@ func (ld *LiveDeployment) buildShardUnit(epoch int64, t, s int, pre *Preprocesse
 }
 
 // warmFresh pre-touches the hottest rows of the freshly built shards — the
-// rows covering BuildOptions.WarmCDF of the profiling window's accesses —
+// rows covering warmCDF of the profiling window's accesses —
 // so the first queries after publish hit warm memory. Shards reused from a
 // previous epoch are already warm and are skipped; returns rows touched.
 func (ld *LiveDeployment) warmFresh(pre *Preprocessed, fresh []*shardUnit) int64 {
-	frac := ld.opts.WarmCDF
-	if frac < 0 || len(fresh) == 0 {
+	if len(fresh) == 0 {
 		return 0
 	}
-	if frac == 0 {
-		frac = DefaultWarmCDF
-	}
-	// hot[t] is the first sorted row past the warm set of table t: the
-	// table is hotness-sorted, so the warm set is the prefix [0, hot[t]).
-	hot := make([]int64, len(pre.CDFs))
-	for t, cdf := range pre.CDFs {
-		rows := cdf.Rows()
-		hot[t] = int64(sort.Search(int(rows), func(j int) bool {
-			return cdf.At(int64(j)+1) >= frac
-		})) + 1
-	}
+	hot := warmPrefixes(pre)
 	var warmed int64
 	for _, u := range fresh {
 		k := hot[u.table]

@@ -867,22 +867,10 @@ type LiveAutoscaler struct {
 	// thread-safe).
 	OnScale func(s *AutoscaledShard, from, to int)
 
-	// Deployment, when set together with RepartitionPolicy and Replan,
-	// enables the skew-triggered live repartition loop for a single-model
-	// deployment. Multi-model deployments use Repartitions instead.
-	Deployment *LiveDeployment
-	// RepartitionPolicy decides when a utility skew justifies a swap.
-	RepartitionPolicy *cluster.RepartitionPolicy
-	// Replan maps a freshly profiled window to new shard boundaries
-	// (typically the DP partitioner over the new CDF).
-	Replan func(stats []*embedding.AccessStats) ([]int64, error)
-	// OnRepartition, when set, observes every triggered swap (epoch that
-	// was retired, error if the swap failed).
-	OnRepartition func(retired int64, err error)
-
 	// Repartitions holds one independent repartition loop per served
-	// model: every control period each variant's skew is evaluated against
-	// its own policy, so variants swap plans on independent cadences.
+	// model (one entry for a single-model deployment): every control
+	// period each variant's skew is evaluated against its own policy, so
+	// variants swap plans on independent cadences.
 	Repartitions []*ModelRepartition
 
 	// mu guards Shards and Repartitions once the loop runs; the step loop
@@ -968,10 +956,9 @@ func (a *LiveAutoscaler) Start() {
 }
 
 // step evaluates every shard once (exported for deterministic tests via
-// Evaluate), then the single-model repartition trigger, then every
-// per-model repartition loop. Shards and loops are snapshotted under the
-// mutex and evaluated lock-free, so lifecycle add/remove calls are never
-// blocked behind a slow swap.
+// Evaluate), then every per-model repartition loop. Shards and loops are
+// snapshotted under the mutex and evaluated lock-free, so lifecycle
+// add/remove calls are never blocked behind a slow swap.
 func (a *LiveAutoscaler) step() {
 	a.mu.Lock()
 	shards := append([]*AutoscaledShard(nil), a.Shards...)
@@ -980,7 +967,6 @@ func (a *LiveAutoscaler) step() {
 	for _, s := range shards {
 		_ = a.Evaluate(s)
 	}
-	_, _ = a.EvaluateRepartition(time.Now())
 	for _, mr := range loops {
 		_, _ = a.EvaluateModelRepartition(mr, time.Now())
 	}
@@ -1054,32 +1040,13 @@ func (a *LiveAutoscaler) evaluateQueue(s *AutoscaledShard, now time.Time) int {
 	return s.Pool.Size()
 }
 
-// EvaluateRepartition runs one repartition decision at the given wall
-// time for the single-model Deployment/RepartitionPolicy/Replan trio: when
-// the current epoch's utility skew trips the policy, it snapshots the live
-// profiling window, re-plans boundaries and swaps the epoch. Returns
-// whether a swap was attempted.
-func (a *LiveAutoscaler) EvaluateRepartition(now time.Time) (bool, error) {
-	if a.Deployment == nil || a.RepartitionPolicy == nil || a.Replan == nil {
-		return false, nil
-	}
-	mr := &ModelRepartition{
-		Model:      a.Deployment.Model(),
-		Deployment: a.Deployment,
-		Policy:     a.RepartitionPolicy,
-		Replan:     a.Replan,
-	}
-	if a.OnRepartition != nil {
-		mr.OnRepartition = func(_ string, retired int64, err error) { a.OnRepartition(retired, err) }
-	}
-	return a.EvaluateModelRepartition(mr, now)
-}
-
 // EvaluateModelRepartition runs one variant's repartition decision at the
-// given wall time. Each variant's skew is judged against its own policy
-// state (keyed by model name), its own profiling window is snapshotted and
-// reopened, and only its own epoch is swapped — other variants sharing the
-// router keep serving undisturbed.
+// given wall time: when the current epoch's utility skew trips the policy,
+// it snapshots the live profiling window, re-plans boundaries and swaps the
+// epoch. Returns whether a swap was attempted. Each variant's skew is
+// judged against its own policy state (keyed by model name), its own
+// profiling window is snapshotted and reopened, and only its own epoch is
+// swapped — other variants sharing the router keep serving undisturbed.
 func (a *LiveAutoscaler) EvaluateModelRepartition(mr *ModelRepartition, now time.Time) (bool, error) {
 	if mr == nil || mr.Deployment == nil || mr.Policy == nil || mr.Replan == nil {
 		return false, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,8 +18,9 @@ import (
 // race-repartition CI job): no gather is lost or duplicated across
 // scale-up, scale-down and kill-replica mid-flight; bounded-queue
 // backpressure surfaces the typed error before the caller's deadline
-// blows; workers drain to zero on epoch close; and the queue-depth
-// autoscaling policy is hysteretic and monotone as a pure function.
+// blows; workers drain to zero on epoch close; the queue-depth autoscaling
+// policy is hysteretic and monotone as a pure function; and LiveAutoscaler
+// grows and shrinks a live pool under it, capped and spaced by Cooldown.
 
 // countedGather records every successful serve and stamps a canonical
 // reply, so the suite can reconcile caller-side and replica-side tallies.
@@ -364,6 +366,111 @@ func TestPullPoolQueuePolicyHysteresis(t *testing.T) {
 	if actions == 0 {
 		t.Fatal("sustained overload never scaled")
 	}
+}
+
+// TestLiveAutoscalerQueuePolicyScalesOut drives the queue-depth policy
+// against a live pull pool: with every gather stalled (fault injection)
+// and one worker per replica, an 8-way burst leaves most of itself waiting
+// in the shard queue, so the per-replica depth EWMA clears HighDepth at
+// every scale-out decision by >= 3x (worked from the alpha = 0.2 EWMA over
+// enqueue-time samples max(0, i-replicas), i = 0..7). Scale-in needs the
+// EWMA to decay, and it only moves on enqueues, so "the load stops" is a
+// sequential trickle with the stall removed.
+func TestLiveAutoscalerQueuePolicyScalesOut(t *testing.T) {
+	const rows, maxReplicas, burst = 4_000, 3, 8
+	tab, err := embedding.NewRandomTable("qds", rows, 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newShard := func(replica int) GatherClient {
+		s, err := NewEmbeddingShard(0, replica, tab, 0, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	pool := NewReplicaPoolOptions(PoolOptions{WorkersPerReplica: 1}, newShard(0))
+	defer pool.Close()
+	pool.InjectDelay(20 * time.Millisecond)
+
+	type step struct{ from, to int }
+	var steps []step
+	as := &LiveAutoscaler{OnScale: func(_ *AutoscaledShard, from, to int) {
+		steps = append(steps, step{from, to})
+	}}
+	spawned := 0
+	hot := &AutoscaledShard{
+		Name:        "qds-t0-s0",
+		Pool:        pool,
+		Queue:       &QueuePolicy{HighDepth: 0.4, LowDepth: 0.1, Cooldown: time.Minute},
+		MaxReplicas: maxReplicas,
+		Spawn: func() (GatherClient, error) {
+			spawned++
+			return newShard(spawned), nil
+		},
+	}
+	req := &GatherRequest{Indices: []int64{1, 2, 3}, Offsets: []int32{0}}
+	fire := func(concurrent int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		for c := 0; c < concurrent; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var reply GatherReply
+				if err := pool.Gather(bg, req, &reply); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	wantSteps := func(when string, want ...step) {
+		t.Helper()
+		if pool.Size() != want[len(want)-1].to || !reflect.DeepEqual(steps, want) {
+			t.Fatalf("%s: size %d after OnScale %v, want %v", when, pool.Size(), steps, want)
+		}
+	}
+
+	// First burst: the exported entry point, on the wall clock.
+	fire(burst)
+	if got := as.Evaluate(hot); got != 2 {
+		t.Fatalf("replicas = %d after the first burst (stats %+v), want 2", got, pool.QueueStats())
+	}
+	wantSteps("first burst", step{1, 2})
+	// Still overloaded, but inside Cooldown of the last decision.
+	fire(burst)
+	as.Evaluate(hot)
+	wantSteps("inside cooldown", step{1, 2})
+	// From here the clock is injected: each decision one Cooldown later.
+	now := time.Now()
+	tick := func() time.Time {
+		now = now.Add(2 * hot.Queue.Cooldown)
+		return now
+	}
+	as.evaluateQueue(hot, tick())
+	wantSteps("second decision", step{1, 2}, step{2, 3})
+	// At MaxReplicas further pressure adds nothing and spawns nothing.
+	fire(burst)
+	as.evaluateQueue(hot, tick())
+	wantSteps("at the cap", step{1, 2}, step{2, 3})
+	if spawned != maxReplicas-1 {
+		t.Fatalf("spawned %d replicas, want %d", spawned, maxReplicas-1)
+	}
+
+	// Load stops: the EWMA decays below LowDepth and the pool shrinks one
+	// replica per Cooldown, never below one.
+	pool.InjectDelay(0)
+	for i := 0; i < 40; i++ {
+		fire(1)
+	}
+	as.evaluateQueue(hot, tick())
+	wantSteps("first scale-in", step{1, 2}, step{2, 3}, step{3, 2})
+	as.evaluateQueue(hot, now) // same instant: Cooldown gates
+	wantSteps("scale-in inside cooldown", step{1, 2}, step{2, 3}, step{3, 2})
+	as.evaluateQueue(hot, tick())
+	as.evaluateQueue(hot, tick())
+	wantSteps("floor", step{1, 2}, step{2, 3}, step{3, 2}, step{2, 1})
 }
 
 // TestPullPoolQueuePolicyMonotone property-checks monotonicity: holding

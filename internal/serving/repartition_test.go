@@ -427,7 +427,7 @@ func emptyClients(cfg model.Config) [][]GatherClient {
 // end: drifted traffic widens the utility skew, the autoscaler's
 // repartition policy fires, the deployment re-plans from its live
 // profiling window and the epoch advances — all deterministic via
-// EvaluateRepartition.
+// EvaluateModelRepartition on a one-element repartition list.
 func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 	cfg := liveConfig()
 	m, stats, _ := buildFixture(t, cfg)
@@ -447,9 +447,9 @@ func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 	}
 
 	var retired []int64
-	as := &LiveAutoscaler{
+	mr := &ModelRepartition{
 		Deployment: ld,
-		RepartitionPolicy: &cluster.RepartitionPolicy{
+		Policy: &cluster.RepartitionPolicy{
 			MinSkew:     0.5,
 			MinRequests: 50,
 			MinInterval: time.Hour,
@@ -457,13 +457,14 @@ func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 		Replan: func(stats []*embedding.AccessStats) ([]int64, error) {
 			return []int64{50, 200, cfg.RowsPerTable}, nil
 		},
-		OnRepartition: func(epoch int64, err error) {
+		OnRepartition: func(_ string, epoch int64, err error) {
 			retired = append(retired, epoch)
 			if err != nil {
 				t.Errorf("repartition: %v", err)
 			}
 		},
 	}
+	as := &LiveAutoscaler{Repartitions: []*ModelRepartition{mr}}
 
 	ld.StartProfile()
 	for i := 0; i < 150; i++ {
@@ -482,7 +483,7 @@ func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 		}
 	}
 
-	fired, err := as.EvaluateRepartition(time.Now())
+	fired, err := as.EvaluateModelRepartition(mr, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +497,7 @@ func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 		t.Fatalf("OnRepartition observed %v, want [0]", retired)
 	}
 	// MinInterval suppresses an immediate second swap.
-	fired, err = as.EvaluateRepartition(time.Now())
+	fired, err = as.EvaluateModelRepartition(mr, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,9 +551,9 @@ func TestEvaluateRepartitionSurvivesReplanFailure(t *testing.T) {
 
 	replanErr := fmt.Errorf("injected replan failure")
 	failing := true
-	as := &LiveAutoscaler{
+	mr := &ModelRepartition{
 		Deployment: ld,
-		RepartitionPolicy: &cluster.RepartitionPolicy{
+		Policy: &cluster.RepartitionPolicy{
 			MinSkew:     0.5,
 			MinRequests: 50,
 			MinInterval: 0, // allow immediate retry after the failure
@@ -564,10 +565,11 @@ func TestEvaluateRepartitionSurvivesReplanFailure(t *testing.T) {
 			return []int64{50, 200, cfg.RowsPerTable}, nil
 		},
 	}
+	as := &LiveAutoscaler{Repartitions: []*ModelRepartition{mr}}
 
 	ld.StartProfile()
 	fire(150)
-	fired, err := as.EvaluateRepartition(time.Now())
+	fired, err := as.EvaluateModelRepartition(mr, time.Now())
 	if !fired || err == nil {
 		t.Fatalf("fired=%v err=%v, want fired with the injected failure", fired, err)
 	}
@@ -578,7 +580,7 @@ func TestEvaluateRepartitionSurvivesReplanFailure(t *testing.T) {
 	// the swap goes through.
 	failing = false
 	fire(150)
-	fired, err = as.EvaluateRepartition(time.Now())
+	fired, err = as.EvaluateModelRepartition(mr, time.Now())
 	if err != nil {
 		t.Fatalf("retry after transient failure: %v", err)
 	}
