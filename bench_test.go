@@ -15,6 +15,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bucketize"
@@ -388,6 +389,30 @@ func BenchmarkKernel_GatherPool(b *testing.B) {
 		if err := tab.GatherPool(dst, idx); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKernel_MatVec times the dense kernel on the two layers that
+// dominate bench-dense — bottom 256->128 (most MACs) and top 42->256 (a
+// width no unroll factor divides) — and reports ns per multiply-accumulate.
+func BenchmarkKernel_MatVec(b *testing.B) {
+	for _, shape := range [][2]int{{256, 128}, {42, 256}} {
+		in, out := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", in, out), func(b *testing.B) {
+			l, err := mlp.NewLayer(in, out, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			x, y := make(tensor.Vector, in), make(tensor.Vector, out)
+			tensor.InitUniform(x, 1, 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tensor.MatVecBias(y, l.W, x, l.B); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(in*out), "ns/MAC")
+		})
 	}
 }
 

@@ -73,7 +73,8 @@ func MeasureUtility(platform perfmodel.Platform, cfg model.Config, seed uint64) 
 	}
 	for _, r := range perRow {
 		// SampleRank < RowsPerTable == the last boundary, so s is a valid
-		// shard; a row past it would panic below rather than be clamped.
+		// shard. The panic below on a row past it is a relied-on plan
+		// invariant, not a missing clamp.
 		s := bucketize.ShardOf(r, plan.Boundaries)
 		lo, _ := plan.ShardRange(s)
 		counts[s].Touch(r - lo)

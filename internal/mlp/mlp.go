@@ -143,20 +143,15 @@ func (m *MLP) forward(buf0, buf1, dst, x tensor.Vector) error {
 	cur := buf0[:len(x)]
 	copy(cur, x)
 	next := buf1
-	for i, l := range m.Layers {
+	last := len(m.Layers) - 1
+	for _, l := range m.Layers[:last] {
 		out := next[:l.Out()]
-		if i == len(m.Layers)-1 {
-			out = dst
-		}
-		if err := l.Forward(out, cur); err != nil {
+		if err := tensor.MatVecBiasReLU(out, l.W, cur, l.B); err != nil {
 			return err
-		}
-		if i != len(m.Layers)-1 {
-			tensor.ReLU(out)
 		}
 		cur, next = out, cur[:cap(cur)]
 	}
-	return nil
+	return m.Layers[last].Forward(dst, cur)
 }
 
 // FLOPs returns the per-input forward cost of the whole stack.

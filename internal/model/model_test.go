@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/embedding"
+	"repro/internal/mlp"
 	"repro/internal/tensor"
 )
 
@@ -437,6 +438,94 @@ func TestScratchReuse(t *testing.T) {
 		}
 		if p != first {
 			t.Fatalf("iteration %d: %v != %v — scratch reuse corrupts state", i, p, first)
+		}
+	}
+}
+
+// refMLPForward is a per-sample scalar forward pass — one accumulator per
+// output row, then the bias, then a separate ReLU sweep on every layer but
+// the last — written against the raw weights so it shares no code with
+// tensor's kernel.
+func refMLPForward(w *mlp.MLP, x tensor.Vector) tensor.Vector {
+	cur := x
+	for i, l := range w.Layers {
+		out := make(tensor.Vector, l.W.Rows)
+		for r := range out {
+			var acc float32
+			for c, wt := range l.W.Data[r*l.W.Cols : (r+1)*l.W.Cols] {
+				acc += wt * cur[c]
+			}
+			out[r] = acc
+		}
+		for r := range out {
+			out[r] += l.B[r]
+		}
+		if i != len(w.Layers)-1 {
+			for r, v := range out {
+				if v < 0 {
+					out[r] = 0
+				}
+			}
+		}
+		cur = out
+	}
+	return cur
+}
+
+// TestForwardPooledBitExactReference pins the dense forward against the
+// scalar reference above on the two MLP geometries the benchmark serves
+// (bench-dense and bench-gather in benchmark/workloads.go). The
+// sharded-vs-monolith equivalence suites cannot see a kernel bug: both
+// sides run the same kernel.
+func TestForwardPooledBitExactReference(t *testing.T) {
+	geometries := []Config{
+		{Name: "bench-dense", DenseInputDim: 13, BottomMLP: []int{256, 128, 32}, TopMLP: []int{256, 64, 1},
+			NumTables: 4, RowsPerTable: 1, EmbeddingDim: 32, Pooling: 8, LocalityP: 0.9, BatchSize: 32},
+		{Name: "bench-gather", DenseInputDim: 13, BottomMLP: []int{16, 64}, TopMLP: []int{16, 1},
+			NumTables: 4, RowsPerTable: 1, EmbeddingDim: 64, Pooling: 128, LocalityP: 0.9, BatchSize: 32},
+	}
+	for _, cfg := range geometries {
+		m, err := NewDenseOnly(cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := m.NewScratch()
+		for sample := uint64(0); sample < uint64(cfg.BatchSize); sample++ {
+			dense := make(tensor.Vector, cfg.DenseInputDim)
+			tensor.InitUniform(dense, 1, 100+sample)
+			pooled := make([]tensor.Vector, cfg.NumTables)
+			for i := range pooled {
+				pooled[i] = make(tensor.Vector, cfg.EmbeddingDim)
+				tensor.InitUniform(pooled[i], 0.5, 1000*sample+uint64(i))
+			}
+
+			bottom := refMLPForward(m.Bottom, dense)
+			inter := make(tensor.Vector, cfg.InteractionDim())
+			if err := m.Interact(inter, bottom, pooled); err != nil {
+				t.Fatal(err)
+			}
+			want := refMLPForward(m.Top, inter)
+			tensor.Sigmoid(want)
+
+			got, err := m.ForwardPooledScratch(s, dense, pooled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float32bits(got) != math.Float32bits(want[0]) {
+				t.Fatalf("%s sample %d: probability %v (%#08x), reference %v (%#08x)", cfg.Name, sample,
+					got, math.Float32bits(got), want[0], math.Float32bits(want[0]))
+			}
+			// The sigmoid rounds away low logit bits; the bottom MLP's
+			// wide output shows a reordered sum directly.
+			gotBottom := make(tensor.Vector, len(bottom))
+			if err := m.Bottom.Forward(gotBottom, dense); err != nil {
+				t.Fatal(err)
+			}
+			for i := range bottom {
+				if math.Float32bits(gotBottom[i]) != math.Float32bits(bottom[i]) {
+					t.Fatalf("%s sample %d: bottom[%d] = %v, reference %v", cfg.Name, sample, i, gotBottom[i], bottom[i])
+				}
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -338,8 +339,8 @@ func TestDeadlinePropagatesOverTCP(t *testing.T) {
 	var reply GatherReply
 	err = client.Gather(ctx, &GatherRequest{Indices: []int64{0}, Offsets: []int32{0}}, &reply)
 	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("want deadline error")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Fatalf("client blocked %v past its deadline", elapsed)

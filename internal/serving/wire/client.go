@@ -170,6 +170,18 @@ func (c *Conn) Call(ctx context.Context, encode func([]byte) []byte, decode func
 		c.mu.Unlock()
 		return ctx.Err()
 	case err := <-call.done:
+		// A deadline that rides the frame expires on both ends at once:
+		// when the server's refusal wins the race the caller still gets
+		// its own context's error, even if the context's timer goroutine
+		// has not run yet. A reply that made it is a success.
+		if err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+				return context.DeadlineExceeded
+			}
+		}
 		return err
 	}
 }

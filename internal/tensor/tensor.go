@@ -56,32 +56,95 @@ func (m *Matrix) SizeBytes() int64 { return int64(len(m.Data)) * 4 }
 // MatVec computes dst = m * x for an m of shape (Rows x Cols) and x of
 // length Cols. dst must have length Rows. It returns ErrShape on mismatch.
 func MatVec(dst Vector, m *Matrix, x Vector) error {
-	if len(x) != m.Cols || len(dst) != m.Rows {
-		return fmt.Errorf("%w: matvec (%dx%d)*(%d)->(%d)", ErrShape, m.Rows, m.Cols, len(x), len(dst))
+	if err := checkMatVec(dst, m, x); err != nil {
+		return err
 	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		var acc float32
-		for c, w := range row {
-			acc += w * x[c]
-		}
-		dst[r] = acc
-	}
+	matVec(dst, m, x, nil, false)
 	return nil
 }
 
 // MatVecBias computes dst = m*x + b. b must have length m.Rows.
 func MatVecBias(dst Vector, m *Matrix, x, b Vector) error {
+	if err := checkMatVecBias(dst, m, x, b); err != nil {
+		return err
+	}
+	matVec(dst, m, x, b, false)
+	return nil
+}
+
+// MatVecBiasReLU computes dst = max(0, m*x + b): a fully-connected layer
+// and its activation in one pass over dst.
+func MatVecBiasReLU(dst Vector, m *Matrix, x, b Vector) error {
+	if err := checkMatVecBias(dst, m, x, b); err != nil {
+		return err
+	}
+	matVec(dst, m, x, b, true)
+	return nil
+}
+
+func checkMatVec(dst Vector, m *Matrix, x Vector) error {
+	if len(x) != m.Cols || len(dst) != m.Rows {
+		return fmt.Errorf("%w: matvec (%dx%d)*(%d)->(%d)", ErrShape, m.Rows, m.Cols, len(x), len(dst))
+	}
+	return nil
+}
+
+func checkMatVecBias(dst Vector, m *Matrix, x, b Vector) error {
 	if len(b) != m.Rows {
 		return fmt.Errorf("%w: bias length %d for %d rows", ErrShape, len(b), m.Rows)
 	}
-	if err := MatVec(dst, m, x); err != nil {
-		return err
+	return checkMatVec(dst, m, x)
+}
+
+// matVec is the dense kernel behind every MatVec* entry point; shapes are
+// already checked. It walks four output rows at a time against the one
+// input vector: four independent accumulators hide the FP-add latency a
+// single running sum serialises on, and re-slicing each weight row to
+// len(x) lets the compiler drop the per-element bounds checks. Every
+// output is still ONE accumulator adding its products in ascending column
+// order with a separate multiply and add, so results are bit-identical to
+// the one-row-at-a-time loop.
+func matVec(dst Vector, m *Matrix, x, b Vector, relu bool) {
+	n := len(x)
+	r := 0
+	for ; r+4 <= len(dst); r += 4 {
+		w0 := m.Data[r*n:][:n]
+		w1 := m.Data[(r+1)*n:][:n]
+		w2 := m.Data[(r+2)*n:][:n]
+		w3 := m.Data[(r+3)*n:][:n]
+		var a0, a1, a2, a3 float32
+		for c, q := range x {
+			a0 += w0[c] * q
+			a1 += w1[c] * q
+			a2 += w2[c] * q
+			a3 += w3[c] * q
+		}
+		dst[r] = epilogue(a0, b, r, relu)
+		dst[r+1] = epilogue(a1, b, r+1, relu)
+		dst[r+2] = epilogue(a2, b, r+2, relu)
+		dst[r+3] = epilogue(a3, b, r+3, relu)
 	}
-	for i := range dst {
-		dst[i] += b[i]
+	for ; r < len(dst); r++ {
+		w := m.Data[r*n:][:n]
+		var a float32
+		for c, q := range x {
+			a += w[c] * q
+		}
+		dst[r] = epilogue(a, b, r, relu)
 	}
-	return nil
+}
+
+// epilogue finishes output row r while its sum is still in a register:
+// the bias unless b is nil, then the clamp. relu tests a < 0, so NaN and
+// +Inf pass through unchanged.
+func epilogue(a float32, b Vector, r int, relu bool) float32 {
+	if b != nil {
+		a += b[r]
+	}
+	if relu && a < 0 {
+		a = 0
+	}
+	return a
 }
 
 // Dot returns the inner product of a and b, which must share a length.
@@ -111,15 +174,6 @@ func Add(dst, src Vector) error {
 func Scale(v Vector, s float32) {
 	for i := range v {
 		v[i] *= s
-	}
-}
-
-// ReLU applies max(0, x) element-wise in place.
-func ReLU(v Vector) {
-	for i, x := range v {
-		if x < 0 {
-			v[i] = 0
-		}
 	}
 }
 

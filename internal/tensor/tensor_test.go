@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -53,16 +54,6 @@ func TestMatVecHandChecked(t *testing.T) {
 	}
 }
 
-func TestMatVecShapeErrors(t *testing.T) {
-	m := NewMatrix(2, 3)
-	if err := MatVec(make(Vector, 2), m, make(Vector, 2)); err == nil {
-		t.Fatal("want shape error for bad x")
-	}
-	if err := MatVec(make(Vector, 3), m, make(Vector, 3)); err == nil {
-		t.Fatal("want shape error for bad dst")
-	}
-}
-
 func TestMatVecBias(t *testing.T) {
 	m := NewMatrix(2, 2)
 	copy(m.Data, []float32{1, 0, 0, 1})
@@ -112,11 +103,193 @@ func TestAddScaleZero(t *testing.T) {
 	}
 }
 
-func TestReLU(t *testing.T) {
-	v := Vector{-1, 0, 2}
-	ReLU(v)
-	if v[0] != 0 || v[1] != 0 || v[2] != 2 {
-		t.Fatalf("ReLU = %v", v)
+// refMatVec is the one-accumulator, one-row-at-a-time loop MatVec was
+// before the 4-row kernel. It is kept here, sharing no code with the
+// kernel, as the reference the kernel must match bit for bit.
+func refMatVec(dst Vector, m *Matrix, x Vector) {
+	for r := 0; r < m.Rows; r++ {
+		row := m.Data[r*m.Cols : (r+1)*m.Cols]
+		var acc float32
+		for c, w := range row {
+			acc += w * x[c]
+		}
+		dst[r] = acc
+	}
+}
+
+// refReLU is the separate activation sweep the fused epilogue replaced.
+func refReLU(v Vector) {
+	for i, x := range v {
+		if x < 0 {
+			v[i] = 0
+		}
+	}
+}
+
+// sameBits demands Float32bits equality, except that any NaN equals any
+// NaN: which payload survives NaN+NaN depends on the operand order the
+// compiler picks for a commutative add, not on the summation order.
+func sameBits(a, b float32) bool {
+	if a != a && b != b {
+		return true
+	}
+	return math.Float32bits(a) == math.Float32bits(b)
+}
+
+// matVecSpecials are sprinkled into weights, inputs and biases so sums
+// overflow to +-Inf, cancel to NaN (Inf-Inf), underflow through denormals,
+// and meet signed zeros — the values the ReLU predicate must not mangle.
+var matVecSpecials = []float32{
+	float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.Copysign(0, -1)), 0,
+	math.Float32frombits(1), math.Float32frombits(0x80000001), // +-smallest denormal
+	math.MaxFloat32, -math.MaxFloat32, 1e-30, -1e-30,
+}
+
+// fillMatVecCase builds one (m, x, b) input. Variant 0 is plain random
+// data; 1 plants one special per weight row and bias entry (so different
+// rows take different paths through the epilogue); 2 scales everything so
+// sums overflow; 3 scales everything so products are denormal or underflow.
+func fillMatVecCase(rows, cols, variant int) (*Matrix, Vector, Vector) {
+	seed := uint64(rows*1000+cols)*4 + uint64(variant)
+	m, x, b := NewMatrix(rows, cols), make(Vector, cols), make(Vector, rows)
+	InitUniform(m.Data, 1, seed)
+	InitUniform(x, 1, seed+1)
+	InitUniform(b, 1, seed+2)
+	switch variant {
+	case 1:
+		for r := 0; r < rows; r++ {
+			m.Set(r, (r*7)%cols, matVecSpecials[r%len(matVecSpecials)])
+			b[r] = matVecSpecials[(r+1)%len(matVecSpecials)]
+		}
+	case 2:
+		Scale(m.Data, 1e25)
+		Scale(x, 1e25)
+	case 3:
+		Scale(m.Data, 1e-20)
+		Scale(x, 1e-20)
+		Scale(b, 1e-44)
+	}
+	return m, x, b
+}
+
+func TestMatVecBitExact(t *testing.T) {
+	seen := map[string]bool{}
+	for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 64, 256} {
+		for _, cols := range []int{1, 13, 42, 256} {
+			for variant := 0; variant < 4; variant++ {
+				m, x, b := fillMatVecCase(rows, cols, variant)
+				want, got := make(Vector, rows), make(Vector, rows)
+				check := func(name string) {
+					t.Helper()
+					for r := range want {
+						if !sameBits(got[r], want[r]) {
+							t.Fatalf("%s %dx%d variant %d row %d: got %v (%#08x), want %v (%#08x)", name, rows, cols, variant,
+								r, got[r], math.Float32bits(got[r]), want[r], math.Float32bits(want[r]))
+						}
+					}
+				}
+
+				refMatVec(want, m, x)
+				if err := MatVec(got, m, x); err != nil {
+					t.Fatal(err)
+				}
+				check("MatVec")
+
+				if err := Add(want, b); err != nil { // the old separate bias pass
+					t.Fatal(err)
+				}
+				if err := MatVecBias(got, m, x, b); err != nil {
+					t.Fatal(err)
+				}
+				check("MatVecBias")
+
+				for _, v := range want {
+					switch {
+					case v != v:
+						seen["NaN"] = true
+					case math.IsInf(float64(v), 1):
+						seen["+Inf"] = true
+					case math.IsInf(float64(v), -1):
+						seen["-Inf"] = true
+					case v != 0 && math.Abs(float64(v)) < 1e-38:
+						seen["denormal"] = true
+					case v == 0:
+						seen["zero"] = true
+					}
+				}
+				refReLU(want)
+				if err := MatVecBiasReLU(got, m, x, b); err != nil {
+					t.Fatal(err)
+				}
+				check("MatVecBiasReLU")
+			}
+		}
+	}
+	// The corpus must actually drive the epilogue through every special
+	// class, or the equalities above prove less than they claim.
+	for _, class := range []string{"NaN", "+Inf", "-Inf", "denormal", "zero"} {
+		if !seen[class] {
+			t.Errorf("no pre-activation output was %s: the special-value corpus is too tame", class)
+		}
+	}
+}
+
+// The fused epilogue keeps the contract of the ReLU sweep it replaced:
+// negatives (and -Inf) clamp to +0, everything the predicate x < 0 rejects
+// passes through, NaN included. A one-column matrix times x = {1} makes
+// each weight the pre-activation value. (A -0 weight arrives as +0: the
+// accumulator starts at +0 and +0 + -0 = +0, so no MatVec output is -0.)
+func TestMatVecBiasReLUEpilogue(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	pre := Vector{-1, 0, 2, float32(math.Copysign(0, -1)), nan, inf, -inf, math.Float32frombits(0x80000001), math.Float32frombits(1)}
+	want := Vector{0, 0, 2, 0, nan, inf, 0, 0, math.Float32frombits(1)}
+	m := &Matrix{Rows: len(pre), Cols: 1, Data: pre}
+	got := make(Vector, len(pre))
+	if err := MatVecBiasReLU(got, m, Vector{1}, make(Vector, len(pre))); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Errorf("relu(%v) = %v (%#08x), want %v", pre[i], got[i], math.Float32bits(got[i]), want[i])
+		}
+	}
+}
+
+func TestMatVecShapeErrorsWriteNothing(t *testing.T) {
+	m := NewMatrix(5, 3)
+	InitUniform(m.Data, 1, 1)
+	fresh := func(n int) Vector {
+		v := make(Vector, n)
+		for i := range v {
+			v[i] = 42
+		}
+		return v
+	}
+	cases := []struct {
+		name         string
+		dst, x, bias int
+	}{{"short x", 5, 2, 5}, {"long x", 5, 4, 5}, {"short dst", 4, 3, 5}, {"long dst", 6, 3, 5}, {"short bias", 5, 3, 4}, {"long bias", 5, 3, 6}}
+	for _, c := range cases {
+		x, b := make(Vector, c.x), make(Vector, c.bias)
+		calls := map[string]func(dst Vector) error{
+			"MatVecBias":     func(dst Vector) error { return MatVecBias(dst, m, x, b) },
+			"MatVecBiasReLU": func(dst Vector) error { return MatVecBiasReLU(dst, m, x, b) },
+		}
+		if c.bias == m.Rows {
+			calls["MatVec"] = func(dst Vector) error { return MatVec(dst, m, x) }
+		}
+		for name, call := range calls {
+			dst := fresh(c.dst)
+			if err := call(dst); !errors.Is(err, ErrShape) {
+				t.Errorf("%s, %s: err = %v, want ErrShape", name, c.name, err)
+			}
+			for i, v := range dst {
+				if v != 42 {
+					t.Errorf("%s, %s: dst[%d] written (%v) on a shape error", name, c.name, i, v)
+				}
+			}
+		}
 	}
 }
 
