@@ -35,11 +35,12 @@ bench:
 race-repartition:
 	$(GO) test -race -run 'Repartition|Straggler|Cancels|Lifecycle|ReplanMemo|PullPool|LiveAutoscaler' -count=1 ./internal/serving/
 
-# Control-plane smoke: the model-lifecycle closed loop (deploy/undeploy
-# over the versioned admin frames on the predict listener) in short mode —
-# CI runs this in the checks job.
+# Closed-loop smoke: the three DP-planned scenario experiments in short
+# mode (~5 s) — profile -> re-plan -> swap, two models on independent swap
+# cadences, and deploy/undeploy/redeploy over the versioned admin frames on
+# the predict listener. CI runs this in the checks job.
 lifecycle-smoke:
-	$(GO) run ./cmd/elasticrec -short lifecycle
+	$(GO) run ./cmd/elasticrec -short repartition multimodel lifecycle
 
 # One iteration of the micro-kernel benches — a CI smoke test that the
 # development harness still runs, with output kept as an artifact. It

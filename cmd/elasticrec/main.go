@@ -52,8 +52,9 @@ type experiment struct {
 	run  func() (*core.Table, error)
 }
 
-// short is the global -short flag: experiments that support it trim their
-// closed loops for smoke runs (CI runs `elasticrec -short lifecycle`).
+// short is the global -short flag: the closed-loop experiments halve
+// their scenario timelines for smoke runs (CI runs `elasticrec -short
+// repartition multimodel lifecycle`).
 var short = flag.Bool("short", false, "trim closed-loop experiments for smoke runs")
 
 func experiments() []experiment {
@@ -77,8 +78,8 @@ func experiments() []experiment {
 		{"fig20", "Fig. 20: GPU embedding cache baseline", core.Figure20},
 		{"schemes", "Extension: row-wise vs column-/table-wise partitioning", core.SchemesTable},
 		{"stress", "Sec. IV-D: live shard QPSmax stress test", core.StressTable},
-		{"repartition", "Sec. IV-B: closed profiling/repartition/serve loop", core.RepartitionTable},
-		{"multimodel", "Multi-model routing: one frontend, independently repartitioned variants", core.MultiModelTable},
+		{"repartition", "Sec. IV-B: closed profiling/repartition/serve loop", func() (*core.Table, error) { return core.RepartitionTable(*short) }},
+		{"multimodel", "Multi-model routing: one frontend, independently repartitioned variants", func() (*core.Table, error) { return core.MultiModelTable(*short) }},
 		{"lifecycle", "Model lifecycle: deploy/undeploy variants over the admin API", func() (*core.Table, error) { return core.LifecycleTable(*short) }},
 	}
 }

@@ -1,7 +1,9 @@
 // Package core is the ElasticRec facade: it ties the substrates together
 // behind a small API (plan a deployment, compare policies, run any of the
-// paper's experiments) and is what the CLI, the examples and the benchmark
-// harness call into.
+// paper's experiments) and is what cmd/elasticrec and the root bench_test.go
+// figure rows call into. The live closed-loop experiments (repartition,
+// multimodel, lifecycle) are internal/scenario specs run with the DP
+// partitioner as their replanner.
 //
 // The heavy lifting lives in the focused packages: partition (Algorithms 1
 // and 2), deploy (policy planners), perfmodel (hardware model), cluster

@@ -295,7 +295,7 @@ func TestRepartitionTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live repartition loop skipped in -short")
 	}
-	tab, err := RepartitionTable()
+	tab, err := RepartitionTable(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,16 +305,35 @@ func TestRepartitionTable(t *testing.T) {
 	// The loop's contract: zero failed requests in every phase, the
 	// repartitioned phase serves from epoch 1, and the revert phase
 	// (hotness shifted back, second live replan) from epoch 2.
-	for _, row := range tab.Rows {
-		if row[4] != "0" {
-			t.Fatalf("phase %s dropped %s requests during the swap", row[0], row[4])
-		}
+	assertNoFailedPhase(t, tab)
+	if got := epochCell(t, tab, 2, "rm1-repartition"); got != "1" {
+		t.Fatalf("repartitioned phase epoch = %s, want 1", got)
 	}
-	if tab.Rows[2][1] != "1" {
-		t.Fatalf("repartitioned phase epoch = %s, want 1", tab.Rows[2][1])
+	if got := epochCell(t, tab, 3, "rm1-repartition"); got != "2" {
+		t.Fatalf("reverted phase epoch = %s, want 2", got)
 	}
-	if tab.Rows[3][1] != "2" {
-		t.Fatalf("reverted phase epoch = %s, want 2", tab.Rows[3][1])
+}
+
+func TestMultiModelTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live multi-model loop skipped in -short")
+	}
+	tab, err := MultiModelTable(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// aligned, A drifted, A swapped, B drifted, B swapped.
+	if len(tab.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(tab.Rows))
+	}
+	assertNoFailedPhase(t, tab)
+	// Each swap advances only its own model's epoch.
+	if a, b := epochCell(t, tab, 2, "rm1a"), epochCell(t, tab, 2, "rm1b"); a != "1" || b != "0" {
+		t.Fatalf("after rm1a's swap: rm1a epoch %s, rm1b epoch %s, want 1 and 0", a, b)
+	}
+	last := len(tab.Rows) - 1
+	if a, b := epochCell(t, tab, last, "rm1a"), epochCell(t, tab, last, "rm1b"); a != "1" || b != "1" {
+		t.Fatalf("last phase: rm1a epoch %s, rm1b epoch %s, want both 1", a, b)
 	}
 }
 
@@ -323,23 +342,41 @@ func TestLifecycleTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// baseline (2) + C deployed (3) + A undeployed (2) + A redeployed (3).
-	if len(tab.Rows) != 10 {
-		t.Fatalf("rows = %d, want 10", len(tab.Rows))
+	// baseline, C deployed, A undeployed, A redeployed.
+	if len(tab.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(tab.Rows))
 	}
+	assertNoFailedPhase(t, tab)
+	// The undeployed phase must not list rm1a; the redeploy phase must,
+	// back at epoch 0.
+	if got := tab.Rows[2]; got[0] != "A undeployed" || epochCell(t, tab, 2, "rm1a") != "-" {
+		t.Fatalf("undeployed variant still reported: %v", got)
+	}
+	if got := tab.Rows[3]; got[0] != "A redeployed" || epochCell(t, tab, 3, "rm1a") != "0" {
+		t.Fatalf("redeployed row = %v, want rm1a back at epoch 0", got)
+	}
+}
+
+// assertNoFailedPhase checks a closed-loop table's failed column is 0 in
+// every phase.
+func assertNoFailedPhase(t *testing.T, tab *Table) {
+	t.Helper()
 	for _, row := range tab.Rows {
-		if row[5] != "0" {
-			t.Fatalf("phase %s model %s dropped %s requests during lifecycle ops", row[0], row[1], row[5])
+		if row[2] != "0" {
+			t.Fatalf("phase %s dropped %s requests", row[0], row[2])
 		}
 	}
-	// The undeployed phase must not list rm1a; the redeploy phase must.
-	for _, row := range tab.Rows {
-		if row[0] == "A undeployed" && row[1] == "rm1a" {
-			t.Fatal("undeployed variant still reported")
+}
+
+// epochCell returns the epoch in model's column of a closed-loop table
+// row ("-" when the model was not serving).
+func epochCell(t *testing.T, tab *Table, row int, mdl string) string {
+	t.Helper()
+	for i, h := range tab.Header {
+		if h == mdl {
+			return strings.Split(tab.Rows[row][i], "/")[0]
 		}
 	}
-	last := tab.Rows[len(tab.Rows)-3]
-	if last[0] != "A redeployed" || last[1] != "rm1a" || last[2] != "0" {
-		t.Fatalf("redeployed row = %v, want rm1a back at epoch 0", last)
-	}
+	t.Fatalf("no column for model %q in %v", mdl, tab.Header)
+	return ""
 }

@@ -32,10 +32,12 @@ func (m Metrics) ErrorRate() float64 {
 	return float64(m.Errors) / float64(m.Requests)
 }
 
-// EpochInfo is one model's plan position at a snapshot instant.
+// EpochInfo is one model's plan position at a snapshot instant, with the
+// epoch's Fig. 14 utility skew (max-min per-shard memory utility).
 type EpochInfo struct {
-	Epoch  int64
-	Shards int
+	Epoch       int64
+	Shards      int
+	UtilitySkew float64
 }
 
 // EventRecord is one applied event in the run log. Epoch is the model's

@@ -30,8 +30,10 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// Replanner, when set, replaces the default proportional-CDF replanner
 	// for initial plans, mid-run deploys and repartition events — how
-	// experiments plug the DP partitioner into the harness.
-	Replanner func(window []*embedding.AccessStats) ([]int64, error)
+	// experiments plug the DP partitioner into the harness. It receives the
+	// variant's model config (the DP's cost model needs its geometry and
+	// batch size) along with the profiling window.
+	Replanner func(cfg model.Config, window []*embedding.AccessStats) ([]int64, error)
 }
 
 // Run executes the scenario end to end: build the initial model mix into a
@@ -139,7 +141,7 @@ type variant struct {
 	gen    *workload.QueryGenerator
 	weight float64
 	active bool
-	replan func([]*embedding.AccessStats) ([]int64, error)
+	replan func(model.Config, []*embedding.AccessStats) ([]int64, error)
 	// inflight tracks this variant's issued-but-unfinished requests so an
 	// undeploy event can drain them before unregistering the name.
 	inflight sync.WaitGroup
@@ -232,7 +234,7 @@ func (v *variant) window() ([]*embedding.AccessStats, error) {
 // defaultReplan cuts a profiling window's CDF at 70%/95% coverage — the
 // same stand-in for the DP partitioner the liveserving example and admin
 // CLI use at scaled-down geometry. Options.Replanner overrides it.
-func defaultReplan(window []*embedding.AccessStats) ([]int64, error) {
+func defaultReplan(_ model.Config, window []*embedding.AccessStats) ([]int64, error) {
 	return embedding.NewCDF(window[0]).ProportionalCuts(0.70, 0.95), nil
 }
 
@@ -264,7 +266,7 @@ func (v *variant) servingSpec() (serving.ModelSpec, error) {
 	if err != nil {
 		return serving.ModelSpec{}, err
 	}
-	boundaries, err := v.replan(window)
+	boundaries, err := v.replan(v.cfg, window)
 	if err != nil {
 		return serving.ModelSpec{}, err
 	}
@@ -299,7 +301,7 @@ type runner struct {
 	md       *serving.MultiDeployment
 	frontend *serving.RPCPredictClient
 	admin    *serving.AdminClient
-	replan   func([]*embedding.AccessStats) ([]int64, error)
+	replan   func(model.Config, []*embedding.AccessStats) ([]int64, error)
 
 	collector *collector
 	// start anchors event timestamps; written once before any autoscaler
@@ -662,6 +664,7 @@ func (r *runner) apply(e *Event) error {
 		return nil
 
 	case ActionRepartition:
+		v := r.byName[e.Model]
 		window, err := r.md.SnapshotProfile(e.Model)
 		if err != nil {
 			return err
@@ -669,7 +672,7 @@ func (r *runner) apply(e *Event) error {
 		if window == nil {
 			return fmt.Errorf("scenario: repartition %q: no live profiling window", e.Model)
 		}
-		boundaries, err := r.replan(window)
+		boundaries, err := r.replan(v.cfg, window)
 		if err != nil {
 			return err
 		}
@@ -680,11 +683,9 @@ func (r *runner) apply(e *Event) error {
 		if err := r.md.StartProfile(e.Model); err != nil {
 			return err
 		}
-		if v := r.byName[e.Model]; v != nil {
-			// The swap replaced the shard pools; point the control loop
-			// at the new epoch's.
-			r.wireAutoscale(v)
-		}
+		// The swap replaced the shard pools; point the control loop at the
+		// new epoch's.
+		r.wireAutoscale(v)
 		epoch := r.md.Epoch(e.Model)
 		r.recordEpoch(at, e.Action, e.Model, fmt.Sprintf("zero-downtime swap to epoch %d, boundaries %v", epoch, boundaries), epoch)
 		return nil
@@ -692,8 +693,9 @@ func (r *runner) apply(e *Event) error {
 	return fmt.Errorf("scenario: unknown action %q", e.Action)
 }
 
-// snapshotEpochs captures every deployed model's (epoch, shards) — phase
-// rows carry these so experiments can assert plan-swap progress per phase.
+// snapshotEpochs captures every deployed model's (epoch, shards, utility
+// skew) — phase rows carry these so experiments can assert plan-swap
+// progress per phase.
 func (r *runner) snapshotEpochs() map[string]EpochInfo {
 	out := map[string]EpochInfo{}
 	for _, name := range r.md.Models() {
@@ -703,7 +705,7 @@ func (r *runner) snapshotEpochs() map[string]EpochInfo {
 		}
 		info := EpochInfo{Epoch: -1}
 		if rt := ld.Table(); rt != nil {
-			info = EpochInfo{Epoch: rt.Epoch, Shards: rt.NumShards(0)}
+			info = EpochInfo{Epoch: rt.Epoch, Shards: rt.NumShards(0), UtilitySkew: rt.UtilitySkew()}
 		}
 		out[name] = info
 	}

@@ -123,9 +123,14 @@ func TestRunDeployUndeployMidRun(t *testing.T) {
 		Name: "rm1b", Rows: 3000, Tables: 2, Seed: 9,
 		Transport: "local", WindowQueries: 40, Deferred: true,
 	})
+	// Each phase cut fires before the lifecycle event at its instant, so
+	// the "undeployed" phase's end snapshot is taken before the redeploy.
 	spec.Timeline = []Event{
 		{At: Duration(150 * time.Millisecond), Action: ActionDeploy, Model: "rm1b"},
-		{At: Duration(400 * time.Millisecond), Action: ActionUndeploy, Model: "rm1b"},
+		{At: Duration(350 * time.Millisecond), Action: ActionPhase, Label: "undeployed"},
+		{At: Duration(350 * time.Millisecond), Action: ActionUndeploy, Model: "rm1b"},
+		{At: Duration(425 * time.Millisecond), Action: ActionPhase, Label: "redeployed"},
+		{At: Duration(425 * time.Millisecond), Action: ActionDeploy, Model: "rm1b"},
 	}
 	res, err := Run(spec, Options{})
 	if err != nil {
@@ -143,8 +148,21 @@ func TestRunDeployUndeployMidRun(t *testing.T) {
 	if b.Metrics.Requests == 0 {
 		t.Fatal("rm1b measured no requests while deployed")
 	}
-	if b.Deployed {
+	var undeployed *PhaseResult
+	for i := range res.Phases {
+		if res.Phases[i].Name == "undeployed" {
+			undeployed = &res.Phases[i]
+		}
+	}
+	if undeployed == nil {
+		t.Fatalf("no undeployed phase: %+v", res.Phases)
+	}
+	if _, ok := undeployed.Epochs["rm1b"]; ok {
 		t.Fatal("rm1b still reported deployed after undeploy")
+	}
+	// The freed name was redeployed with fresh epoch state.
+	if !b.Deployed || b.Status.Epoch != 0 {
+		t.Fatalf("redeployed rm1b: deployed %v, epoch %d; want deployed at epoch 0", b.Deployed, b.Status.Epoch)
 	}
 	if res.Total.Errors != 0 {
 		t.Fatalf("lifecycle churn leaked %d failures", res.Total.Errors)

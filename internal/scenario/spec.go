@@ -128,7 +128,8 @@ type ModelSpec struct {
 	// (gather path v2) with this byte budget; hit/miss/bytes counters
 	// surface in the artifact's per-model rows.
 	RowCacheBytes int64 `json:"row_cache_bytes"`
-	// Deferred defines the variant without deploying it at start.
+	// Deferred defines the variant without deploying it at start: it is
+	// not serving until a timeline "deploy" event.
 	Deferred bool `json:"deferred"`
 }
 
@@ -204,7 +205,8 @@ const (
 	// ActionSlowShard injects Delay into every gather through a shard's
 	// pool (Delay 0 removes the injection).
 	ActionSlowShard = "slow-shard"
-	// ActionDeploy deploys a Deferred model over the admin API mid-run.
+	// ActionDeploy deploys a model that is not serving — deferred, or
+	// undeployed earlier — over the admin API mid-run.
 	ActionDeploy = "deploy"
 	// ActionUndeploy drains a model out over the admin API mid-run.
 	ActionUndeploy = "undeploy"
@@ -301,7 +303,8 @@ func ParseFile(path string) (*Spec, error) {
 
 // Validate checks the spec's internal consistency: names, geometry,
 // traffic-shape parameters, and that every timeline event is inside the
-// run, has a known action, and targets a declared model.
+// run, has a known action, and targets a declared model that is (or, for
+// deploy, is not) serving when the event fires.
 func (s *Spec) Validate() error {
 	if !nameRe.MatchString(s.Name) {
 		return fmt.Errorf("scenario: name %q must match %s", s.Name, nameRe)
@@ -394,8 +397,7 @@ func (s *Spec) Validate() error {
 			}
 			continue
 		}
-		m := models[e.Model]
-		if m == nil {
+		if models[e.Model] == nil {
 			return fmt.Errorf("scenario %s: timeline[%d]: %s targets undeclared model %q", s.Name, i, e.Action, e.Model)
 		}
 		switch e.Action {
@@ -406,10 +408,37 @@ func (s *Spec) Validate() error {
 			if e.Delay < 0 {
 				return fmt.Errorf("scenario %s: timeline[%d]: delay must not be negative", s.Name, i)
 			}
+		}
+	}
+	return s.validateLiveness()
+}
+
+// validateLiveness walks the timeline in firing order, tracking which
+// models are serving at each instant: deploy needs a model that is not
+// serving (deferred, or undeployed earlier), and every other model-level
+// action except drift needs one that is — so an event that could only
+// fail mid-run fails at parse time instead.
+func (s *Spec) validateLiveness() error {
+	serving := map[string]bool{}
+	for _, m := range s.Models {
+		serving[m.Name] = !m.Deferred
+	}
+	for _, e := range s.sortedTimeline() {
+		switch e.Action {
+		case ActionPhase, ActionDrift:
+			continue
 		case ActionDeploy:
-			if !m.Deferred {
-				return fmt.Errorf("scenario %s: timeline[%d]: deploy targets %q, which is already deployed at start (mark it deferred)", s.Name, i, e.Model)
+			if serving[e.Model] {
+				return fmt.Errorf("scenario %s: deploy at %v targets %q, which is already serving (mark it deferred or undeploy it first)", s.Name, e.At.D(), e.Model)
 			}
+			serving[e.Model] = true
+			continue
+		}
+		if !serving[e.Model] {
+			return fmt.Errorf("scenario %s: %s at %v targets %q, which is not serving then", s.Name, e.Action, e.At.D(), e.Model)
+		}
+		if e.Action == ActionUndeploy {
+			serving[e.Model] = false
 		}
 	}
 	return nil

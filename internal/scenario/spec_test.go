@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -56,31 +57,80 @@ func TestParseRejectsBadDuration(t *testing.T) {
 }
 
 func TestValidateRejectsBadTimelines(t *testing.T) {
+	// base declares rm1 (serving at start) and late (deferred).
 	base := func() *Spec {
 		spec, err := Parse([]byte(validSpec))
 		if err != nil {
 			t.Fatalf("Parse: %v", err)
 		}
+		spec.Models = append(spec.Models, ModelSpec{Name: "late", Deferred: true})
 		return spec
 	}
+	ms := func(n int) Duration { return Duration(time.Duration(n) * time.Millisecond) }
+	ev := func(at int, action, mdl string) Event { return Event{At: ms(at), Action: action, Model: mdl} }
 	cases := []struct {
-		name string
-		ev   Event
+		name     string
+		timeline []Event
 	}{
-		{"unknown action", Event{At: Duration(10 * time.Millisecond), Action: "explode", Model: "rm1"}},
-		{"beyond duration", Event{At: Duration(time.Second), Action: ActionDrift, Model: "rm1"}},
-		{"negative at", Event{At: Duration(-time.Millisecond), Action: ActionDrift, Model: "rm1"}},
-		{"undeclared model", Event{At: 0, Action: ActionRepartition, Model: "ghost"}},
-		{"phase without label", Event{At: 0, Action: ActionPhase}},
-		{"negative replica", Event{At: 0, Action: ActionKillReplica, Model: "rm1", Replica: -1}},
-		{"negative delay", Event{At: 0, Action: ActionSlowShard, Model: "rm1", Delay: Duration(-time.Millisecond)}},
-		{"deploy of live model", Event{At: 0, Action: ActionDeploy, Model: "rm1"}},
+		{"unknown action", []Event{ev(10, "explode", "rm1")}},
+		{"beyond duration", []Event{ev(1000, ActionDrift, "rm1")}},
+		{"negative at", []Event{ev(-1, ActionDrift, "rm1")}},
+		{"undeclared model", []Event{ev(0, ActionRepartition, "ghost")}},
+		{"phase without label", []Event{{At: 0, Action: ActionPhase}}},
+		{"negative replica", []Event{{At: 0, Action: ActionKillReplica, Model: "rm1", Replica: -1}}},
+		{"negative delay", []Event{{At: 0, Action: ActionSlowShard, Model: "rm1", Delay: ms(-1)}}},
+		{"deploy of live model", []Event{ev(0, ActionDeploy, "rm1")}},
+		// Liveness: the timeline is walked in firing order, not spec order.
+		{"repartition of deferred model before its deploy", []Event{ev(20, ActionDeploy, "late"), ev(10, ActionRepartition, "late")}},
+		{"kill-replica of deferred model before its deploy", []Event{ev(10, ActionKillReplica, "late"), ev(20, ActionDeploy, "late")}},
+		{"revive-replica of deferred model before its deploy", []Event{ev(10, ActionReviveReplica, "late"), ev(20, ActionDeploy, "late")}},
+		{"slow-shard of deferred model before its deploy", []Event{ev(10, ActionSlowShard, "late"), ev(20, ActionDeploy, "late")}},
+		{"undeploy of deferred model before its deploy", []Event{ev(10, ActionUndeploy, "late"), ev(20, ActionDeploy, "late")}},
+		{"second undeploy", []Event{ev(10, ActionUndeploy, "rm1"), ev(20, ActionUndeploy, "rm1")}},
+		{"repartition after undeploy", []Event{ev(10, ActionUndeploy, "rm1"), ev(20, ActionRepartition, "rm1")}},
+		{"deploy of model serving again after redeploy", []Event{
+			ev(10, ActionDeploy, "late"), ev(20, ActionUndeploy, "late"), ev(30, ActionDeploy, "late"), ev(40, ActionDeploy, "late")}},
 	}
 	for _, tc := range cases {
 		spec := base()
-		spec.Timeline = []Event{tc.ev}
+		spec.Timeline = tc.timeline
 		if err := spec.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+
+	accepted := []struct {
+		name     string
+		timeline []Event
+	}{
+		{"undeploy then redeploy of one name", []Event{
+			ev(10, ActionUndeploy, "rm1"), ev(20, ActionDeploy, "rm1"), ev(30, ActionRepartition, "rm1")}},
+		{"drift of deferred model before its deploy", []Event{
+			ev(10, ActionDrift, "late"), ev(20, ActionDeploy, "late"), ev(30, ActionRepartition, "late")}},
+	}
+	for _, tc := range accepted {
+		spec := base()
+		spec.Timeline = tc.timeline
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+	}
+}
+
+// TestCheckedInSpecsValidate parses every spec under examples/scenarios,
+// so a broken or liveness-violating spec fails tier-1 rather than only the
+// scenario-smoke job.
+func TestCheckedInSpecsValidate(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no checked-in specs found")
+	}
+	for _, p := range paths {
+		if _, err := ParseFile(p); err != nil {
+			t.Errorf("%v", err)
 		}
 	}
 }

@@ -175,7 +175,7 @@ func (c *Controller) unwireLocked(b *AutoscalerBinding, name string, retire bool
 // other variant is touched and no request is ever blocked. A name
 // currently serving is rejected; a name freed by Undeploy is reusable.
 func (c *Controller) Deploy(ctx context.Context, spec ModelSpec) error {
-	if err := ctx.Err(); err != nil {
+	if err := deployExpired(ctx); err != nil {
 		return fmt.Errorf("serving: deploy %q: %w", spec.Name, err)
 	}
 	name := canonicalModel(spec.Name)
@@ -191,7 +191,7 @@ func (c *Controller) Deploy(ctx context.Context, spec ModelSpec) error {
 	// The deadline is honored at the build boundary: a deploy whose ctx
 	// expired while building is torn down, never published, and its name
 	// stays free — so a client that timed out can safely retry.
-	if err := ctx.Err(); err != nil {
+	if err := deployExpired(ctx); err != nil {
 		//lint:escape ctxflow teardown of the half-built deployment must not inherit the already-expired deploy ctx
 		_ = ld.Shutdown(context.Background())
 		return fmt.Errorf("serving: deploying model %q: %w", name, err)
@@ -201,6 +201,19 @@ func (c *Controller) Deploy(ctx context.Context, spec ModelSpec) error {
 		return err
 	}
 	c.wireLocked(name, ld)
+	return nil
+}
+
+// deployExpired reports ctx's error, or DeadlineExceeded once its deadline
+// has passed by the clock: ctx.Err() alone lags the deadline by a timer
+// hop, long enough for a late build to be published.
+func deployExpired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
 	return nil
 }
 

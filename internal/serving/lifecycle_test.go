@@ -581,6 +581,58 @@ func TestLifecycleDeployDeadlineNotPublished(t *testing.T) {
 	}
 }
 
+// clockExpiredCtx freezes open the timer hop between a deadline passing and
+// its context noticing: Err() stays nil and Done() never fires, while
+// Deadline() reports a time in the past — from the start, or only after
+// liveCalls calls (the deadline passes during the build).
+type clockExpiredCtx struct {
+	context.Context
+	liveCalls int32
+	calls     atomic.Int32
+}
+
+func (c *clockExpiredCtx) Deadline() (time.Time, bool) {
+	if c.calls.Add(1) <= c.liveCalls {
+		return time.Now().Add(time.Hour), true
+	}
+	return time.Now().Add(-time.Millisecond), true
+}
+
+// TestLifecycleDeployDeadlineByClock pins that Deploy judges its deadline
+// by the clock, not only by ctx.Err(): a deploy whose deadline has passed —
+// at entry, or during the build — fails with DeadlineExceeded, publishes
+// nothing, leaves no router slot, and the retry with a live ctx succeeds.
+func TestLifecycleDeployDeadlineByClock(t *testing.T) {
+	md, _, _ := multiFixture(t, BuildOptions{}, BuildOptions{})
+	ctrl := md.Controller()
+	cfgC := lifecycleCfgC()
+	mC, statsC, _ := buildFixture(t, cfgC)
+	spec := ModelSpec{Name: "c", Model: mC, Stats: statsC,
+		Boundaries: []int64{100, 400, cfgC.RowsPerTable}}
+
+	for _, tc := range []struct {
+		name      string
+		liveCalls int32
+	}{{"at entry", 0}, {"during build", 1}} {
+		err := ctrl.Deploy(&clockExpiredCtx{Context: bg, liveCalls: tc.liveCalls}, spec)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: deploy past its deadline = %v, want deadline exceeded", tc.name, err)
+		}
+		if _, ok := md.Deployment("c"); ok {
+			t.Fatalf("%s: deploy past its deadline was published", tc.name)
+		}
+		if md.Router.LoadModel("c") != nil {
+			t.Fatalf("%s: deploy past its deadline left a router slot behind", tc.name)
+		}
+		if err := ctrl.Deploy(bg, spec); err != nil {
+			t.Fatalf("%s: retry with a live ctx: %v", tc.name, err)
+		}
+		if err := ctrl.Undeploy(bg, "c"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestLifecycleAdminDeployAbandoned is the same contract over the wire: a
 // client whose ctx ends while the frontend is still deploying gets its
 // error promptly (the call is abandoned, not waited out), the deadline
