@@ -48,6 +48,20 @@ func TestLoaderResolvesModuleImports(t *testing.T) {
 	}
 }
 
+// TestLoaderHonorsBuildConstraints proves the loader picks a package's
+// files the way the go tool does: the fixture redeclares a function in a
+// file whose build constraint never holds, and only a loader that skips
+// that file typechecks it.
+func TestLoaderHonorsBuildConstraints(t *testing.T) {
+	_, u := load(t, "internal/analysis/testdata/src/tagged")
+	if len(u.Files) != 1 {
+		t.Fatalf("loaded %d files, want only tagged.go", len(u.Files))
+	}
+	if u.Pkg.Scope().Lookup("Impl") == nil {
+		t.Error("tagged fixture missing its Impl declaration")
+	}
+}
+
 // TestLoadSkipsTestdata proves recursive patterns exclude testdata
 // trees, matching the go tool's convention — otherwise the driver
 // would report the fixtures' deliberate violations on every CI run.

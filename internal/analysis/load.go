@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -149,7 +150,9 @@ func (l *Loader) expand(pat string) ([]string, error) {
 	return out, err
 }
 
-// goFilesIn lists the directory's non-test .go files, sorted.
+// goFilesIn lists the directory's non-test .go files that the go tool
+// would build for this platform — file-name GOOS/GOARCH suffixes and
+// //go:build lines both apply — sorted.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -159,6 +162,11 @@ func goFilesIn(dir string) ([]string, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		files = append(files, name)

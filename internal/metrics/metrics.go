@@ -119,52 +119,60 @@ func (g *GaugeVec) Len() int {
 type QPSMeter struct {
 	mu     sync.Mutex
 	window time.Duration
-	events []time.Time
+	// events[head:] are the marks still inside the window, oldest first, as
+	// offsets from base (8 bytes each, not a 24-byte time.Time). Expiry only
+	// advances head, so a Mark costs O(1) amortised however many events the
+	// window holds.
+	events []time.Duration
+	head   int
+	base   time.Time
 	now    func() time.Time
 }
 
 // NewQPSMeter creates a meter with the given sliding window (e.g. 10s).
 func NewQPSMeter(window time.Duration) *QPSMeter {
+	return newQPSMeterAt(window, time.Now)
+}
+
+// newQPSMeterAt is NewQPSMeter on an injectable clock (a test seam).
+func newQPSMeterAt(window time.Duration, now func() time.Time) *QPSMeter {
 	if window <= 0 {
 		window = 10 * time.Second
 	}
-	return &QPSMeter{window: window, now: time.Now}
-}
-
-// newQPSMeterAt is a test seam with an injectable clock.
-func newQPSMeterAt(window time.Duration, now func() time.Time) *QPSMeter {
-	m := NewQPSMeter(window)
-	m.now = now
-	return m
+	return &QPSMeter{window: window, base: now(), now: now}
 }
 
 // Mark records one completed query at the current time.
 func (m *QPSMeter) Mark() {
-	t := m.now()
+	t := m.now().Sub(m.base)
 	m.mu.Lock()
 	m.events = append(m.events, t)
 	m.trimLocked(t)
 	m.mu.Unlock()
 }
 
-func (m *QPSMeter) trimLocked(now time.Time) {
-	cut := now.Add(-m.window)
-	i := 0
-	for i < len(m.events) && m.events[i].Before(cut) {
-		i++
+// trimLocked expires the marks older than the window at offset now. The
+// expired prefix is reclaimed only once it is over half the slice, so each
+// compaction copies fewer live events than were expired since the last.
+func (m *QPSMeter) trimLocked(now time.Duration) {
+	cut := now - m.window
+	for m.head < len(m.events) && m.events[m.head] < cut {
+		m.head++
 	}
-	if i > 0 {
-		m.events = append(m.events[:0], m.events[i:]...)
+	if m.head > len(m.events)/2 {
+		n := copy(m.events, m.events[m.head:])
+		m.events = m.events[:n]
+		m.head = 0
 	}
 }
 
 // Rate returns the average queries/sec over the window.
 func (m *QPSMeter) Rate() float64 {
-	t := m.now()
+	t := m.now().Sub(m.base)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.trimLocked(t)
-	return float64(len(m.events)) / m.window.Seconds()
+	return float64(len(m.events)-m.head) / m.window.Seconds()
 }
 
 // LatencyRecorder keeps a bounded reservoir of latency samples and reports

@@ -71,6 +71,64 @@ func TestQPSMeterWindow(t *testing.T) {
 	}
 }
 
+// Rate must count exactly the marks a brute-force scan of every mark ever
+// made finds inside the window, at every step of 3.5 windows at 2000/s.
+// The gaps cycle 0, 0.5, 1, 0.5 ms, so marks repeat instants and land on
+// the window edge itself (a mark exactly one window old still counts).
+func TestQPSMeterMatchesBruteForce(t *testing.T) {
+	const window = time.Second
+	gaps := []time.Duration{0, 500 * time.Microsecond, time.Millisecond, 500 * time.Microsecond}
+	now := time.Unix(100, 0)
+	m := newQPSMeterAt(window, func() time.Time { return now })
+	var all []time.Time
+	check := func(step int) {
+		cut := now.Add(-window)
+		n := 0
+		for _, e := range all {
+			if !e.Before(cut) {
+				n++
+			}
+		}
+		if got, want := m.Rate(), float64(n)/window.Seconds(); got != want {
+			t.Fatalf("step %d: Rate = %v, brute force %v", step, got, want)
+		}
+	}
+	for i := 0; i < 7000; i++ {
+		m.Mark()
+		all = append(all, now)
+		check(i)
+		now = now.Add(gaps[i%len(gaps)])
+	}
+	for _, idle := range []time.Duration{window / 3, window / 2, window} {
+		now = now.Add(idle)
+		check(-1)
+	}
+	if m.Rate() != 0 {
+		t.Fatalf("Rate after an idle window = %v, want 0", m.Rate())
+	}
+}
+
+// BenchmarkQPSMeterMark times one Mark with a full 10 s window at a steady
+// rate: the cost must not grow with the events the window holds.
+func BenchmarkQPSMeterMark(b *testing.B) {
+	for _, rate := range []int{1000, 2000} {
+		b.Run(fmt.Sprintf("%d_per_s", rate), func(b *testing.B) {
+			gap := time.Second / time.Duration(rate)
+			now := time.Unix(0, 0)
+			m := newQPSMeterAt(10*time.Second, func() time.Time { return now })
+			for i := 0; i < 10*rate; i++ {
+				m.Mark()
+				now = now.Add(gap)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.Mark()
+				now = now.Add(gap)
+			}
+		})
+	}
+}
+
 func TestQPSMeterDefaultWindow(t *testing.T) {
 	m := NewQPSMeter(0)
 	if m.window != 10*time.Second {

@@ -55,33 +55,41 @@ func (l *Layer) SizeBytes() int64 {
 // linear final layer.
 type MLP struct {
 	Layers []*Layer
-	// scratch buffers, ping-pong between layers; sized to max layer width.
-	buf0, buf1 tensor.Vector
+	own    *Scratch // Forward's scratch
 }
 
-// Scratch holds the ping-pong buffers one forward pass needs. Acquiring a
-// private Scratch per goroutine (see model's scratch pool) lets many
-// goroutines run ForwardScratch over the same read-only parameters
-// concurrently — the mechanism behind the serving layer's batched,
-// lock-free dense hot path.
+// Scratch holds the ping-pong activations one forward pass needs. Acquiring
+// a private Scratch per goroutine (see model's scratch pool) lets many
+// goroutines run ForwardScratch and ForwardBatch over the same read-only
+// parameters concurrently — the mechanism behind the serving layer's
+// batched, lock-free dense hot path. The buffers grow to the largest batch
+// seen and are kept.
 type Scratch struct {
-	buf0, buf1 tensor.Vector
+	buf [2][]float32
 }
 
-// NewScratch allocates a scratch sized for this MLP's widest layer.
+// NewScratch allocates a scratch sized for one input of this MLP.
 func (m *MLP) NewScratch() *Scratch {
-	maxW := 0
-	for _, l := range m.Layers {
-		if l.In() > maxW {
-			maxW = l.In()
-		}
-		if l.Out() > maxW {
-			maxW = l.Out()
-		}
+	s := &Scratch{}
+	s.grow(m.hiddenWidth())
+	return s
+}
+
+// hiddenWidth is the widest activation between two layers: the most floats
+// one sample needs in either ping-pong buffer.
+func (m *MLP) hiddenWidth() int {
+	w := 0
+	for _, l := range m.Layers[:len(m.Layers)-1] {
+		w = max(w, l.Out())
 	}
-	return &Scratch{
-		buf0: make(tensor.Vector, maxW),
-		buf1: make(tensor.Vector, maxW),
+	return w
+}
+
+func (s *Scratch) grow(n int) {
+	for i := range s.buf {
+		if cap(s.buf[i]) < n {
+			s.buf[i] = make([]float32, n)
+		}
 	}
 }
 
@@ -92,12 +100,6 @@ func New(dims []int, seed uint64) (*MLP, error) {
 		return nil, fmt.Errorf("mlp: need at least input and output widths, got %v", dims)
 	}
 	m := &MLP{}
-	maxW := 0
-	for _, d := range dims {
-		if d > maxW {
-			maxW = d
-		}
-	}
 	for i := 0; i+1 < len(dims); i++ {
 		l, err := NewLayer(dims[i], dims[i+1], seed+uint64(i)*0x1234567)
 		if err != nil {
@@ -105,8 +107,7 @@ func New(dims []int, seed uint64) (*MLP, error) {
 		}
 		m.Layers = append(m.Layers, l)
 	}
-	m.buf0 = make(tensor.Vector, maxW)
-	m.buf1 = make(tensor.Vector, maxW)
+	m.own = m.NewScratch()
 	return m, nil
 }
 
@@ -123,35 +124,43 @@ func (m *MLP) Out() int { return m.Layers[len(m.Layers)-1].Out() }
 // shared across goroutines without cloning. For concurrent forward passes
 // over shared parameters use ForwardScratch with a per-goroutine Scratch.
 func (m *MLP) Forward(dst, x tensor.Vector) error {
-	return m.forward(m.buf0, m.buf1, dst, x)
+	return m.ForwardScratch(m.own, dst, x)
 }
 
 // ForwardScratch is Forward with caller-provided scratch: the parameters
 // are only read, so any number of goroutines may call it concurrently as
-// long as each brings its own Scratch (from NewScratch).
+// long as each brings its own Scratch (from NewScratch). It is the
+// one-row case of ForwardBatch.
 func (m *MLP) ForwardScratch(s *Scratch, dst, x tensor.Vector) error {
-	return m.forward(s.buf0, s.buf1, dst, x)
+	return m.ForwardBatch(s, &tensor.Matrix{Rows: 1, Cols: len(dst), Data: dst}, &tensor.Matrix{Rows: 1, Cols: len(x), Data: x})
 }
 
-func (m *MLP) forward(buf0, buf1, dst, x tensor.Vector) error {
-	if len(x) != m.In() {
-		return fmt.Errorf("mlp: input length %d != %d", len(x), m.In())
+// ForwardBatch runs the stack on every row of x (batch x In()) and writes
+// each result to the same row of dst (batch x Out()), bit-identical to
+// ForwardScratch row by row: each layer is one tensor.MatMulBias* over the
+// whole batch, so its weights stream through the cache once per batch
+// rather than once per input.
+func (m *MLP) ForwardBatch(s *Scratch, dst, x *tensor.Matrix) error {
+	if x.Rows < 0 || x.Cols != m.In() {
+		return fmt.Errorf("mlp: input %dx%d, want width %d", x.Rows, x.Cols, m.In())
 	}
-	if len(dst) != m.Out() {
-		return fmt.Errorf("mlp: output length %d != %d", len(dst), m.Out())
+	if dst.Rows != x.Rows || dst.Cols != m.Out() {
+		return fmt.Errorf("mlp: output %dx%d, want %dx%d", dst.Rows, dst.Cols, x.Rows, m.Out())
 	}
-	cur := buf0[:len(x)]
-	copy(cur, x)
-	next := buf1
+	bs := x.Rows
+	s.grow(bs * m.hiddenWidth())
+	var act [2]tensor.Matrix
+	in := x
 	last := len(m.Layers) - 1
-	for _, l := range m.Layers[:last] {
-		out := next[:l.Out()]
-		if err := tensor.MatVecBiasReLU(out, l.W, cur, l.B); err != nil {
+	for i, l := range m.Layers[:last] {
+		out := &act[i%2]
+		*out = tensor.Matrix{Rows: bs, Cols: l.Out(), Data: s.buf[i%2][:bs*l.Out()]}
+		if err := tensor.MatMulBiasReLU(out, l.W, in, l.B); err != nil {
 			return err
 		}
-		cur, next = out, cur[:cap(cur)]
+		in = out
 	}
-	return m.Layers[last].Forward(dst, cur)
+	return tensor.MatMulBias(dst, m.Layers[last].W, in, m.Layers[last].B)
 }
 
 // FLOPs returns the per-input forward cost of the whole stack.
@@ -175,12 +184,10 @@ func (m *MLP) SizeBytes() int64 {
 // Clone deep-copies the MLP (fresh scratch buffers, copied weights) so a
 // replica can run forward passes concurrently with other replicas.
 func (m *MLP) Clone() *MLP {
-	out := &MLP{
-		buf0: make(tensor.Vector, len(m.buf0)),
-		buf1: make(tensor.Vector, len(m.buf1)),
-	}
+	out := &MLP{}
 	for _, l := range m.Layers {
 		out.Layers = append(out.Layers, &Layer{W: l.W.Clone(), B: l.B.Clone()})
 	}
+	out.own = out.NewScratch()
 	return out
 }

@@ -27,35 +27,51 @@ type Model struct {
 }
 
 // Scratch holds every intermediate buffer one forward pass needs: the
-// bottom-MLP output, the interaction vector, the logit, per-table pooled
-// embeddings, and the MLP ping-pong buffers. A Scratch belongs to exactly
-// one in-flight forward pass at a time.
+// bottom-MLP outputs, the interaction vectors, the per-table pooled
+// embeddings (table-major, as ForwardPooledBatch takes them), and the MLP
+// ping-pong buffers. The per-sample buffers grow to the largest batch seen
+// and are kept. A Scratch belongs to exactly one in-flight forward pass at
+// a time.
 type Scratch struct {
-	bottomOut   tensor.Vector
-	interaction tensor.Vector
-	logit       tensor.Vector
-	pooled      []tensor.Vector
+	bottomOut   []float32
+	interaction []float32
+	pooled      []float32
+	logit       tensor.Vector // the single-sample passes' probability
 	vecs        []tensor.Vector
 	bottom      *mlp.Scratch
 	top         *mlp.Scratch
 }
 
-// NewScratch allocates a scratch set sized for the model's geometry.
+// NewScratch allocates a scratch set sized for one input of the model.
 func (m *Model) NewScratch() *Scratch {
-	cfg := m.Config
 	s := &Scratch{
-		bottomOut:   make(tensor.Vector, cfg.EmbeddingDim),
-		interaction: make(tensor.Vector, cfg.InteractionDim()),
-		logit:       make(tensor.Vector, 1),
-		pooled:      make([]tensor.Vector, cfg.NumTables),
-		vecs:        make([]tensor.Vector, 0, cfg.NumTables+1),
-		bottom:      m.Bottom.NewScratch(),
-		top:         m.Top.NewScratch(),
+		logit:  make(tensor.Vector, 1),
+		vecs:   make([]tensor.Vector, 0, m.Config.NumTables+1),
+		bottom: m.Bottom.NewScratch(),
+		top:    m.Top.NewScratch(),
 	}
-	for i := range s.pooled {
-		s.pooled[i] = make(tensor.Vector, cfg.EmbeddingDim)
-	}
+	s.grow(m.Config, 1)
 	return s
+}
+
+// grow sizes the per-sample buffers for a batch of bs inputs.
+func (s *Scratch) grow(cfg Config, bs int) {
+	if n := bs * cfg.EmbeddingDim; cap(s.bottomOut) < n {
+		s.bottomOut = make([]float32, n)
+	}
+	if n := bs * cfg.InteractionDim(); cap(s.interaction) < n {
+		s.interaction = make([]float32, n)
+	}
+	if n := cfg.NumTables * bs * cfg.EmbeddingDim; cap(s.pooled) < n {
+		s.pooled = make([]float32, n)
+	}
+}
+
+// pooledMatrix views the first NumTables*bs rows of s.pooled in the
+// table-major layout ForwardPooledBatch takes.
+func (s *Scratch) pooledMatrix(cfg Config, bs int) tensor.Matrix {
+	n := cfg.NumTables * bs
+	return tensor.Matrix{Rows: n, Cols: cfg.EmbeddingDim, Data: s.pooled[:n*cfg.EmbeddingDim]}
 }
 
 // AcquireScratch takes a scratch set from the model's pool (allocating one
@@ -139,12 +155,6 @@ func (m *Model) Clone() *Model {
 // of every unordered pair among {bottom, pooled[0], ..., pooled[n-1]},
 // concatenated with bottom itself. dst must have length InteractionDim().
 func (m *Model) Interact(dst, bottom tensor.Vector, pooled []tensor.Vector) error {
-	return m.interact(dst, bottom, pooled, nil)
-}
-
-// interact is Interact with a reusable operand slice (scratch.vecs) so the
-// hot path does not allocate per input.
-func (m *Model) interact(dst, bottom tensor.Vector, pooled []tensor.Vector, scratchVecs []tensor.Vector) error {
 	cfg := m.Config
 	if len(pooled) != cfg.NumTables {
 		return fmt.Errorf("model %s: %d pooled vectors, want %d", cfg.Name, len(pooled), cfg.NumTables)
@@ -152,13 +162,13 @@ func (m *Model) interact(dst, bottom tensor.Vector, pooled []tensor.Vector, scra
 	if len(dst) != cfg.InteractionDim() {
 		return fmt.Errorf("model %s: interaction dst %d, want %d", cfg.Name, len(dst), cfg.InteractionDim())
 	}
-	vecs := scratchVecs
-	if cap(vecs) < cfg.NumTables+1 {
-		vecs = make([]tensor.Vector, 0, cfg.NumTables+1)
-	}
-	vecs = vecs[:0]
-	vecs = append(vecs, bottom)
-	vecs = append(vecs, pooled...)
+	return interact(dst, append([]tensor.Vector{bottom}, pooled...))
+}
+
+// interact writes the dot products of every unordered pair of vecs — the
+// bottom-MLP output first, then one pooled vector per table — followed by
+// vecs[0] itself into dst, whose length the caller has checked.
+func interact(dst tensor.Vector, vecs []tensor.Vector) error {
 	k := 0
 	for i := 0; i < len(vecs); i++ {
 		for j := i + 1; j < len(vecs); j++ {
@@ -170,7 +180,7 @@ func (m *Model) interact(dst, bottom tensor.Vector, pooled []tensor.Vector, scra
 			k++
 		}
 	}
-	copy(dst[k:], bottom)
+	copy(dst[k:], vecs[0])
 	return nil
 }
 
@@ -188,69 +198,134 @@ func (m *Model) ForwardPooled(dense tensor.Vector, pooled []tensor.Vector) (floa
 
 // ForwardPooledScratch is ForwardPooled with caller-provided scratch: the
 // parameters are only read, so any number of goroutines may run it
-// concurrently as long as each brings its own Scratch.
+// concurrently as long as each brings its own Scratch. It is the one-input
+// case of ForwardPooledBatch.
 func (m *Model) ForwardPooledScratch(s *Scratch, dense tensor.Vector, pooled []tensor.Vector) (float32, error) {
-	if err := m.Bottom.ForwardScratch(s.bottom, s.bottomOut, dense); err != nil {
+	cfg := m.Config
+	if len(pooled) != cfg.NumTables {
+		return 0, fmt.Errorf("model %s: %d pooled vectors, want %d", cfg.Name, len(pooled), cfg.NumTables)
+	}
+	pm := s.pooledMatrix(cfg, 1)
+	for t, p := range pooled {
+		if len(p) != cfg.EmbeddingDim {
+			return 0, fmt.Errorf("model %s: pooled vector %d has %d values, want %d", cfg.Name, t, len(p), cfg.EmbeddingDim)
+		}
+		copy(pm.Row(t), p)
+	}
+	return m.forwardOne(s, dense, &pm)
+}
+
+// forwardOne runs ForwardPooledBatch on a batch of one input.
+func (m *Model) forwardOne(s *Scratch, dense tensor.Vector, pooled *tensor.Matrix) (float32, error) {
+	d := tensor.Matrix{Rows: 1, Cols: len(dense), Data: dense}
+	if err := m.ForwardPooledBatch(s, &d, pooled, s.logit); err != nil {
 		return 0, err
 	}
-	if err := m.interact(s.interaction, s.bottomOut, pooled, s.vecs); err != nil {
-		return 0, err
-	}
-	if err := m.Top.ForwardScratch(s.top, s.logit, s.interaction); err != nil {
-		return 0, err
-	}
-	tensor.Sigmoid(s.logit)
 	return s.logit[0], nil
+}
+
+// ForwardPooledBatch is ForwardPooledScratch for a whole batch. dense is
+// (bs x DenseInputDim); pooled is (NumTables*bs x EmbeddingDim) and
+// table-major — row t*bs+i is table t's pooled vector for input i, the
+// layout the dense shard merges gather replies into; probs (length bs)
+// receives one probability per input. The bottom and top MLPs each run once
+// over the whole batch and the interaction once per input, and every
+// probability is bit-identical to ForwardPooledScratch on its input alone.
+func (m *Model) ForwardPooledBatch(s *Scratch, dense, pooled *tensor.Matrix, probs []float32) error {
+	cfg := m.Config
+	bs := dense.Rows
+	if bs < 0 || pooled.Rows != cfg.NumTables*bs || pooled.Cols != cfg.EmbeddingDim || len(pooled.Data) != pooled.Rows*pooled.Cols {
+		return fmt.Errorf("model %s: pooled %dx%d for batch %d, want %dx%d",
+			cfg.Name, pooled.Rows, pooled.Cols, bs, cfg.NumTables*bs, cfg.EmbeddingDim)
+	}
+	if len(probs) != bs {
+		return fmt.Errorf("model %s: %d probabilities for batch %d", cfg.Name, len(probs), bs)
+	}
+	s.grow(cfg, bs)
+	dim, inter := cfg.EmbeddingDim, cfg.InteractionDim()
+	bottom := tensor.Matrix{Rows: bs, Cols: dim, Data: s.bottomOut[:bs*dim]}
+	if err := m.Bottom.ForwardBatch(s.bottom, &bottom, dense); err != nil {
+		return err
+	}
+	interaction := tensor.Matrix{Rows: bs, Cols: inter, Data: s.interaction[:bs*inter]}
+	for i := 0; i < bs; i++ {
+		vecs := append(s.vecs[:0], bottom.Row(i))
+		for t := 0; t < cfg.NumTables; t++ {
+			vecs = append(vecs, pooled.Row(t*bs+i))
+		}
+		s.vecs = vecs
+		if err := interact(interaction.Row(i), vecs); err != nil {
+			return err
+		}
+	}
+	top := tensor.Matrix{Rows: bs, Cols: 1, Data: probs}
+	if err := m.Top.ForwardBatch(s.top, &top, &interaction); err != nil {
+		return err
+	}
+	tensor.Sigmoid(probs)
+	return nil
 }
 
 // Forward runs the full monolithic model for a single input: sparseIdx[t]
 // holds the lookup indices into table t. This is the baseline model-wise
 // execution path. Safe for concurrent use.
 func (m *Model) Forward(dense tensor.Vector, sparseIdx [][]int64) (float32, error) {
+	if err := m.checkTables(len(sparseIdx)); err != nil {
+		return 0, err
+	}
 	s := m.AcquireScratch()
 	defer m.ReleaseScratch(s)
-	return m.forwardScratch(s, dense, sparseIdx)
-}
-
-func (m *Model) forwardScratch(s *Scratch, dense tensor.Vector, sparseIdx [][]int64) (float32, error) {
-	if len(sparseIdx) != m.Config.NumTables {
-		return 0, fmt.Errorf("model %s: %d sparse inputs, want %d", m.Config.Name, len(sparseIdx), m.Config.NumTables)
-	}
+	pm := s.pooledMatrix(m.Config, 1)
 	for t, tab := range m.Tables {
-		if err := tab.GatherPool(s.pooled[t], sparseIdx[t]); err != nil {
+		if err := tab.GatherPool(pm.Row(t), sparseIdx[t]); err != nil {
 			return 0, err
 		}
 	}
-	return m.ForwardPooledScratch(s, dense, s.pooled)
+	return m.forwardOne(s, dense, &pm)
+}
+
+// checkTables rejects n sparse inputs unless the model holds exactly that
+// many tables, as its config says.
+func (m *Model) checkTables(n int) error {
+	cfg := m.Config
+	if len(m.Tables) != cfg.NumTables {
+		return fmt.Errorf("model %s: %d of %d tables loaded (a dense-only model cannot gather)", cfg.Name, len(m.Tables), cfg.NumTables)
+	}
+	if n != cfg.NumTables {
+		return fmt.Errorf("model %s: %d sparse inputs, want %d", cfg.Name, n, cfg.NumTables)
+	}
+	return nil
 }
 
 // ForwardBatch runs the monolithic model for a whole query: denseIn is
 // (BatchSize x DenseInputDim) and batches[t] is the index/offset batch for
-// table t. It returns one probability per input.
+// table t. It returns one probability per input: every table's batch is
+// gather-pooled, then one ForwardPooledBatch runs the dense part.
 func (m *Model) ForwardBatch(denseIn *tensor.Matrix, batches []*embedding.Batch) ([]float32, error) {
-	cfg := m.Config
-	if len(batches) != cfg.NumTables {
-		return nil, fmt.Errorf("model %s: %d batches, want %d", cfg.Name, len(batches), cfg.NumTables)
+	if err := m.checkTables(len(batches)); err != nil {
+		return nil, err
 	}
+	cfg := m.Config
 	bs := denseIn.Rows
 	for t, b := range batches {
 		if b.BatchSize() != bs {
 			return nil, fmt.Errorf("model %s: table %d batch size %d != dense batch %d", cfg.Name, t, b.BatchSize(), bs)
 		}
 	}
-	out := make([]float32, bs)
-	idx := make([][]int64, cfg.NumTables)
 	s := m.AcquireScratch()
 	defer m.ReleaseScratch(s)
-	for i := 0; i < bs; i++ {
-		for t, b := range batches {
-			idx[t] = b.InputIndices(i)
-		}
-		p, err := m.forwardScratch(s, denseIn.Row(i), idx)
-		if err != nil {
+	s.grow(cfg, bs)
+	pooled := s.pooledMatrix(cfg, bs)
+	n := bs * cfg.EmbeddingDim
+	for t, b := range batches {
+		view := tensor.Matrix{Rows: bs, Cols: cfg.EmbeddingDim, Data: pooled.Data[t*n : (t+1)*n]}
+		if err := m.Tables[t].GatherPoolBatch(&view, b); err != nil {
 			return nil, err
 		}
-		out[i] = p
+	}
+	out := make([]float32, bs)
+	if err := m.ForwardPooledBatch(s, denseIn, &pooled, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

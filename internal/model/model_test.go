@@ -233,24 +233,28 @@ func TestForwardBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	denseIn := tensor.NewMatrix(2, cfg.DenseInputDim)
+	const bs = 9 // one whole tile group and a leftover input
+	denseIn := tensor.NewMatrix(bs, cfg.DenseInputDim)
 	tensor.InitUniform(denseIn.Data, 1, 4)
 	batches := make([]*embedding.Batch, cfg.NumTables)
 	for i := range batches {
-		batches[i] = &embedding.Batch{
-			Indices: []int64{0, 1, 2, 3},
-			Offsets: []int32{0, 2},
+		batches[i] = &embedding.Batch{}
+		for in := 0; in < bs; in++ {
+			batches[i].Offsets = append(batches[i].Offsets, int32(len(batches[i].Indices)))
+			for k := 0; k <= (in+i)%3; k++ {
+				batches[i].Indices = append(batches[i].Indices, int64((in*7+i*3+k)%int(cfg.RowsPerTable)))
+			}
 		}
 	}
 	probs, err := m.ForwardBatch(denseIn, batches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(probs) != 2 {
+	if len(probs) != bs {
 		t.Fatalf("probs = %v", probs)
 	}
 	// Each row must equal the per-input Forward.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < bs; i++ {
 		idx := make([][]int64, cfg.NumTables)
 		for t2 := range idx {
 			idx[t2] = batches[t2].InputIndices(i)
@@ -472,60 +476,163 @@ func refMLPForward(w *mlp.MLP, x tensor.Vector) tensor.Vector {
 	return cur
 }
 
-// TestForwardPooledBitExactReference pins the dense forward against the
-// scalar reference above on the two MLP geometries the benchmark serves
-// (bench-dense and bench-gather in benchmark/workloads.go). The
-// sharded-vs-monolith equivalence suites cannot see a kernel bug: both
-// sides run the same kernel.
-func TestForwardPooledBitExactReference(t *testing.T) {
-	geometries := []Config{
-		{Name: "bench-dense", DenseInputDim: 13, BottomMLP: []int{256, 128, 32}, TopMLP: []int{256, 64, 1},
-			NumTables: 4, RowsPerTable: 1, EmbeddingDim: 32, Pooling: 8, LocalityP: 0.9, BatchSize: 32},
-		{Name: "bench-gather", DenseInputDim: 13, BottomMLP: []int{16, 64}, TopMLP: []int{16, 1},
-			NumTables: 4, RowsPerTable: 1, EmbeddingDim: 64, Pooling: 128, LocalityP: 0.9, BatchSize: 32},
+// benchGeometries are the two MLP geometries the benchmark serves
+// (bench-dense and bench-gather in benchmark/workloads.go).
+var benchGeometries = []Config{
+	{Name: "bench-dense", DenseInputDim: 13, BottomMLP: []int{256, 128, 32}, TopMLP: []int{256, 64, 1},
+		NumTables: 4, RowsPerTable: 1, EmbeddingDim: 32, Pooling: 8, LocalityP: 0.9, BatchSize: 32},
+	{Name: "bench-gather", DenseInputDim: 13, BottomMLP: []int{16, 64}, TopMLP: []int{16, 1},
+		NumTables: 4, RowsPerTable: 1, EmbeddingDim: 64, Pooling: 128, LocalityP: 0.9, BatchSize: 32},
+}
+
+// batchInputs draws bs inputs for cfg: the dense matrix, and the pooled
+// vectors both per input (pooled[i][t]) and in ForwardPooledBatch's
+// table-major matrix.
+func batchInputs(cfg Config, bs int) (dense *tensor.Matrix, pooled [][]tensor.Vector, pooledMat *tensor.Matrix) {
+	dense = tensor.NewMatrix(bs, cfg.DenseInputDim)
+	pooledMat = tensor.NewMatrix(cfg.NumTables*bs, cfg.EmbeddingDim)
+	pooled = make([][]tensor.Vector, bs)
+	for i := range pooled {
+		tensor.InitUniform(dense.Row(i), 1, 100+uint64(i))
+		pooled[i] = make([]tensor.Vector, cfg.NumTables)
+		for t := range pooled[i] {
+			pooled[i][t] = pooledMat.Row(t*bs + i)
+			tensor.InitUniform(pooled[i][t], 0.5, 1000*uint64(i)+uint64(t))
+		}
 	}
-	for _, cfg := range geometries {
+	return dense, pooled, pooledMat
+}
+
+// TestForwardPooledBitExactReference pins the dense forward — one input at
+// a time and batched — against the scalar reference above on the benchmark
+// geometries. The sharded-vs-monolith equivalence suites cannot see a
+// kernel bug: both sides run the same kernel.
+func TestForwardPooledBitExactReference(t *testing.T) {
+	const maxBatch = 64
+	for _, cfg := range benchGeometries {
+		m, err := NewDenseOnly(cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, pooled, _ := batchInputs(cfg, maxBatch)
+		wantProb := make([]float32, maxBatch)
+		wantBottom := make([]tensor.Vector, maxBatch)
+		s := m.NewScratch()
+		for i := range wantProb {
+			wantBottom[i] = refMLPForward(m.Bottom, dense.Row(i))
+			inter := make(tensor.Vector, cfg.InteractionDim())
+			if err := m.Interact(inter, wantBottom[i], pooled[i]); err != nil {
+				t.Fatal(err)
+			}
+			want := refMLPForward(m.Top, inter)
+			tensor.Sigmoid(want)
+			wantProb[i] = want[0]
+
+			got, err := m.ForwardPooledScratch(s, dense.Row(i), pooled[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float32bits(got) != math.Float32bits(want[0]) {
+				t.Fatalf("%s sample %d: probability %v (%#08x), reference %v (%#08x)", cfg.Name, i,
+					got, math.Float32bits(got), want[0], math.Float32bits(want[0]))
+			}
+			// The sigmoid rounds away low logit bits; the bottom MLP's
+			// wide output shows a reordered sum directly.
+			gotBottom := make(tensor.Vector, cfg.EmbeddingDim)
+			if err := m.Bottom.Forward(gotBottom, dense.Row(i)); err != nil {
+				t.Fatal(err)
+			}
+			for j := range gotBottom {
+				if math.Float32bits(gotBottom[j]) != math.Float32bits(wantBottom[i][j]) {
+					t.Fatalf("%s sample %d: bottom[%d] = %v, reference %v", cfg.Name, i, j, gotBottom[j], wantBottom[i][j])
+				}
+			}
+		}
+
+		// Batched, through one scratch that grows and shrinks back: batch
+		// sizes on both sides of a whole 8-sample tile group.
+		for _, bs := range []int{1, 7, 8, 9, 32, 64, 8} {
+			bd, _, bp := batchInputs(cfg, bs)
+			probs := make([]float32, bs)
+			if err := m.ForwardPooledBatch(s, bd, bp, probs); err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range probs {
+				if math.Float32bits(got) != math.Float32bits(wantProb[i]) {
+					t.Fatalf("%s batch %d sample %d: probability %v (%#08x), reference %v (%#08x)", cfg.Name, bs, i,
+						got, math.Float32bits(got), wantProb[i], math.Float32bits(wantProb[i]))
+				}
+				for j, v := range s.bottomOut[i*cfg.EmbeddingDim : (i+1)*cfg.EmbeddingDim] {
+					if math.Float32bits(v) != math.Float32bits(wantBottom[i][j]) {
+						t.Fatalf("%s batch %d sample %d: bottom[%d] = %v, reference %v", cfg.Name, bs, i, j, v, wantBottom[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A warm scratch carries a batched forward pass without allocating, at
+// the single-input size and at the batcher's fused sizes.
+func TestForwardPooledBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not steady under -race")
+	}
+	for _, cfg := range benchGeometries {
 		m, err := NewDenseOnly(cfg, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := m.NewScratch()
-		for sample := uint64(0); sample < uint64(cfg.BatchSize); sample++ {
-			dense := make(tensor.Vector, cfg.DenseInputDim)
-			tensor.InitUniform(dense, 1, 100+sample)
-			pooled := make([]tensor.Vector, cfg.NumTables)
-			for i := range pooled {
-				pooled[i] = make(tensor.Vector, cfg.EmbeddingDim)
-				tensor.InitUniform(pooled[i], 0.5, 1000*sample+uint64(i))
-			}
-
-			bottom := refMLPForward(m.Bottom, dense)
-			inter := make(tensor.Vector, cfg.InteractionDim())
-			if err := m.Interact(inter, bottom, pooled); err != nil {
+		for _, bs := range []int{1, 32, 64} {
+			dense, _, pooled := batchInputs(cfg, bs)
+			probs := make([]float32, bs)
+			if err := m.ForwardPooledBatch(s, dense, pooled, probs); err != nil {
 				t.Fatal(err)
 			}
-			want := refMLPForward(m.Top, inter)
-			tensor.Sigmoid(want)
-
-			got, err := m.ForwardPooledScratch(s, dense, pooled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float32bits(got) != math.Float32bits(want[0]) {
-				t.Fatalf("%s sample %d: probability %v (%#08x), reference %v (%#08x)", cfg.Name, sample,
-					got, math.Float32bits(got), want[0], math.Float32bits(want[0]))
-			}
-			// The sigmoid rounds away low logit bits; the bottom MLP's
-			// wide output shows a reordered sum directly.
-			gotBottom := make(tensor.Vector, len(bottom))
-			if err := m.Bottom.Forward(gotBottom, dense); err != nil {
-				t.Fatal(err)
-			}
-			for i := range bottom {
-				if math.Float32bits(gotBottom[i]) != math.Float32bits(bottom[i]) {
-					t.Fatalf("%s sample %d: bottom[%d] = %v, reference %v", cfg.Name, sample, i, gotBottom[i], bottom[i])
+			allocs := testing.AllocsPerRun(20, func() {
+				if err := m.ForwardPooledBatch(s, dense, pooled, probs); err != nil {
+					t.Fatal(err)
 				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s batch %d: %v allocations per warm ForwardPooledBatch, want 0", cfg.Name, bs, allocs)
 			}
 		}
+	}
+}
+
+// ForwardPooledBatch rejects a pooled matrix or probability slice that
+// does not fit the batch before it writes anything.
+func TestForwardPooledBatchShapes(t *testing.T) {
+	cfg := tiny()
+	m, err := NewDenseOnly(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.NewScratch()
+	dense, _, pooled := batchInputs(cfg, 3)
+	probs := []float32{7, 7, 7}
+	for name, call := range map[string]func() error{
+		"pooled rows": func() error {
+			return m.ForwardPooledBatch(s, dense, tensor.NewMatrix(2*cfg.NumTables, cfg.EmbeddingDim), probs)
+		},
+		"pooled cols": func() error { return m.ForwardPooledBatch(s, dense, tensor.NewMatrix(3*cfg.NumTables, 1), probs) },
+		"short probs": func() error { return m.ForwardPooledBatch(s, dense, pooled, probs[:2]) },
+		"dense width": func() error { return m.ForwardPooledBatch(s, tensor.NewMatrix(3, 1), pooled, probs) },
+		"pooled short": func() error {
+			return m.ForwardPooledBatch(s, dense, &tensor.Matrix{Rows: pooled.Rows, Cols: pooled.Cols}, probs)
+		},
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: want a shape error", name)
+		}
+		if probs[0] != 7 || probs[1] != 7 || probs[2] != 7 {
+			t.Fatalf("%s: probabilities written on a shape error: %v", name, probs)
+		}
+	}
+	// A dense-only model has no tables to gather from.
+	if _, err := m.Forward(make(tensor.Vector, cfg.DenseInputDim), make([][]int64, cfg.NumTables)); err == nil {
+		t.Error("Forward on a dense-only model: want an error")
 	}
 }

@@ -64,7 +64,6 @@ type predictScratch struct {
 	localID []int64  // per index of the table being split, its shard-local id
 	shardNo []uint16 // per index of the table being split, its owning shard
 	pooled  []float32
-	rows    []tensor.Vector
 
 	// Rows-mode (predictRows) working set.
 	uniqBuf []int64     // per-table sorted-unique remapped ids, concatenated
@@ -377,7 +376,7 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 		c.reply.Pooled = nil
 	}
 
-	if err := d.forwardDense(sc, req, pooled, reply); err != nil {
+	if err := d.forwardDense(req, pooled, reply); err != nil {
 		return err
 	}
 	rt.Served.Inc(1)
@@ -386,29 +385,19 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 	return nil
 }
 
-// forwardDense runs the dense forward passes over the merged per-table
-// pooled sums and fills reply.Probs. Scratch is acquired from the model's
-// pool once per request, so overlapping Predict calls run concurrently —
-// the mutex that used to serialize the dense hot path is gone.
-func (d *DenseShard) forwardDense(sc *predictScratch, req *PredictRequest, pooled []float32, reply *PredictReply) error {
-	bs, nt, dim := req.BatchSize, d.cfg.NumTables, d.cfg.EmbeddingDim
+// forwardDense runs the batched dense forward over the merged per-table
+// pooled sums (table-major, the layout the merge writes) and fills
+// reply.Probs. Scratch is acquired from the model's pool once per request,
+// so overlapping Predict calls run concurrently without a lock.
+func (d *DenseShard) forwardDense(req *PredictRequest, pooled []float32, reply *PredictReply) error {
+	bs := req.BatchSize
 	scratch := d.dense.AcquireScratch()
 	defer d.dense.ReleaseScratch(scratch)
+	dense := tensor.Matrix{Rows: bs, Cols: req.DenseDim, Data: req.Dense}
+	pm := tensor.Matrix{Rows: d.cfg.NumTables * bs, Cols: d.cfg.EmbeddingDim, Data: pooled}
 	probs := make([]float32, bs)
-	if cap(sc.rows) < nt {
-		sc.rows = make([]tensor.Vector, nt)
-	}
-	rowPooled := sc.rows[:nt]
-	for i := 0; i < bs; i++ {
-		denseRow := tensor.Vector(req.Dense[i*req.DenseDim : (i+1)*req.DenseDim])
-		for t := range rowPooled {
-			rowPooled[t] = pooled[(t*bs+i)*dim : (t*bs+i+1)*dim]
-		}
-		p, err := d.dense.ForwardPooledScratch(scratch, denseRow, rowPooled)
-		if err != nil {
-			return fmt.Errorf("serving: forward input %d: %w", i, err)
-		}
-		probs[i] = p
+	if err := d.dense.ForwardPooledBatch(scratch, &dense, &pm, probs); err != nil {
+		return fmt.Errorf("serving: dense forward: %w", err)
 	}
 	reply.Probs = probs
 	return nil
@@ -718,7 +707,7 @@ func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply
 		rowView[u] = nil
 	}
 
-	if err := d.forwardDense(sc, req, pooled, reply); err != nil {
+	if err := d.forwardDense(req, pooled, reply); err != nil {
 		return err
 	}
 	rt.Served.Inc(1)
@@ -734,9 +723,18 @@ var _ PredictClient = (*DenseShard)(nil)
 // from the model's pool, so concurrent Predict calls are safe.
 type Monolith struct {
 	model *model.Model
+	// batches recycles the per-table Batch views Predict hands the model,
+	// so a Predict allocates nothing but its reply.
+	batches sync.Pool
 
 	Latency *metrics.LatencyRecorder
 	QPS     *metrics.QPSMeter
+}
+
+// monoBatches is one Predict's per-table Batch views over the request.
+type monoBatches struct {
+	views []embedding.Batch
+	ptrs  []*embedding.Batch
 }
 
 // NewMonolith wraps a fully instantiated model (tables included).
@@ -761,13 +759,22 @@ func (m *Monolith) Predict(ctx context.Context, req *PredictRequest, reply *Pred
 	if req.DenseDim != cfg.DenseInputDim {
 		return fmt.Errorf("serving: dense dim %d != model %d", req.DenseDim, cfg.DenseInputDim)
 	}
-	dense := tensor.NewMatrix(req.BatchSize, req.DenseDim)
-	copy(dense.Data, req.Dense)
-	batches := make([]*embedding.Batch, cfg.NumTables)
-	for t := range batches {
-		batches[t] = &embedding.Batch{Indices: req.Tables[t].Indices, Offsets: req.Tables[t].Offsets}
+	dense := tensor.Matrix{Rows: req.BatchSize, Cols: req.DenseDim, Data: req.Dense}
+	b, _ := m.batches.Get().(*monoBatches)
+	if b == nil {
+		b = &monoBatches{views: make([]embedding.Batch, cfg.NumTables), ptrs: make([]*embedding.Batch, cfg.NumTables)}
+		for t := range b.ptrs {
+			b.ptrs[t] = &b.views[t]
+		}
 	}
-	probs, err := m.model.ForwardBatch(dense, batches)
+	for t := range b.views {
+		b.views[t] = embedding.Batch{Indices: req.Tables[t].Indices, Offsets: req.Tables[t].Offsets}
+	}
+	probs, err := m.model.ForwardBatch(&dense, b.ptrs)
+	for t := range b.views {
+		b.views[t] = embedding.Batch{} // retain no request past Predict
+	}
+	m.batches.Put(b)
 	if err != nil {
 		return err
 	}

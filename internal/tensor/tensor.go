@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // ErrShape is returned when operand dimensions are incompatible.
@@ -124,6 +125,14 @@ func matVec(dst Vector, m *Matrix, x, b Vector, relu bool) {
 		dst[r+2] = epilogue(a2, b, r+2, relu)
 		dst[r+3] = epilogue(a3, b, r+3, relu)
 	}
+	matVecRows(dst, m, x, b, relu, r)
+}
+
+// matVecRows computes output rows [r, len(dst)) one at a time, in the
+// order and rounding of matVec's 4-row loop: the rows no 4-row group
+// covers.
+func matVecRows(dst Vector, m *Matrix, x, b Vector, relu bool, r int) {
+	n := len(x)
 	for ; r < len(dst); r++ {
 		w := m.Data[r*n:][:n]
 		var a float32
@@ -131,6 +140,87 @@ func matVec(dst Vector, m *Matrix, x, b Vector, relu bool) {
 			a += w[c] * q
 		}
 		dst[r] = epilogue(a, b, r, relu)
+	}
+}
+
+// MatMulBias computes a fully-connected layer over a batch: every row of
+// dst is m times the same row of x, plus b. x is (batch x m.Cols), dst is
+// (batch x m.Rows) and must not overlap x, b has length m.Rows. Each
+// output is bit-identical to MatVecBias on that row of x.
+func MatMulBias(dst, m, x *Matrix, b Vector) error {
+	if err := checkMatMul(dst, m, x, b); err != nil {
+		return err
+	}
+	matMul(dst, m, x, b, false)
+	return nil
+}
+
+// MatMulBiasReLU is MatMulBias followed by max(0, ·), row for row
+// bit-identical to MatVecBiasReLU.
+func MatMulBiasReLU(dst, m, x *Matrix, b Vector) error {
+	if err := checkMatMul(dst, m, x, b); err != nil {
+		return err
+	}
+	matMul(dst, m, x, b, true)
+	return nil
+}
+
+// checkMatMul also holds every Data length to its shape: the assembly tile
+// has no bounds checks of its own.
+func checkMatMul(dst, m, x *Matrix, b Vector) error {
+	for _, a := range []*Matrix{dst, m, x} {
+		if a.Rows < 0 || a.Cols < 0 || len(a.Data) != a.Rows*a.Cols {
+			return fmt.Errorf("%w: %dx%d matrix holds %d values", ErrShape, a.Rows, a.Cols, len(a.Data))
+		}
+	}
+	if x.Cols != m.Cols || dst.Cols != m.Rows || dst.Rows != x.Rows || len(b) != m.Rows {
+		return fmt.Errorf("%w: matmul (%dx%d)*(%dx%d)^T+(%d)->(%dx%d)", ErrShape,
+			x.Rows, x.Cols, m.Rows, m.Cols, len(b), dst.Rows, dst.Cols)
+	}
+	return nil
+}
+
+// panels recycles matMul's packed sample panels across calls.
+var panels = sync.Pool{New: func() any { return new([]float32) }}
+
+// matMul is the batched kernel behind MatMulBias*; shapes are already
+// checked and b is non-nil. Whole groups of tileSamples samples go through
+// tile4x8: the group's inputs are packed once into a column-major panel
+// (panel[c*tileSamples+s] = x[s][c]), which every 4-row tile then streams
+// with one sample per SIMD lane. Lanes are samples rather than output rows
+// because then each lane is one output's own accumulator, so no lane ever
+// has to be summed with or shuffled into another: every output still adds
+// its products in ascending column order from +0 with a separate multiply
+// and add, exactly as matVec does. Output rows past the last multiple of 4
+// take matVecRows per sample, and samples past the last whole group take
+// matVec, so a batch of one runs exactly the single-sample kernel.
+func matMul(dst, m, x *Matrix, b Vector, relu bool) {
+	n, rows, bs := m.Cols, m.Rows, x.Rows
+	i := 0
+	if rows >= 4 && bs >= tileSamples {
+		p := panels.Get().(*[]float32)
+		if cap(*p) < tileSamples*n {
+			*p = make([]float32, tileSamples*n)
+		}
+		panel := (*p)[:tileSamples*n]
+		r4 := rows &^ 3
+		for ; i+tileSamples <= bs; i += tileSamples {
+			for s := 0; s < tileSamples; s++ {
+				for c, v := range x.Data[(i+s)*n:][:n] {
+					panel[c*tileSamples+s] = v
+				}
+			}
+			for r := 0; r < r4; r += 4 {
+				tile4x8(dst.Data[i*rows+r:(i+tileSamples-1)*rows+r+4], rows, m.Data[r*n:(r+4)*n], panel, b[r:r+4], relu)
+			}
+			for s := i; s < i+tileSamples; s++ {
+				matVecRows(dst.Row(s), m, x.Row(s), b, relu, r4)
+			}
+		}
+		panels.Put(p)
+	}
+	for ; i < bs; i++ {
+		matVec(dst.Row(i), m, x.Row(i), b, relu)
 	}
 }
 

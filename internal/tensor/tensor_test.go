@@ -235,6 +235,149 @@ func TestMatVecBitExact(t *testing.T) {
 	}
 }
 
+// fillMatMulCase extends fillMatVecCase's (m, x, b) to a batch of bs input
+// rows: row 0 is the single-sample case's x, later rows are drawn fresh and
+// scaled like it, and variant 1 also plants a different special in each
+// row, so neighbouring lanes of one tile take different paths.
+func fillMatMulCase(rows, cols, bs, variant int) (*Matrix, *Matrix, Vector) {
+	m, x0, b := fillMatVecCase(rows, cols, variant)
+	x := NewMatrix(bs, cols)
+	copy(x.Data, x0)
+	for s := 1; s < bs; s++ {
+		row := x.Row(s)
+		InitUniform(row, 1, uint64(rows*1000+cols)*4+uint64(variant)+uint64(s)*7919)
+		switch variant {
+		case 1:
+			row[(s*5)%cols] = matVecSpecials[s%len(matVecSpecials)]
+		case 2:
+			Scale(row, 1e25)
+		case 3:
+			Scale(row, 1e-20)
+		}
+	}
+	return m, x, b
+}
+
+// TestMatMulBitExact holds the batched kernel, and each tile on its own,
+// to the one-row reference per sample: every shape class matMul handles
+// (tile groups, leftover samples, leftover rows, rows < 4) across the
+// special-value corpora, with and without the clamp.
+func TestMatMulBitExact(t *testing.T) {
+	seen := map[string]bool{}
+	tiles := map[string]func(dst []float32, ldd int, w, panel, b []float32, relu bool){
+		"tile4x8": tile4x8, "tile4x8Go": tile4x8Go,
+	}
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 256} {
+		for _, cols := range []int{1, 3, 13, 42, 256} {
+			for _, bs := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 32, 33, 64} {
+				for variant := 0; variant < 4; variant++ {
+					m, x, b := fillMatMulCase(rows, cols, bs, variant)
+					want := NewMatrix(bs, rows)
+					for s := 0; s < bs; s++ {
+						w := want.Row(s)
+						refMatVec(w, m, x.Row(s))
+						if err := Add(w, b); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, v := range want.Data {
+						switch {
+						case v != v:
+							seen["NaN"] = true
+						case math.IsInf(float64(v), 0):
+							seen["Inf"] = true
+						case v != 0 && math.Abs(float64(v)) < 1e-38:
+							seen["denormal"] = true
+						}
+					}
+					for _, relu := range []bool{false, true} {
+						if relu {
+							refReLU(want.Data)
+						}
+						check := func(name string, s, r int, got float32) {
+							if exp := want.At(s, r); !sameBits(got, exp) {
+								t.Fatalf("%s %dx%d bs %d variant %d relu %v sample %d row %d: got %v (%#08x), want %v (%#08x)",
+									name, rows, cols, bs, variant, relu, s, r, got, math.Float32bits(got), exp, math.Float32bits(exp))
+							}
+						}
+
+						got := NewMatrix(bs, rows)
+						mm := MatMulBias
+						if relu {
+							mm = MatMulBiasReLU
+						}
+						if err := mm(got, m, x, b); err != nil {
+							t.Fatal(err)
+						}
+						for s := 0; s < bs; s++ {
+							for r := 0; r < rows; r++ {
+								check("matMul", s, r, got.At(s, r))
+							}
+						}
+
+						// Each tile alone, on every whole group and row quad.
+						panel := make([]float32, tileSamples*cols)
+						out := make([]float32, tileSamples*4)
+						for i := 0; i+tileSamples <= bs; i += tileSamples {
+							for s := 0; s < tileSamples; s++ {
+								for c := 0; c < cols; c++ {
+									panel[c*tileSamples+s] = x.At(i+s, c)
+								}
+							}
+							for r := 0; r+4 <= rows; r += 4 {
+								for name, tile := range tiles {
+									tile(out, 4, m.Data[r*cols:(r+4)*cols], panel, b[r:r+4], relu)
+									for s := 0; s < tileSamples; s++ {
+										for k := 0; k < 4; k++ {
+											check(name, i+s, r+k, out[s*4+k])
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, class := range []string{"NaN", "Inf", "denormal"} {
+		if !seen[class] {
+			t.Errorf("no pre-activation output was %s: the special-value corpus is too tame", class)
+		}
+	}
+}
+
+// MatMul checks every shape, Data lengths included — the assembly tile
+// trusts them — and writes nothing on a mismatch.
+func TestMatMulShapeErrorsWriteNothing(t *testing.T) {
+	m, x, b := NewMatrix(5, 3), NewMatrix(8, 3), make(Vector, 5)
+	view := func(rows, cols int, data []float32) *Matrix { return &Matrix{Rows: rows, Cols: cols, Data: data} }
+	cases := map[string]func(dst *Matrix) error{
+		"x cols":     func(dst *Matrix) error { return MatMulBias(dst, m, NewMatrix(8, 4), b) },
+		"x rows":     func(dst *Matrix) error { return MatMulBias(dst, m, NewMatrix(9, 3), b) },
+		"bias":       func(dst *Matrix) error { return MatMulBiasReLU(dst, m, x, make(Vector, 4)) },
+		"short x":    func(dst *Matrix) error { return MatMulBias(dst, m, view(8, 3, x.Data[:23]), b) },
+		"short m":    func(dst *Matrix) error { return MatMulBiasReLU(dst, view(5, 3, m.Data[:14]), x, b) },
+		"long dst":   func(dst *Matrix) error { return MatMulBias(view(7, 5, dst.Data), m, x, b) },
+		"short dst":  func(dst *Matrix) error { return MatMulBias(view(8, 5, dst.Data[:39]), m, x, b) },
+		"negative m": func(dst *Matrix) error { return MatMulBias(dst, view(-5, -3, m.Data), x, b) },
+	}
+	for name, call := range cases {
+		dst := NewMatrix(8, 5)
+		for i := range dst.Data {
+			dst.Data[i] = 42
+		}
+		if err := call(dst); !errors.Is(err, ErrShape) {
+			t.Errorf("%s: err = %v, want ErrShape", name, err)
+		}
+		for i, v := range dst.Data {
+			if v != 42 {
+				t.Errorf("%s: dst[%d] written (%v) on a shape error", name, i, v)
+			}
+		}
+	}
+}
+
 // The fused epilogue keeps the contract of the ReLU sweep it replaced:
 // negatives (and -Inf) clamp to +0, everything the predicate x < 0 rejects
 // passes through, NaN included. A one-column matrix times x = {1} makes
