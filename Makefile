@@ -133,4 +133,4 @@ lint-deps:
 			echo "lint-deps: module in $$dir depends on:"; echo "$$found"; exit 1; fi; \
 	done
 
-ci: fmt-check vet lint-doc lint-invariants lint-deps build test-short race race-repartition lifecycle-smoke bench-smoke bench-contract fuzz-smoke
+ci: fmt-check vet lint-doc lint-invariants lint-deps build test-short race race-repartition lifecycle-smoke scenario-smoke scenario-guard bench-smoke bench-contract fuzz-smoke

@@ -541,25 +541,22 @@ func TestRepartitionPolicyTrigger(t *testing.T) {
 }
 
 func TestRepartitionPolicyForget(t *testing.T) {
-	p := &RepartitionPolicy{MinSkew: 0.5, MinRequests: 0, MinInterval: time.Hour,
-		MinIntervalCached: time.Minute}
+	p := &RepartitionPolicy{MinSkew: 0.5, MinRequests: 0, MinInterval: time.Hour}
 	now := time.Unix(1000, 0)
 	if !p.ShouldRepartitionModel("a", 0.1, 10, now) {
 		t.Fatal("model a should fire")
 	}
-	p.NoteSwap("a", true)
 	if p.ShouldRepartitionModel("a", 0.1, 10, now.Add(time.Second)) {
-		t.Fatal("model a re-fired inside its cached interval")
+		t.Fatal("model a re-fired inside its interval")
 	}
-	// Undeploying the model forgets its firing time AND its cheap-swap
-	// flag: a redeployed "a" fires immediately and is throttled on the
-	// full interval again (its first swap hasn't happened yet).
+	// Undeploying the model forgets its firing time: a redeployed "a"
+	// fires immediately, then is throttled on the interval again.
 	p.Forget("a")
 	if !p.ShouldRepartitionModel("a", 0.1, 10, now.Add(2*time.Second)) {
 		t.Fatal("forgotten model inherited the retired firing time")
 	}
 	if p.ShouldRepartitionModel("a", 0.1, 10, now.Add(2*time.Minute)) {
-		t.Fatal("forgotten model kept the retired cheap-swap flag (cached interval applied)")
+		t.Fatal("redeployed model re-fired inside its interval")
 	}
 	// Forgetting an unknown model is a no-op.
 	p.Forget("ghost")

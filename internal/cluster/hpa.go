@@ -98,21 +98,11 @@ type RepartitionPolicy struct {
 	// MinInterval suppresses re-triggering the same model while its fresh
 	// plan warms up.
 	MinInterval time.Duration
-	// MinIntervalCached, when positive, replaces MinInterval for a model
-	// whose previous swap was cheap — served entirely from the serving
-	// layer's plan cache (memoized preprocessing, every shard service
-	// reused). MinInterval exists partly to amortize the control-plane
-	// cost of a cold rebuild; a cache-hit swap is nearly free, so the
-	// trigger may fire again sooner.
-	MinIntervalCached time.Duration
 
 	mu sync.Mutex
 	// lastFire[model] is when that model's trigger last fired; absence
 	// means it never has.
 	lastFire map[string]time.Time
-	// lastCheap[model] is whether that model's last executed swap was
-	// cheap (see NoteSwap).
-	lastCheap map[string]bool
 }
 
 // Validate checks policy invariants.
@@ -126,38 +116,19 @@ func (p *RepartitionPolicy) Validate() error {
 	if p.MinInterval < 0 {
 		return fmt.Errorf("cluster: negative repartition interval %v", p.MinInterval)
 	}
-	if p.MinIntervalCached < 0 {
-		return fmt.Errorf("cluster: negative cached repartition interval %v", p.MinIntervalCached)
-	}
 	return nil
 }
 
-// Forget drops every piece of per-model state the policy holds for the
-// named model — its last firing time and its cheap-swap flag. The serving
-// control plane calls this when a model is undeployed: per-variant control
-// loops start and stop as models come and go, and a name redeployed later
-// must start from a clean slate instead of inheriting the retired model's
-// firing history (which would wrongly throttle — or wrongly accelerate —
-// the new model's first repartition).
+// Forget drops the per-model state the policy holds for the named model:
+// its last firing time. The serving control plane calls this when a model
+// is undeployed: per-variant control loops start and stop as models come
+// and go, and a name redeployed later must start from a clean slate
+// instead of inheriting the retired model's firing history (which would
+// wrongly throttle the new model's first repartition).
 func (p *RepartitionPolicy) Forget(model string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.lastFire, model)
-	delete(p.lastCheap, model)
-}
-
-// NoteSwap records the outcome of a model's executed swap: cheap means the
-// serving layer reported a full plan-cache hit (no preprocessing, no shard
-// builds), making the model eligible for the shorter MinIntervalCached on
-// its next trigger. Called by the repartition loop after every successful
-// swap.
-func (p *RepartitionPolicy) NoteSwap(model string, cheap bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.lastCheap == nil {
-		p.lastCheap = make(map[string]bool)
-	}
-	p.lastCheap[model] = cheap
 }
 
 // ShouldRepartition reports whether the epoch's flattened utility skew
@@ -178,11 +149,7 @@ func (p *RepartitionPolicy) ShouldRepartitionModel(model string, skew float64, s
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	interval := p.MinInterval
-	if p.MinIntervalCached > 0 && p.lastCheap[model] {
-		interval = p.MinIntervalCached
-	}
-	if last, fired := p.lastFire[model]; fired && now.Sub(last) < interval {
+	if last, fired := p.lastFire[model]; fired && now.Sub(last) < p.MinInterval {
 		return false
 	}
 	if p.lastFire == nil {

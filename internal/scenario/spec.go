@@ -370,6 +370,9 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: model %q: autoscale max_replicas must not be negative", s.Name, m.Name)
 			}
 		}
+		if b := m.Batching; b != nil && (b.MaxBatch < 0 || b.MaxDelay < 0) {
+			return fmt.Errorf("scenario %s: model %q: batching max_batch/max_delay must not be negative", s.Name, m.Name)
+		}
 		if m.RowCacheBytes < 0 {
 			return fmt.Errorf("scenario %s: model %q: row_cache_bytes must not be negative", s.Name, m.Name)
 		}

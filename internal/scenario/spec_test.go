@@ -164,6 +164,8 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 		{"autoscale negative cooldown", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, Cooldown: -1} }},
 		{"autoscale negative interval", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, Interval: -1} }},
 		{"autoscale negative max replicas", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, MaxReplicas: -1} }},
+		{"batching negative max batch", func(s *Spec) { s.Models[0].Batching = &Batching{MaxBatch: -1} }},
+		{"batching negative max delay", func(s *Spec) { s.Models[0].Batching = &Batching{MaxDelay: Duration(-time.Millisecond)} }},
 	}
 	for _, tc := range cases {
 		spec, err := Parse([]byte(validSpec))

@@ -70,3 +70,55 @@ func TestDenseShardPredictLocalAllocs(t *testing.T) {
 		t.Fatalf("DenseShard.Predict over TransportLocal: %v allocations per call, want %d", allocs, denseShardLocalAllocs)
 	}
 }
+
+// batchedLocalAllocs is the measured count of one steady-state
+// LiveDeployment.Predict through the dynamic batcher over TransportLocal
+// at the fixture's geometry: denseShardLocalAllocs plus the batcher's
+// per-request and per-batch bookkeeping (pending entry, done channel,
+// fill timer, dispatch goroutine). The batcher's fixed limits (solo
+// grace, in-flight cap, queue capacity) allocate nothing per request.
+const batchedLocalAllocs = 59
+
+// tcpAllocs is the measured count of one steady-state
+// LiveDeployment.Predict over TransportTCP at the fixture's geometry,
+// both ends of the 12 gather round trips included (the servers run in
+// this process, so their allocations are counted too).
+const tcpAllocs = 212
+
+func TestLiveDeploymentPredictAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not steady under -race")
+	}
+	cfg := allocFixtureConfig()
+	for _, c := range []struct {
+		name string
+		opts BuildOptions
+		want float64
+	}{
+		{"batched-local", BuildOptions{Transport: TransportLocal, Batching: &BatcherOptions{}}, batchedLocalAllocs},
+		{"tcp", BuildOptions{Transport: TransportTCP}, tcpAllocs},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, stats, gen := buildFixture(t, cfg)
+			ld, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable}, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ld.Close()
+			req := makeRequest(cfg, gen, 1)
+			var reply PredictReply
+			predict := func() {
+				if err := ld.Predict(bg, req, &reply); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm every pool and connection past its first-use growth.
+			for i := 0; i < 50; i++ {
+				predict()
+			}
+			if allocs := testing.AllocsPerRun(100, predict); allocs != c.want {
+				t.Fatalf("LiveDeployment.Predict (%s): %v allocations per call, want %v", c.name, allocs, c.want)
+			}
+		})
+	}
+}

@@ -20,7 +20,18 @@ import (
 // one-mutex-per-dense-shard serialization: fused batches amortize the
 // per-request gather fan-out, and independent batches run concurrently.
 
-// BatcherOptions tunes the dynamic batcher.
+// BatcherOptions tunes the dynamic batcher. Three more limits are fixed:
+//
+//   - Solo grace, MaxDelay/8: a *lone* request (one that arrives to an
+//     empty queue) waits only this long for its first batchmate before it
+//     is dispatched alone. A low-concurrency client never has batchmates,
+//     so sleeping out the full MaxDelay for every request would just tax
+//     it; once a first batchmate arrives within the grace, the batch keeps
+//     filling under the normal MaxDelay budget.
+//   - In-flight batches, GOMAXPROCS at construction: the collector applies
+//     backpressure beyond that many concurrently executing fused batches.
+//   - Queue capacity, maxPending (256) requests: enqueueing blocks when
+//     the queue is full.
 type BatcherOptions struct {
 	// MaxBatch is the fused-batch input budget: a batch is dispatched as
 	// soon as the coalesced inputs reach it (default 64). A single request
@@ -29,21 +40,10 @@ type BatcherOptions struct {
 	// MaxDelay bounds how long the oldest queued request waits for
 	// batchmates before the batch is flushed anyway (default 200µs).
 	MaxDelay time.Duration
-	// SoloGrace bounds how long a *lone* request — one that arrives to an
-	// empty queue — waits for its first batchmate before being dispatched
-	// immediately (default MaxDelay/8). A low-concurrency client never has
-	// batchmates, so sleeping out the full MaxDelay for every request just
-	// taxes it; once a first batchmate does arrive within the grace, the
-	// batch keeps filling under the normal MaxDelay budget. Set SoloGrace
-	// >= MaxDelay to restore the old always-wait behaviour.
-	SoloGrace time.Duration
-	// MaxInFlight bounds how many fused batches may execute concurrently
-	// (default GOMAXPROCS); the collector applies backpressure beyond it.
-	MaxInFlight int
-	// QueueCap is the pending-request queue capacity (default 256);
-	// enqueueing blocks when the queue is full.
-	QueueCap int
 }
+
+// maxPending is the batcher's pending-request queue capacity.
+const maxPending = 256
 
 func (o *BatcherOptions) defaults() {
 	if o.MaxBatch <= 0 {
@@ -51,15 +51,6 @@ func (o *BatcherOptions) defaults() {
 	}
 	if o.MaxDelay <= 0 {
 		o.MaxDelay = 200 * time.Microsecond
-	}
-	if o.SoloGrace <= 0 {
-		o.SoloGrace = o.MaxDelay / 8
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = runtime.GOMAXPROCS(0)
-	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = 256
 	}
 }
 
@@ -115,8 +106,8 @@ func NewModelBatcher(name string, backend PredictClient, cfg model.Config, opts 
 		cfg:        cfg,
 		model:      canonicalModel(name),
 		opts:       opts,
-		reqs:       make(chan *pendingPredict, opts.QueueCap),
-		slots:      make(chan struct{}, opts.MaxInFlight),
+		reqs:       make(chan *pendingPredict, maxPending),
+		slots:      make(chan struct{}, runtime.GOMAXPROCS(0)),
 		QueueDepth: metrics.NewHistogram([]float64{0, 1, 2, 4, 8, 16, 32, 64, 128}),
 		BatchSizes: metrics.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}),
 		Requests:   &metrics.Counter{},
@@ -192,7 +183,7 @@ func (b *Batcher) collect() {
 		closing := false
 		solo := false
 		timer := time.NewTimer(b.opts.MaxDelay)
-		if total < b.opts.MaxBatch && len(b.reqs) == 0 && b.opts.SoloGrace < b.opts.MaxDelay {
+		if total < b.opts.MaxBatch && len(b.reqs) == 0 {
 			// The request arrived to an empty queue: give a first
 			// batchmate only the short grace, then dispatch immediately
 			// instead of sleeping out MaxDelay — the low-concurrency fix
@@ -200,8 +191,9 @@ func (b *Batcher) collect() {
 			// graces poll cooperatively: timers overshoot tens-of-µs
 			// sleeps by up to a millisecond under coarse kernel timer
 			// slack, which would hand the whole regression right back.
-			if b.opts.SoloGrace <= time.Millisecond {
-				deadline := time.Now().Add(b.opts.SoloGrace)
+			soloGrace := b.opts.MaxDelay / 8
+			if soloGrace <= time.Millisecond {
+				deadline := time.Now().Add(soloGrace)
 				for len(b.reqs) == 0 && time.Now().Before(deadline) {
 					runtime.Gosched()
 				}
@@ -209,7 +201,7 @@ func (b *Batcher) collect() {
 				// A batchmate made it in: the fill loop below receives
 				// it without blocking and keeps filling under MaxDelay.
 			} else {
-				grace := time.NewTimer(b.opts.SoloGrace)
+				grace := time.NewTimer(soloGrace)
 				select {
 				case p, ok := <-b.reqs:
 					if !ok {
@@ -244,7 +236,7 @@ func (b *Batcher) collect() {
 		b.QueueDepth.Observe(float64(len(b.reqs)))
 		b.BatchSizes.Observe(float64(total))
 		b.Batches.Inc(1)
-		b.slots <- struct{}{} // backpressure beyond MaxInFlight
+		b.slots <- struct{}{} // backpressure beyond GOMAXPROCS batches in flight
 		b.wg.Add(1)
 		go func(batch []*pendingPredict, total int) {
 			defer b.wg.Done()

@@ -131,16 +131,17 @@ func TestBatcherMaxBatchCoalescing(t *testing.T) {
 }
 
 // TestBatcherDeadlineFlush: a lone sub-max request arriving to an empty
-// queue dispatches after the short solo grace instead of sleeping out the
-// full MaxDelay — the low-concurrency fix. Setting SoloGrace >= MaxDelay
-// restores the old always-wait behaviour.
+// queue dispatches after the short solo grace (MaxDelay/8) instead of
+// sleeping out the full MaxDelay — the low-concurrency fix. A batchmate
+// that arrives inside the grace turns the wait back into a normal fill,
+// which the MaxDelay timer ends.
 func TestBatcherDeadlineFlush(t *testing.T) {
 	const delay = 40 * time.Millisecond
 	t.Run("solo-grace-dispatches-early", func(t *testing.T) {
 		backend := &recordingBackend{}
 		b := NewBatcher(backend, batcherConfig(), BatcherOptions{
 			MaxBatch: 1 << 20,
-			MaxDelay: delay, // default SoloGrace = delay/8
+			MaxDelay: delay,
 		})
 		defer b.Close()
 
@@ -159,25 +160,47 @@ func TestBatcherDeadlineFlush(t *testing.T) {
 			t.Fatalf("backend batches = %v, want [1]", got)
 		}
 	})
-	t.Run("grace-disabled-waits-maxdelay", func(t *testing.T) {
+	t.Run("batchmate-in-grace-waits-maxdelay", func(t *testing.T) {
+		// A longer MaxDelay widens the grace to 25ms, so the batchmate
+		// sent 1ms after the first request lands inside it even on a
+		// loaded machine.
+		const fill = 5 * delay
 		backend := &recordingBackend{}
 		b := NewBatcher(backend, batcherConfig(), BatcherOptions{
-			MaxBatch:  1 << 20,
-			MaxDelay:  delay,
-			SoloGrace: delay, // >= MaxDelay: old always-wait behaviour
+			MaxBatch: 1 << 20,
+			MaxDelay: fill,
 		})
 		defer b.Close()
 
 		start := time.Now()
-		var reply PredictReply
-		if err := b.Predict(bg, singleInputRequest(7), &reply); err != nil {
-			t.Fatal(err)
+		var wg sync.WaitGroup
+		replies := make([]PredictReply, 2)
+		errs := make([]error, 2)
+		for i := range replies {
+			if i > 0 {
+				time.Sleep(time.Millisecond)
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = b.Predict(bg, singleInputRequest(float32(i+1)), &replies[i])
+			}(i)
 		}
-		if elapsed := time.Since(start); elapsed < delay/2 {
-			t.Fatalf("flushed after %v, expected to wait ~%v for batchmates", elapsed, delay)
+		wg.Wait()
+		elapsed := time.Since(start)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if replies[i].Probs[0] != float32(i+1) {
+				t.Fatalf("request %d: probs = %v", i, replies[i].Probs)
+			}
 		}
-		if got := backend.batchSizes(); len(got) != 1 || got[0] != 1 {
-			t.Fatalf("backend batches = %v, want [1]", got)
+		if elapsed < fill/2 {
+			t.Fatalf("fused batch flushed after %v, expected the MaxDelay timer (~%v)", elapsed, fill)
+		}
+		if got := backend.batchSizes(); len(got) != 1 || got[0] != 2 {
+			t.Fatalf("backend batches = %v, want one fused batch [2]", got)
 		}
 	})
 }

@@ -106,7 +106,7 @@ func (c *Controller) Bind(b *AutoscalerBinding) {
 	defer c.md.mutateMu.Unlock()
 	if old := c.binding; old != nil && old.Autoscaler != nil {
 		// Detach, don't retire: the models stay live, so their policy
-		// state (firing times, cheap-swap flags) must survive the rebind.
+		// state (firing times) must survive the rebind.
 		for _, name := range c.md.snapshot().names {
 			c.unwireLocked(old, name, false)
 		}

@@ -37,12 +37,6 @@ type BuildOptions struct {
 	// for ~4x smaller gather replies (dim 32). Ignored on the local
 	// transport.
 	WireQuant bool
-	// WireFP16 enables the half-precision gather-reply wire encoding:
-	// rows ride as IEEE 754 binary16 and widen to float32 before the
-	// dense-side accumulate. Off by default so sharded serving stays
-	// bit-exact against the monolith; mutually exclusive with WireQuant.
-	// Ignored on the local transport.
-	WireFP16 bool
 	// GatherRows switches the dense fan-out to gather path v2: per-table
 	// in-batch row dedup (sorted-unique ids, multiplicities re-expanded at
 	// merge time) with rows-mode gathers returning raw rows instead of
@@ -68,22 +62,15 @@ type BuildOptions struct {
 	// batches (see BatcherOptions). A zero-valued options struct enables
 	// batching with defaults.
 	Batching *BatcherOptions
-	// PlanCacheEpochs controls the per-model plan cache that memoizes
-	// Preprocess outputs and shard services across epochs: entries idle
-	// for more than this many epochs are evicted. 0 selects the default
-	// (DefaultPlanCacheEpochs); a negative value disables caching, so
-	// every repartition is a cold build. The age bound is also the memory
-	// bound: under continuously drifting windows (every repartition a new
-	// fingerprint, zero hits) the cache retains at most
-	// PlanCacheEpochs+1 generations of sorted-table copies before
-	// eviction reclaims them — size it against table memory, or disable
-	// caching for workloads that never revisit a distribution.
-	PlanCacheEpochs int
 }
 
-// DefaultPlanCacheEpochs keeps a plan warm for this many epochs past its
-// last use before the cache evicts it (see BuildOptions.PlanCacheEpochs).
-const DefaultPlanCacheEpochs = 4
+// planCacheEpochs keeps a plan warm for this many epochs past its last use
+// before the per-model plan cache (Preprocess outputs and shard services
+// memoized across epochs) evicts it. The age bound is also the memory
+// bound: under continuously drifting windows (every repartition a new
+// fingerprint, zero hits) the cache retains at most planCacheEpochs+1
+// generations of sorted-table copies before eviction reclaims them.
+const planCacheEpochs = 4
 
 // warmCDF is how much of the fresh profiling window's access CDF is
 // pre-touched on freshly built shards, and seeded into the row cache,
@@ -181,15 +168,8 @@ func buildModelDeployment(router *Router, name string, m *model.Model, stats []*
 	if opts.Transport == "" {
 		opts.Transport = TransportLocal
 	}
-	if opts.WireQuant && opts.WireFP16 {
-		return nil, fmt.Errorf("serving: WireQuant and WireFP16 are mutually exclusive")
-	}
 	if opts.RowCacheBytes > 0 {
 		opts.GatherRows = true
-	}
-	cacheAge := int64(opts.PlanCacheEpochs)
-	if cacheAge == 0 {
-		cacheAge = DefaultPlanCacheEpochs
 	}
 	ld := &LiveDeployment{
 		Router:       router,
@@ -198,7 +178,7 @@ func buildModelDeployment(router *Router, name string, m *model.Model, stats []*
 		opts:         opts,
 		cfg:          m.Config,
 		model:        canonicalModel(name),
-		cache:        newPlanCache(cacheAge),
+		cache:        newPlanCache(planCacheEpochs),
 		rowCache:     newRowCache(opts.RowCacheBytes),
 	}
 	rt, _, _, err := ld.buildTable(0, stats, boundaries)
@@ -441,7 +421,7 @@ func exportGather(u *shardUnit, svc GatherClient, name string, opts BuildOptions
 		if err != nil {
 			return nil, err
 		}
-		wopts := GatherWireOptions{Quant: opts.WireQuant, FP16: opts.WireFP16}
+		wopts := GatherWireOptions{Quant: opts.WireQuant}
 		if err := srv.RegisterGatherWire(name, svc, wopts); err != nil {
 			srv.Close()
 			return nil, err
@@ -474,8 +454,6 @@ func (ld *LiveDeployment) Repartition(ctx context.Context, stats []*embedding.Ac
 // RepartitionReport is Repartition returning the epoch-reuse accounting:
 // whether the plan cache supplied the preprocessing, how many shard
 // services were reused versus rebuilt, and how many rows were pre-warmed.
-// The repartition trigger loop feeds the report to the staleness policy so
-// cheap (fully reused) swaps can run on a shorter re-trigger interval.
 func (ld *LiveDeployment) RepartitionReport(ctx context.Context, stats []*embedding.AccessStats, newBoundaries []int64) (SwapReport, error) {
 	ld.repartitionMu.Lock()
 	defer ld.repartitionMu.Unlock()

@@ -818,9 +818,9 @@ func TestReplanMemoSkipsRepartitionDP(t *testing.T) {
 		t.Fatalf("replan ran %d times across two fingerprints, want 2", calls)
 	}
 
-	// The memo ages with the plan cache: after PlanCacheEpochs epochs of
+	// The memo ages with the plan cache: after planCacheEpochs epochs of
 	// swaps under other windows, the original fingerprint must re-replan.
-	for i := 0; i < DefaultPlanCacheEpochs+1; i++ {
+	for i := 0; i < planCacheEpochs+1; i++ {
 		drift := driftedStats(t, cfg, int64(200+i*37), uint64(10+i))
 		if err := ld.Repartition(bg, drift, []int64{60, 250, cfg.RowsPerTable}); err != nil {
 			t.Fatal(err)

@@ -113,8 +113,7 @@ type cachedPlan struct {
 }
 
 // planCache memoizes one model's plan-construction outputs across epochs.
-// maxAge < 0 disables caching entirely (every build is cold); maxAge == n
-// keeps an entry alive for n epochs past its last use.
+// maxAge == n keeps an entry alive for n epochs past its last use.
 type planCache struct {
 	mu     sync.Mutex
 	maxAge int64
@@ -124,7 +123,7 @@ type planCache struct {
 }
 
 // newPlanCache creates a cache retaining entries for maxAge epochs past
-// their last use (maxAge < 0 disables caching).
+// their last use.
 func newPlanCache(maxAge int64) *planCache {
 	return &planCache{
 		maxAge: maxAge,
@@ -134,15 +133,9 @@ func newPlanCache(maxAge int64) *planCache {
 	}
 }
 
-// disabled reports whether the cache never stores anything.
-func (c *planCache) disabled() bool { return c.maxAge < 0 }
-
 // lookupPre returns the memoized Preprocess output for a window
-// fingerprint, refreshing its age (nil on miss or when disabled).
+// fingerprint, refreshing its age (nil on miss).
 func (c *planCache) lookupPre(fp uint64, epoch int64) *Preprocessed {
-	if c.disabled() {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.pres[fp]
@@ -155,21 +148,15 @@ func (c *planCache) lookupPre(fp uint64, epoch int64) *Preprocessed {
 
 // putPre memoizes a freshly computed Preprocess output.
 func (c *planCache) putPre(fp uint64, pre *Preprocessed, epoch int64) {
-	if c.disabled() {
-		return
-	}
 	c.mu.Lock()
 	c.pres[fp] = &cachedPre{pre: pre, lastEpoch: epoch}
 	c.mu.Unlock()
 }
 
 // lookupPlan returns the memoized replan boundaries for a window
-// fingerprint, refreshing their age (nil on miss or when disabled). The
-// returned slice is a copy — callers may keep or mutate it freely.
+// fingerprint, refreshing their age (nil on miss). The returned slice is
+// a copy — callers may keep or mutate it freely.
 func (c *planCache) lookupPlan(fp uint64, epoch int64) []int64 {
-	if c.disabled() {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.plans[fp]
@@ -182,21 +169,14 @@ func (c *planCache) lookupPlan(fp uint64, epoch int64) []int64 {
 
 // putPlan memoizes a freshly computed replan outcome (the slice is copied).
 func (c *planCache) putPlan(fp uint64, boundaries []int64, epoch int64) {
-	if c.disabled() {
-		return
-	}
 	c.mu.Lock()
 	c.plans[fp] = &cachedPlan{boundaries: append([]int64(nil), boundaries...), lastEpoch: epoch}
 	c.mu.Unlock()
 }
 
 // lookupUnit returns the cached shard unit for key, refreshing its age
-// (nil on miss or when disabled). The caller must retain the unit before
-// routing to it.
+// (nil on miss). The caller must retain the unit before routing to it.
 func (c *planCache) lookupUnit(key unitKey, epoch int64) *shardUnit {
-	if c.disabled() {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.units[key]
@@ -210,9 +190,6 @@ func (c *planCache) lookupUnit(key unitKey, epoch int64) *shardUnit {
 // putUnit caches a freshly built shard unit, taking the cache's own
 // reference on it.
 func (c *planCache) putUnit(key unitKey, u *shardUnit, epoch int64) {
-	if c.disabled() {
-		return
-	}
 	u.retain()
 	c.mu.Lock()
 	c.units[key] = &cachedUnit{unit: u, lastEpoch: epoch}
@@ -222,9 +199,6 @@ func (c *planCache) putUnit(key unitKey, u *shardUnit, epoch int64) {
 // evict drops every entry idle for more than maxAge epochs as of the epoch
 // just built, releasing the cache's reference on evicted shard units.
 func (c *planCache) evict(epoch int64) {
-	if c.disabled() {
-		return
-	}
 	c.mu.Lock()
 	var drop []*shardUnit
 	for fp, e := range c.pres {
@@ -270,9 +244,6 @@ func (c *planCache) clear() {
 // table). This is the per-model number the cross-variant cache budget
 // (ROADMAP) will aggregate into a global LRU.
 func (c *planCache) occupancy() (pres, units, plans int, sortedBytes int64) {
-	if c.disabled() {
-		return 0, 0, 0, 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.pres {
@@ -368,8 +339,3 @@ type SwapReport struct {
 	// or every shard was reused and therefore already warm).
 	WarmedRows int64
 }
-
-// Cheap reports whether the swap avoided the expensive work entirely: the
-// preprocessing was memoized and no shard service had to be built. The
-// repartition policy may throttle cheap swaps on a shorter interval.
-func (r SwapReport) Cheap() bool { return r.CacheHit && r.ShardsBuilt == 0 }

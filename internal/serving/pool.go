@@ -792,10 +792,9 @@ func (p *QueuePolicy) Decide(st QueueStats, lastScale, now time.Time) int {
 // meter's attribution.
 type AutoscaledShard struct {
 	Name string
-	// Model names the DLRM variant the shard belongs to in a multi-model
-	// deployment (informational; empty for single-model deployments). The
-	// OfferedQPS callback receives Name, so per-model load attribution
-	// goes through the shard's name/model pair.
+	// Model names the DLRM variant the shard belongs to. The
+	// OfferedModelQPS callback receives it, so a shard without one never
+	// scales on offered QPS (the Queue policy needs no model).
 	Model  string
 	Pool   *ReplicaPool
 	QPSMax float64
@@ -853,14 +852,12 @@ type ModelRepartition struct {
 type LiveAutoscaler struct {
 	Shards   []*AutoscaledShard
 	Interval time.Duration
-	// OfferedQPS reports the current aggregate load directed at a shard
-	// name; typically wired to the frontend's QPS meter.
-	OfferedQPS func(name string) float64
 	// OfferedModelQPS, when set, attributes load per DLRM variant: a
 	// shard whose Model field is set scales on its own variant's offered
 	// QPS (typically a per-model frontend meter split on
-	// PredictRequest.Model) instead of the aggregate OfferedQPS — so one
-	// variant's traffic spike never scales another variant's pools.
+	// PredictRequest.Model) — so one variant's traffic spike never scales
+	// another variant's pools. Without it (or without a Model) the
+	// offered-QPS policy has no signal and leaves the pool as it is.
 	OfferedModelQPS func(model string) float64
 	// OnScale, when set, observes every replica add/remove the loop
 	// performs (called from the control goroutine; keep it fast and
@@ -974,8 +971,8 @@ func (a *LiveAutoscaler) step() {
 
 // Evaluate runs one scaling decision for a shard and returns the replica
 // count after the decision. A shard with a Queue policy scales on the
-// pool's queue pressure; otherwise a shard with a Model set prefers the
-// per-model offered-QPS meter, falling back to the aggregate one.
+// pool's queue pressure; otherwise a shard with a Model set scales on the
+// per-model offered-QPS meter.
 func (a *LiveAutoscaler) Evaluate(s *AutoscaledShard) int {
 	if s.Pool == nil {
 		return 0
@@ -983,17 +980,10 @@ func (a *LiveAutoscaler) Evaluate(s *AutoscaledShard) int {
 	if s.Queue != nil {
 		return a.evaluateQueue(s, time.Now())
 	}
-	var offered float64
-	switch {
-	case s.QPSMax <= 0:
-		return s.Pool.Size()
-	case a.OfferedModelQPS != nil && s.Model != "":
-		offered = a.OfferedModelQPS(s.Model)
-	case a.OfferedQPS != nil:
-		offered = a.OfferedQPS(s.Name)
-	default:
+	if s.QPSMax <= 0 || a.OfferedModelQPS == nil || s.Model == "" {
 		return s.Pool.Size()
 	}
+	offered := a.OfferedModelQPS(s.Model)
 	replicas := s.Pool.Size()
 	perReplica := offered / float64(replicas)
 	switch {
@@ -1073,15 +1063,9 @@ func (a *LiveAutoscaler) EvaluateModelRepartition(mr *ModelRepartition, now time
 	boundaries, err := mr.Deployment.ReplanMemo(stats, mr.Replan)
 	if err == nil {
 		// The profile snapshot rides into the build so the new epoch's
-		// fresh shards are pre-warmed from the fresh CDF before publish;
-		// the reuse report feeds the policy so a cheap (fully cached)
-		// swap can re-trigger on the shorter cached interval.
-		var rep SwapReport
+		// fresh shards are pre-warmed from the fresh CDF before publish.
 		//lint:escape ctxflow the autoscaler's swap runs on its own detached control loop, not under any request
-		rep, err = mr.Deployment.RepartitionReport(context.Background(), stats, boundaries)
-		if err == nil {
-			mr.Policy.NoteSwap(name, rep.Cheap())
-		}
+		err = mr.Deployment.Repartition(context.Background(), stats, boundaries)
 	}
 	// Reopen the window for the next cycle regardless of outcome — a
 	// transient replan failure must not consume the only window and wedge

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/embedding"
 )
 
@@ -136,8 +135,8 @@ func TestRepartitionCacheHitSkipsBuilds(t *testing.T) {
 	if now.ShardsBuilt != mid.ShardsBuilt {
 		t.Fatalf("cache-hit repartition built shards (%d -> %d)", mid.ShardsBuilt, now.ShardsBuilt)
 	}
-	if !rep.Cheap() {
-		t.Fatalf("report = %+v, want Cheap() (cache hit, zero builds)", rep)
+	if !rep.CacheHit || rep.ShardsBuilt != 0 {
+		t.Fatalf("report = %+v, want a cache hit with zero builds", rep)
 	}
 	if rep.WarmedRows != 0 {
 		t.Fatalf("cache-hit warmed %d rows; reused shards are already warm", rep.WarmedRows)
@@ -151,27 +150,33 @@ func TestRepartitionCacheHitSkipsBuilds(t *testing.T) {
 	}
 }
 
-// TestRepartitionColdWithoutCache: with the plan cache disabled every
-// repartition rebuilds everything, even with identical stats+boundaries.
-func TestRepartitionColdWithoutCache(t *testing.T) {
-	tb := reuseFixture(t, BuildOptions{PlanCacheEpochs: -1})
+// TestRepartitionColdOnFreshWindow: a profiling window the cache has never
+// seen is a cold build — fresh Preprocess, every shard rebuilt (a new
+// fingerprint keys new units even for identical boundaries) and pre-warmed
+// before publish.
+func TestRepartitionColdOnFreshWindow(t *testing.T) {
+	tb := reuseFixture(t, BuildOptions{})
 	ld := tb.ld
 	before := ld.Table().Shards[0][0]
-	rep, err := ld.RepartitionReport(context.Background(), tb.stats, tb.planA)
+	fresh := driftedStats(t, ld.cfg, 123, 7)
+	rep, err := ld.RepartitionReport(context.Background(), fresh, tb.planA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CacheHit || rep.ShardsReused != 0 {
-		t.Fatalf("disabled cache produced reuse: %+v", rep)
+		t.Fatalf("fresh window produced reuse: %+v", rep)
 	}
 	if want := ld.cfg.NumTables * len(tb.planA); rep.ShardsBuilt != want {
 		t.Fatalf("ShardsBuilt = %d, want %d", rep.ShardsBuilt, want)
 	}
 	if ld.Table().Shards[0][0] == before {
-		t.Fatal("disabled cache reused a shard service")
+		t.Fatal("fresh window reused a shard service")
 	}
 	if rep.WarmedRows == 0 {
 		t.Fatal("cold build should pre-warm its fresh shards")
+	}
+	if err := tb.predict(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -181,8 +186,9 @@ func TestRepartitionColdWithoutCache(t *testing.T) {
 func TestShardRefcountLifecycle(t *testing.T) {
 	// maxAge 1: an entry not reused for one epoch is evicted on the next
 	// build, so refcounts are observable without deployment teardown.
-	tb := reuseFixture(t, BuildOptions{Transport: TransportTCP, PlanCacheEpochs: 1})
+	tb := reuseFixture(t, BuildOptions{Transport: TransportTCP})
 	ld := tb.ld
+	ld.cache.maxAge = 1
 	epoch0 := ld.Table()
 	// Live epoch + cache reference.
 	if got := epoch0.ShardRefs(0, 0); got != 2 {
@@ -313,33 +319,6 @@ func TestRepartitionUnderFireWithReuse(t *testing.T) {
 				t.Fatalf("final epoch = %d, want %d", got, swaps)
 			}
 		})
-	}
-}
-
-// TestCachedIntervalPolicy: a model whose last swap was cheap re-triggers
-// on MinIntervalCached instead of MinInterval.
-func TestCachedIntervalPolicy(t *testing.T) {
-	p := &cluster.RepartitionPolicy{
-		MinSkew:           0.5,
-		MinInterval:       time.Hour,
-		MinIntervalCached: time.Millisecond,
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	if !p.ShouldRepartitionModel("m", 0.1, 100, now) {
-		t.Fatal("first trigger must fire")
-	}
-	// Expensive swap: the hour-long interval gates the next trigger.
-	p.NoteSwap("m", false)
-	if p.ShouldRepartitionModel("m", 0.1, 100, now.Add(time.Minute)) {
-		t.Fatal("expensive swap must be throttled by MinInterval")
-	}
-	// Pretend the last swap was cheap: the cached interval applies.
-	p.NoteSwap("m", true)
-	if !p.ShouldRepartitionModel("m", 0.1, 100, now.Add(time.Minute)) {
-		t.Fatal("cheap swap must re-trigger on MinIntervalCached")
 	}
 }
 

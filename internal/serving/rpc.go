@@ -64,11 +64,9 @@ func newRPCServer(addr string, handshakeTimeout time.Duration) (*RPCServer, erro
 // Addr returns the listener's address for clients to dial.
 func (s *RPCServer) Addr() string { return s.listener.Addr().String() }
 
-// GatherWireOptions selects the per-service gather-reply wire encoding;
-// at most one of Quant/FP16 may be set.
+// GatherWireOptions selects the per-service gather-reply wire encoding.
 type GatherWireOptions struct {
 	Quant bool // int8-quantized rows
-	FP16  bool // half-precision rows
 }
 
 // RegisterGather exposes a gather service under name.
@@ -80,11 +78,8 @@ func (s *RPCServer) RegisterGather(name string, svc GatherClient) error {
 // also implements wire.RowSource, rows-mode gathers take the zero-copy
 // encode path.
 func (s *RPCServer) RegisterGatherWire(name string, svc GatherClient, opts GatherWireOptions) error {
-	if opts.Quant && opts.FP16 {
-		return fmt.Errorf("serving: service %q: quant and fp16 wire encodings are mutually exclusive", name)
-	}
 	rows, _ := svc.(wire.RowSource) // nil when svc has no zero-copy path
-	return s.register(name, wire.Endpoint{Gather: svc, Rows: rows, Quant: opts.Quant, FP16: opts.FP16})
+	return s.register(name, wire.Endpoint{Gather: svc, Rows: rows, Quant: opts.Quant})
 }
 
 // RegisterPredict exposes a predict service under name.

@@ -378,6 +378,7 @@ func TestLiveAutoscalerEvaluate(t *testing.T) {
 	spawned := 0
 	sh := &AutoscaledShard{
 		Name:   "s",
+		Model:  "m",
 		Pool:   pool,
 		QPSMax: 10,
 		Spawn: func() (GatherClient, error) {
@@ -389,8 +390,8 @@ func TestLiveAutoscalerEvaluate(t *testing.T) {
 	}
 	offered := 25.0
 	as := &LiveAutoscaler{
-		Shards:     []*AutoscaledShard{sh},
-		OfferedQPS: func(string) float64 { return offered },
+		Shards:          []*AutoscaledShard{sh},
+		OfferedModelQPS: func(string) float64 { return offered },
 	}
 	// 25 QPS over 1 replica exceeds QPSMax: scale out.
 	if got := as.Evaluate(sh); got != 2 {
@@ -420,7 +421,7 @@ func TestLiveAutoscalerEvaluate(t *testing.T) {
 }
 
 func TestLiveAutoscalerStartStop(t *testing.T) {
-	as := &LiveAutoscaler{OfferedQPS: func(string) float64 { return 0 }}
+	as := &LiveAutoscaler{OfferedModelQPS: func(string) float64 { return 0 }}
 	as.Start()
 	as.Stop()
 	as.Stop() // idempotent

@@ -25,7 +25,6 @@ import (
 //	GatherReply    = u32 batchSize | u32 dim | u8 enc | rows
 //	                 enc 0: batchSize*dim × f32 (row-major)
 //	                 enc 1: per row, f32 scale | dim × i8
-//	                 enc 2: batchSize*dim × f16 (row-major)
 //	PredictRequest = u16 modelLen | model | u32 batchSize | u32 denseDim |
 //	                 u64 deadline | u32 nDense | u32 nTables |
 //	                 nDense × f32 | per table (u32 nIdx | u32 nOff |
@@ -209,7 +208,7 @@ func AppendGatherReply(b []byte, rep *GatherReply, quant bool) []byte {
 }
 
 // AppendGatherReplyEnc encodes rep onto b with an explicit row encoding
-// (EncFloat32, EncInt8 or EncFloat16).
+// (EncFloat32 or EncInt8).
 func AppendGatherReplyEnc(b []byte, rep *GatherReply, enc byte) []byte {
 	b = AppendGatherReplyHeader(b, rep.BatchSize, rep.Dim, enc)
 	if enc == EncFloat32 {
@@ -236,11 +235,6 @@ func AppendGatherRow(b []byte, row []float32, enc byte) []byte {
 	switch enc {
 	case EncFloat32:
 		return appendFloat32s(b, row)
-	case EncFloat16:
-		for _, v := range row {
-			b = binary.LittleEndian.AppendUint16(b, f32ToF16(v))
-		}
-		return b
 	default: // EncInt8
 		var maxAbs float32
 		for _, v := range row {
@@ -309,15 +303,6 @@ func DecodeGatherReply(data []byte, rep *GatherReply) error {
 			for i := range dst {
 				dst[i] = scale * float32(int8(q[i]))
 			}
-		}
-	case EncFloat16:
-		if bs*dim*2 != r.rem() {
-			return errShort
-		}
-		rep.Pooled = GetFloat32(bs * dim)
-		raw := r.bytes(bs * dim * 2)
-		for i := range rep.Pooled {
-			rep.Pooled[i] = f16ToF32(le.Uint16(raw[2*i:]))
 		}
 	default:
 		return fmt.Errorf("wire: unknown gather-reply encoding %d", enc)

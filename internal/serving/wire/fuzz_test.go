@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -10,10 +11,8 @@ import (
 //   - no decoder may panic, whatever the input;
 //   - a successful decode means the frame was canonical (the strict
 //     trailing-byte checks), so re-encoding must reproduce the input
-//     byte-for-byte (float32 and float16 encs — binary16 widens exactly
-//     and re-narrows to the same bits, NaN payloads included; int8
-//     requantization is lossy when the stored scale doesn't match the
-//     row maximum);
+//     byte-for-byte (float32 enc only — int8 requantization is lossy
+//     when the stored scale doesn't match the row maximum);
 //   - decoders must not allocate for element counts the frame cannot
 //     hold, which the re-encode check enforces indirectly: a decoded
 //     message's payload re-encodes to exactly len(input) bytes.
@@ -29,19 +28,29 @@ func FuzzWireCodec(f *testing.F) {
 		BatchSize: 2, Dim: 2, Pooled: []float32{1, -2, 3, 4},
 	}, true))
 	// Rows-mode request (empty offsets — gather path v2) and a
-	// half-precision reply, plus a zero-copy-encoded rows frame: the
-	// row-at-a-time append path must produce the same canonical bytes as
-	// the whole-reply encoder.
+	// zero-copy-encoded rows frame: the row-at-a-time append path must
+	// produce the same canonical bytes as the whole-reply encoder.
 	f.Add(AppendGatherRequest(nil, &GatherRequest{
 		Table: 1, Shard: 3, Deadline: 42, Indices: []int64{0, 7, 7, 1 << 20},
 	}))
-	f.Add(AppendGatherReplyEnc(nil, &GatherReply{
-		BatchSize: 2, Dim: 3, Pooled: []float32{1, -2, 0.5, 65504, -6.1e-5, 0},
-	}, EncFloat16))
-	zc := AppendGatherReplyHeader(nil, 2, 2, EncFloat16)
-	zc = AppendGatherRow(zc, []float32{0.25, -1}, EncFloat16)
-	zc = AppendGatherRow(zc, []float32{3, 4}, EncFloat16)
+	zc := AppendGatherReplyHeader(nil, 2, 2, EncFloat32)
+	zc = AppendGatherRow(zc, []float32{0.25, -1}, EncFloat32)
+	zc = AppendGatherRow(zc, []float32{3, 4}, EncFloat32)
+	whole := AppendGatherReplyEnc(nil, &GatherReply{
+		BatchSize: 2, Dim: 2, Pooled: []float32{0.25, -1, 3, 4},
+	}, EncFloat32)
+	if !bytes.Equal(zc, whole) {
+		f.Fatalf("row-at-a-time reply %x != whole-reply encoding %x", zc, whole)
+	}
 	f.Add(zc)
+	// An enc-2 frame (the retired half-precision layout: 2 bytes per
+	// element) must hit the unknown-encoding error, not decode.
+	enc2 := append(AppendGatherReplyHeader(nil, 1, 2, 2), 0x00, 0x3c, 0x00, 0xc0)
+	var old GatherReply
+	if err := DecodeGatherReply(enc2, &old); err == nil || !strings.Contains(err.Error(), "unknown gather-reply encoding") {
+		f.Fatalf("enc-2 gather reply %x: got %v, want the unknown-encoding error", enc2, err)
+	}
+	f.Add(enc2)
 	f.Add(AppendPredictRequest(nil, &PredictRequest{
 		Model: "rm1", BatchSize: 2, DenseDim: 2, Deadline: 7,
 		Dense: []float32{1, 2, 3, 4},
@@ -65,7 +74,7 @@ func FuzzWireCodec(f *testing.F) {
 
 		var grep GatherReply
 		if err := DecodeGatherReply(data, &grep); err == nil {
-			if len(data) >= 9 && (data[8] == EncFloat32 || data[8] == EncFloat16) {
+			if len(data) >= 9 && data[8] == EncFloat32 {
 				if out := AppendGatherReplyEnc(nil, &grep, data[8]); !bytes.Equal(out, data) {
 					t.Fatalf("GatherReply not canonical: %x -> %x", data, out)
 				}

@@ -24,29 +24,23 @@ import (
 // predict service with (optionally) the control plane that administers it
 // registered beside it — the preamble kind picks which one a connection
 // talks to. Quant selects the int8-quantized gather-reply encoding for
-// this service; FP16 the half-precision one (at most one of the two).
-// Rows, when non-nil, is the zero-copy fast path for rows-mode gathers:
-// the service encodes rows straight into the reply frame, skipping the
-// intermediate GatherReply materialization.
+// this service. Rows, when non-nil, is the zero-copy fast path for
+// rows-mode gathers: the service encodes rows straight into the reply
+// frame, skipping the intermediate GatherReply materialization.
 type Endpoint struct {
 	Gather  GatherService
 	Predict PredictService
 	Admin   AdminService
 	Rows    RowSource
 	Quant   bool
-	FP16    bool
 }
 
 // encoding returns the gather-row wire encoding this endpoint serves.
 func (ep *Endpoint) encoding() byte {
-	switch {
-	case ep.Quant:
+	if ep.Quant {
 		return EncInt8
-	case ep.FP16:
-		return EncFloat16
-	default:
-		return EncFloat32
 	}
+	return EncFloat32
 }
 
 // Resolver maps a preamble's (kind, service name) to an endpoint; an

@@ -48,11 +48,6 @@ const (
 	// followed by Dim int8s (value = scale * int8). Lossy; enabled per
 	// service via BuildOptions.WireQuant.
 	EncInt8 byte = 1
-	// EncFloat16 is the half-precision encoding: BatchSize*Dim IEEE 754
-	// binary16 values (round-to-nearest-even on encode, exact widening on
-	// decode; decoders always materialize float32). Lossy; enabled per
-	// service via BuildOptions.WireFP16.
-	EncFloat16 byte = 2
 )
 
 // MaxFrame bounds a frame body. A decoder rejects anything larger before
@@ -175,7 +170,7 @@ type AdminService interface {
 // RowSource is the optional zero-copy fast path for rows-mode gathers
 // (len(req.Offsets) == 0): the service encodes one row per index straight
 // from its storage onto frame — an open reply frame positioned at the
-// payload — using enc (EncFloat32, EncInt8 or EncFloat16), and returns
+// payload — using enc (EncFloat32 or EncInt8), and returns
 // the extended buffer. The transport skips the intermediate GatherReply
 // materialization (and its float32 copy) entirely. Implementations must
 // validate indices and honor ctx exactly as their Gather method does;

@@ -258,82 +258,52 @@ func TestListenerDropsSilentAndForeignPeers(t *testing.T) {
 	}
 }
 
-// TestWireQuantPredictAccuracy builds twin TCP deployments — one with the
-// int8-quantized gather encoding, one float32 — and checks every
-// prediction agrees within 1e-2 (the acceptance bound: per-row
-// quantization error is <= maxabs/254 per element before the MLPs).
+// TestWireQuantPredictAccuracy builds a float32 TCP deployment and two
+// with the int8-quantized gather encoding (pooled gathers, and rows mode
+// behind the hot-row cache), and checks every prediction agrees within
+// 1e-2 (the acceptance bound: per-row quantization error is <=
+// maxabs/254 per element before the MLPs).
 func TestWireQuantPredictAccuracy(t *testing.T) {
 	cfg := liveConfig()
 	m, stats, gen := buildFixture(t, cfg)
-	exact, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP})
+	bounds := []int64{50, 200, cfg.RowsPerTable}
+	exact, err := BuildElastic(m, stats, bounds, BuildOptions{Transport: TransportTCP})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer exact.Close()
-	quant, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, WireQuant: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer quant.Close()
-	for i := 0; i < 24; i++ {
-		req := makeRequest(cfg, gen, uint64(2000+i))
-		var got, want PredictReply
-		if err := quant.Predict(bg, req, &got); err != nil {
-			t.Fatal(err)
-		}
-		if err := exact.Predict(bg, req, &want); err != nil {
-			t.Fatal(err)
-		}
-		for j := range want.Probs {
-			if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-2 {
-				t.Fatalf("req %d input %d: quantized %v drifted from float32 %v", i, j, got.Probs[j], want.Probs[j])
+	for _, c := range []struct {
+		name string
+		opts BuildOptions
+	}{
+		{"pooled", BuildOptions{Transport: TransportTCP, WireQuant: true}},
+		// Gather path v2 with the hot-row cache on: int8 frames,
+		// rows-mode requests and the zero-copy AppendGatherRows reply
+		// encoder all run on one wire.
+		{"rows-cache", BuildOptions{Transport: TransportTCP, WireQuant: true, RowCacheBytes: 1 << 19}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			quant, err := BuildElastic(m.Clone(), stats, bounds, c.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-// TestWireFP16PredictAccuracy builds twin TCP deployments — one with the
-// half-precision gather-reply encoding, one float32 — and checks every
-// prediction agrees within 1e-2: binary16 keeps ~3 decimal digits per
-// element, and the pooled sums average the per-row rounding out before
-// the MLPs. The fp16 variant also runs gather path v2 with the hot-row
-// cache on, so fp16 frames, rows-mode requests and the zero-copy reply
-// encoder are all exercised on one wire.
-func TestWireFP16PredictAccuracy(t *testing.T) {
-	cfg := liveConfig()
-	m, stats, gen := buildFixture(t, cfg)
-	exact, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exact.Close()
-	half, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, WireFP16: true, RowCacheBytes: 1 << 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer half.Close()
-	for i := 0; i < 24; i++ {
-		req := makeRequest(cfg, gen, uint64(3000+i))
-		var got, want PredictReply
-		if err := half.Predict(bg, req, &got); err != nil {
-			t.Fatal(err)
-		}
-		if err := exact.Predict(bg, req, &want); err != nil {
-			t.Fatal(err)
-		}
-		for j := range want.Probs {
-			if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-2 {
-				t.Fatalf("req %d input %d: fp16 %v drifted from float32 %v", i, j, got.Probs[j], want.Probs[j])
+			defer quant.Close()
+			for i := 0; i < 24; i++ {
+				req := makeRequest(cfg, gen, uint64(2000+i))
+				var got, want PredictReply
+				if err := quant.Predict(bg, req, &got); err != nil {
+					t.Fatal(err)
+				}
+				if err := exact.Predict(bg, req, &want); err != nil {
+					t.Fatal(err)
+				}
+				for j := range want.Probs {
+					if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-2 {
+						t.Fatalf("req %d input %d: quantized %v drifted from float32 %v", i, j, got.Probs[j], want.Probs[j])
+					}
+				}
 			}
-		}
-	}
-	if _, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, WireQuant: true, WireFP16: true}); err == nil {
-		t.Fatal("WireQuant+WireFP16 accepted; the encodings are mutually exclusive")
+		})
 	}
 }
 
