@@ -1,17 +1,16 @@
 // Package bucketize implements Sec. IV-C: translating a query's
 // index/offset arrays, expressed against the original (hotness-sorted)
 // embedding table, into per-shard index/offset arrays whose IDs are
-// rebased to each shard's local index space (Fig. 11). It also provides
-// the inverse reduction — merging the per-shard pooled partial sums back
-// into the full pooled embedding — which is exact because sum-pooling is
-// associative and commutative.
+// rebased to each shard's local index space (Fig. 11). The inverse
+// reduction — summing the per-shard pooled partial sums back into the full
+// pooled embedding — is exact because sum-pooling is associative and
+// commutative.
 package bucketize
 
 import (
 	"fmt"
 
 	"repro/internal/embedding"
-	"repro/internal/tensor"
 )
 
 // Split partitions batch across the shards described by boundaries (the
@@ -112,49 +111,4 @@ func ShardOf(idx int64, boundaries []int64) int {
 		}
 	}
 	return lo
-}
-
-// MergePooled sums the per-shard pooled outputs into dst. Each part must
-// have dst's shape (batchSize x dim); parts[s].Row(i) is shard s's partial
-// sum for input i. Because the embedding layer pools with element-wise
-// addition, summing partial pools reconstructs the monolithic result
-// exactly.
-func MergePooled(dst *tensor.Matrix, parts []*tensor.Matrix) error {
-	if dst == nil {
-		return fmt.Errorf("bucketize: nil destination")
-	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for s, part := range parts {
-		if part == nil {
-			return fmt.Errorf("bucketize: nil part %d", s)
-		}
-		if part.Rows != dst.Rows || part.Cols != dst.Cols {
-			return fmt.Errorf("bucketize: part %d shape %dx%d != dst %dx%d",
-				s, part.Rows, part.Cols, dst.Rows, dst.Cols)
-		}
-		for i, v := range part.Data {
-			dst.Data[i] += v
-		}
-	}
-	return nil
-}
-
-// LookupCounts returns how many gathers each shard receives for the batch,
-// without materialising the split — used by the simulator to charge
-// per-shard gather work.
-func LookupCounts(batch *embedding.Batch, boundaries []int64) ([]int64, error) {
-	if len(boundaries) == 0 {
-		return nil, fmt.Errorf("bucketize: no shard boundaries")
-	}
-	rows := boundaries[len(boundaries)-1]
-	counts := make([]int64, len(boundaries))
-	for _, idx := range batch.Indices {
-		if idx < 0 || idx >= rows {
-			return nil, fmt.Errorf("bucketize: index %d outside table of %d rows", idx, rows)
-		}
-		counts[ShardOf(idx, boundaries)]++
-	}
-	return counts, nil
 }

@@ -124,60 +124,6 @@ func TestShardOfMatchesSortSearch(t *testing.T) {
 	}
 }
 
-func TestLookupCounts(t *testing.T) {
-	batch := &embedding.Batch{
-		Indices: []int64{1, 7, 3, 4, 8},
-		Offsets: []int32{0, 2},
-	}
-	counts, err := LookupCounts(batch, []int64{6, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[0] != 3 || counts[1] != 2 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if _, err := LookupCounts(batch, nil); err == nil {
-		t.Fatal("want error for no boundaries")
-	}
-	if _, err := LookupCounts(&embedding.Batch{Indices: []int64{99}, Offsets: []int32{0}}, []int64{10}); err == nil {
-		t.Fatal("want range error")
-	}
-}
-
-func TestMergePooledValidation(t *testing.T) {
-	dst := tensor.NewMatrix(2, 2)
-	if err := MergePooled(nil, nil); err == nil {
-		t.Fatal("want error for nil dst")
-	}
-	if err := MergePooled(dst, []*tensor.Matrix{nil}); err == nil {
-		t.Fatal("want error for nil part")
-	}
-	if err := MergePooled(dst, []*tensor.Matrix{tensor.NewMatrix(1, 2)}); err == nil {
-		t.Fatal("want error for shape mismatch")
-	}
-}
-
-func TestMergePooledSums(t *testing.T) {
-	dst := tensor.NewMatrix(1, 2)
-	a := tensor.NewMatrix(1, 2)
-	b := tensor.NewMatrix(1, 2)
-	copy(a.Data, []float32{1, 2})
-	copy(b.Data, []float32{10, 20})
-	if err := MergePooled(dst, []*tensor.Matrix{a, b}); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Data[0] != 11 || dst.Data[1] != 22 {
-		t.Fatalf("merged = %v", dst.Data)
-	}
-	// dst is overwritten, not accumulated.
-	if err := MergePooled(dst, []*tensor.Matrix{a}); err != nil {
-		t.Fatal(err)
-	}
-	if dst.Data[0] != 1 {
-		t.Fatal("MergePooled must reset dst")
-	}
-}
-
 // The paper's central correctness requirement: bucketized gathers over the
 // partitioned shards, merged back, must equal the monolithic gather-pool.
 func TestSplitGatherMergeEquivalenceProperty(t *testing.T) {
@@ -218,12 +164,12 @@ func TestSplitGatherMergeEquivalenceProperty(t *testing.T) {
 			return false
 		}
 
-		// Sharded: split, gather per shard slice, merge.
+		// Sharded: split, gather per shard slice, sum the partial pools.
 		parts, err := Split(batch, boundaries)
 		if err != nil {
 			return false
 		}
-		pooled := make([]*tensor.Matrix, len(parts))
+		got := tensor.NewMatrix(batchSize, dim)
 		lo := int64(0)
 		for s, part := range parts {
 			hi := boundaries[s]
@@ -235,12 +181,10 @@ func TestSplitGatherMergeEquivalenceProperty(t *testing.T) {
 			if shard.GatherPoolBatch(out, part) != nil {
 				return false
 			}
-			pooled[s] = out
+			for i, v := range out.Data {
+				got.Data[i] += v
+			}
 			lo = hi
-		}
-		got := tensor.NewMatrix(batchSize, dim)
-		if MergePooled(got, pooled) != nil {
-			return false
 		}
 		for i := range got.Data {
 			diff := float64(got.Data[i] - want.Data[i])

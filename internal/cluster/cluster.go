@@ -39,17 +39,6 @@ func NewAutoProvisioned(template ResourceSpec) *Cluster {
 	return c
 }
 
-// AddNodes provisions n identical nodes.
-func (c *Cluster) AddNodes(n int, capacity ResourceSpec) {
-	for i := 0; i < n; i++ {
-		c.nextNodeID++
-		c.nodes = append(c.nodes, NewNode(fmt.Sprintf("node-%d", c.nextNodeID), capacity))
-	}
-}
-
-// Nodes returns the provisioned nodes.
-func (c *Cluster) Nodes() []*Node { return c.nodes }
-
 // NodesInUse returns the number of nodes hosting at least one pod — the
 // server count of Figs. 15 and 18.
 func (c *Cluster) NodesInUse() int {
@@ -144,16 +133,6 @@ func (c *Cluster) Deployment(name string) (*Deployment, bool) {
 	return d, ok
 }
 
-// Deployments lists deployment names in sorted order.
-func (c *Cluster) Deployments() []string {
-	names := make([]string, 0, len(c.deployments))
-	for n := range c.deployments {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Scale adjusts a deployment to the desired replica count at virtual time
 // now. Scale-ups create Starting pods that become Ready after ColdStart;
 // scale-downs remove the newest pods first (they are least likely to be
@@ -212,59 +191,6 @@ func (c *Cluster) Tick(now time.Duration) {
 	}
 }
 
-// FailNode removes a node from the cluster at virtual time now: its pods
-// are evicted and rescheduled onto the remaining capacity (or onto fresh
-// nodes under auto-provisioning), restarting their cold-start timers —
-// the node-loss behaviour a Kubernetes ReplicaSet recovers from. Pods that
-// cannot be rescheduled are dropped from their deployments and reported.
-func (c *Cluster) FailNode(name string, now time.Duration) (rescheduled, lost []string, err error) {
-	idx := -1
-	var node *Node
-	for i, n := range c.nodes {
-		if n.Name == name {
-			idx, node = i, n
-			break
-		}
-	}
-	if node == nil {
-		return nil, nil, fmt.Errorf("cluster: unknown node %q", name)
-	}
-	var evicted []*Pod
-	for _, p := range node.pods {
-		evicted = append(evicted, p)
-	}
-	sort.Slice(evicted, func(i, j int) bool { return evicted[i].Name < evicted[j].Name })
-	for _, p := range evicted {
-		node.release(p)
-	}
-	c.nodes = append(c.nodes[:idx], c.nodes[idx+1:]...)
-
-	for _, p := range evicted {
-		d := c.deployments[p.Deployment]
-		p.Phase = PodStarting
-		if d != nil {
-			p.ReadyAt = now + d.ColdStart
-		}
-		if err := c.schedule(p); err != nil {
-			// No capacity anywhere: the replica is lost until the next
-			// scale-up re-creates it.
-			lost = append(lost, p.Name)
-			delete(c.pods, p.Name)
-			if d != nil {
-				for i, dp := range d.pods {
-					if dp == p {
-						d.pods = append(d.pods[:i], d.pods[i+1:]...)
-						break
-					}
-				}
-			}
-			continue
-		}
-		rescheduled = append(rescheduled, p.Name)
-	}
-	return rescheduled, lost, nil
-}
-
 // Replicas returns desired (scheduled) and ready replica counts.
 func (d *Deployment) Replicas() (desired, ready int) {
 	desired = len(d.pods)
@@ -275,6 +201,3 @@ func (d *Deployment) Replicas() (desired, ready int) {
 	}
 	return desired, ready
 }
-
-// Pods returns the deployment's pods (shared slice; do not mutate).
-func (d *Deployment) Pods() []*Pod { return d.pods }

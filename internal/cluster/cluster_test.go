@@ -153,10 +153,6 @@ func TestDeploymentsListing(t *testing.T) {
 	c := NewAutoProvisioned(gbSpec(64000, 384, 0))
 	_, _ = c.CreateDeployment("b", gbSpec(100, 1, 0), 0, 1, 0)
 	_, _ = c.CreateDeployment("a", gbSpec(100, 1, 0), 0, 1, 0)
-	names := c.Deployments()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Deployments = %v", names)
-	}
 	if _, ok := c.Deployment("a"); !ok {
 		t.Fatal("lookup failed")
 	}
@@ -367,69 +363,6 @@ func TestHPARespectsMinMax(t *testing.T) {
 	}
 }
 
-func TestFailNodeReschedules(t *testing.T) {
-	c := NewAutoProvisioned(gbSpec(4000, 16, 0))
-	d, err := c.CreateDeployment("a", gbSpec(3000, 8, 0), 10*time.Second, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Tick(10 * time.Second)
-	if _, ready := d.Replicas(); ready != 3 {
-		t.Fatalf("ready = %d", ready)
-	}
-	victim := c.Nodes()[0].Name
-	rescheduled, lost, err := c.FailNode(victim, 20*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lost) != 0 {
-		t.Fatalf("lost pods %v under auto-provisioning", lost)
-	}
-	if len(rescheduled) != 1 {
-		t.Fatalf("rescheduled = %v, want the victim's single pod", rescheduled)
-	}
-	// The evicted pod restarts its cold start.
-	desired, ready := d.Replicas()
-	if desired != 3 || ready != 2 {
-		t.Fatalf("desired=%d ready=%d after failure", desired, ready)
-	}
-	c.Tick(30 * time.Second)
-	if _, ready := d.Replicas(); ready != 3 {
-		t.Fatal("evicted pod must become ready after its cold start")
-	}
-}
-
-func TestFailNodeCapacityExhausted(t *testing.T) {
-	// Fixed two-node cluster, both full: evicted pods are lost.
-	c := New(NewNode("n1", gbSpec(1000, 4, 0)), NewNode("n2", gbSpec(1000, 4, 0)))
-	d, err := c.CreateDeployment("a", gbSpec(1000, 4, 0), 0, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, lost, err := c.FailNode("n1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lost) != 1 {
-		t.Fatalf("lost = %v, want one pod", lost)
-	}
-	if desired, _ := d.Replicas(); desired != 1 {
-		t.Fatalf("desired = %d after losing a replica", desired)
-	}
-	// Scaling back up restores the replica on remaining capacity... which
-	// is full, so it errors.
-	if err := c.Scale("a", 2, 0); err == nil {
-		t.Fatal("want scheduling failure on a full cluster")
-	}
-}
-
-func TestFailNodeUnknown(t *testing.T) {
-	c := NewAutoProvisioned(gbSpec(1000, 4, 0))
-	if _, _, err := c.FailNode("ghost", 0); err == nil {
-		t.Fatal("want unknown-node error")
-	}
-}
-
 // Property: no scheduling sequence may overcommit a node — allocations
 // stay within capacity for every node at every step.
 func TestSchedulingNeverOvercommitsProperty(t *testing.T) {
@@ -458,7 +391,7 @@ func TestSchedulingNeverOvercommitsProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, n := range c.Nodes() {
+		for _, n := range c.nodes {
 			alloc := n.Allocated()
 			if alloc.CPUMilli > n.Capacity.CPUMilli ||
 				alloc.MemBytes > n.Capacity.MemBytes ||
@@ -521,21 +454,21 @@ func TestRepartitionPolicyTrigger(t *testing.T) {
 	p := &RepartitionPolicy{MinSkew: 0.5, MinRequests: 100, MinInterval: time.Minute}
 	now := time.Unix(1000, 0)
 	// Healthy skew (strongly concentrated utility) never fires.
-	if p.ShouldRepartition(0.8, 500, now) {
+	if p.ShouldRepartitionModel("m", 0.8, 500, now) {
 		t.Fatal("healthy skew fired")
 	}
 	// A flattened profile fires only after the warm-up request count.
-	if p.ShouldRepartition(0.1, 50, now) {
+	if p.ShouldRepartitionModel("m", 0.1, 50, now) {
 		t.Fatal("fired during warm-up")
 	}
-	if !p.ShouldRepartition(0.1, 500, now) {
+	if !p.ShouldRepartitionModel("m", 0.1, 500, now) {
 		t.Fatal("stale epoch did not fire")
 	}
 	// Re-firing is suppressed inside MinInterval, allowed after it.
-	if p.ShouldRepartition(0.1, 500, now.Add(30*time.Second)) {
+	if p.ShouldRepartitionModel("m", 0.1, 500, now.Add(30*time.Second)) {
 		t.Fatal("re-fired inside MinInterval")
 	}
-	if !p.ShouldRepartition(0.1, 500, now.Add(2*time.Minute)) {
+	if !p.ShouldRepartitionModel("m", 0.1, 500, now.Add(2*time.Minute)) {
 		t.Fatal("did not re-fire after MinInterval")
 	}
 }

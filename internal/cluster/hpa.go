@@ -131,14 +131,6 @@ func (p *RepartitionPolicy) Forget(model string) {
 	delete(p.lastFire, model)
 }
 
-// ShouldRepartition reports whether the epoch's flattened utility skew
-// justifies a plan swap at wall time now (after served requests in the
-// epoch), and records the firing time when it does. Single-model
-// convenience for ShouldRepartitionModel with an empty model name.
-func (p *RepartitionPolicy) ShouldRepartition(skew float64, served int64, now time.Time) bool {
-	return p.ShouldRepartitionModel("", skew, served, now)
-}
-
 // ShouldRepartitionModel is the per-model trigger: it evaluates the named
 // model's skew and warm-up against the shared thresholds but keeps the
 // firing/interval state per model, so concurrent variants sharing one
@@ -165,13 +157,6 @@ type MetricSample struct {
 	OfferedQPS float64
 	// LatencySeconds is the observed tail latency of the deployment.
 	LatencySeconds float64
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // HPA is one autoscaler instance bound to a cluster deployment. Evaluate
@@ -241,7 +226,7 @@ func (h *HPA) Evaluate(c *Cluster, sample MetricSample, now time.Duration) (int,
 	// Scale-up rate limit (Kubernetes' default scale-up policy: at most
 	// double, or add 4 pods, per control period — whichever is greater).
 	// Without it a saturated latency metric compounds into a runaway.
-	if up := maxInt(current*2, current+4); desired > up {
+	if up := max(current*2, current+4); desired > up {
 		desired = up
 	}
 	if desired < h.Policy.MinReplicas {

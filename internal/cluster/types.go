@@ -60,7 +60,6 @@ type PodPhase string
 
 // Pod lifecycle phases (a deliberately reduced subset of Kubernetes').
 const (
-	PodPending     PodPhase = "Pending"     // accepted, not yet placed
 	PodStarting    PodPhase = "Starting"    // placed, loading parameters
 	PodReady       PodPhase = "Ready"       // serving
 	PodTerminating PodPhase = "Terminating" // draining before removal

@@ -37,7 +37,7 @@ func TestPlanModelWiseStructure(t *testing.T) {
 		t.Fatalf("ParamBytes = %d", s.ParamBytes)
 	}
 	// Replicas cover the target at the bottleneck QPS.
-	bottleneck := pl.Profile.ModelWiseQPS(cfg)
+	bottleneck := min(pl.Profile.DenseQPS(cfg), pl.Profile.MonoSparseQPS(cfg))
 	if float64(s.Replicas)*bottleneck < 100 {
 		t.Fatalf("replicas %d at %v QPS cannot sustain 100", s.Replicas, bottleneck)
 	}
@@ -61,7 +61,7 @@ func TestPlanElasticStructure(t *testing.T) {
 	if plan.Policy != PolicyElastic {
 		t.Fatalf("policy = %v", plan.Policy)
 	}
-	dense := plan.DenseShards()
+	dense := plan.shardsOf(KindDense, KindMonolith)
 	if len(dense) != 1 || dense[0].Kind != KindDense {
 		t.Fatalf("dense shards = %d", len(dense))
 	}
@@ -319,17 +319,18 @@ func TestMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cl.Deployments()) != len(plan.Shards) {
-		t.Fatalf("deployments = %d, want %d", len(cl.Deployments()), len(plan.Shards))
-	}
 	// Before any tick, pods are starting; after the longest cold start
-	// they are all ready.
+	// every shard's deployment has all its replicas ready.
 	cl.Tick(10 * time.Minute)
-	for _, name := range cl.Deployments() {
-		d, _ := cl.Deployment(name)
+	for i := range plan.Shards {
+		s := &plan.Shards[i]
+		d, ok := cl.Deployment(s.Name)
+		if !ok {
+			t.Fatalf("%s: no deployment", s.Name)
+		}
 		desired, ready := d.Replicas()
-		if desired != ready {
-			t.Fatalf("%s: %d desired, %d ready after 10m", name, desired, ready)
+		if desired != s.Replicas || ready != desired {
+			t.Fatalf("%s: %d desired, %d ready after 10m, want %d", s.Name, desired, ready, s.Replicas)
 		}
 	}
 }
@@ -362,7 +363,7 @@ func TestCustomPlannerKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := plan.DenseShards()[0]
+	dense := plan.shardsOf(KindDense, KindMonolith)[0]
 	if dense.HPA.Target != 0.2*HPALatencyFraction {
 		t.Fatalf("custom SLA not honored: %v", dense.HPA.Target)
 	}

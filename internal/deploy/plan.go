@@ -108,9 +108,6 @@ func (p *Plan) TotalReplicas() int {
 	return n
 }
 
-// DenseShards returns the specs servicing dense layers.
-func (p *Plan) DenseShards() []*ShardSpec { return p.shardsOf(KindDense, KindMonolith) }
-
 // EmbeddingShards returns the embedding shard specs.
 func (p *Plan) EmbeddingShards() []*ShardSpec { return p.shardsOf(KindEmbedding) }
 

@@ -120,34 +120,6 @@ func NewCDF(s *AccessStats) *CDF {
 	return &CDF{cum: cum}
 }
 
-// NewCDFFromCounts builds a CDF directly from already-sorted descending
-// counts. It panics if counts increase, to catch callers that forgot the
-// hotness sort.
-func NewCDFFromCounts(sorted []int64) *CDF {
-	var total int64
-	prev := int64(-1)
-	for i, c := range sorted {
-		if prev >= 0 && c > prev {
-			panic(fmt.Sprintf("embedding: NewCDFFromCounts input not sorted descending at %d", i))
-		}
-		prev = c
-		total += c
-	}
-	cum := make([]float64, len(sorted))
-	if total == 0 {
-		for i := range cum {
-			cum[i] = float64(i+1) / float64(len(sorted))
-		}
-		return &CDF{cum: cum}
-	}
-	var run int64
-	for i, c := range sorted {
-		run += c
-		cum[i] = float64(run) / float64(total)
-	}
-	return &CDF{cum: cum}
-}
-
 // Rows returns the number of rows the CDF covers.
 func (c *CDF) Rows() int64 { return int64(len(c.cum)) }
 

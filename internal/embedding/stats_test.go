@@ -153,26 +153,6 @@ func TestCDFProportionalCuts(t *testing.T) {
 	}
 }
 
-func TestNewCDFFromCounts(t *testing.T) {
-	c := NewCDFFromCounts([]int64{4, 3, 2, 1})
-	if math.Abs(c.At(1)-0.4) > 1e-9 {
-		t.Fatalf("At(1) = %v", c.At(1))
-	}
-	zero := NewCDFFromCounts([]int64{0, 0})
-	if math.Abs(zero.At(1)-0.5) > 1e-9 {
-		t.Fatal("all-zero counts must yield uniform CDF")
-	}
-}
-
-func TestNewCDFFromCountsPanicsOnUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on ascending counts")
-		}
-	}()
-	NewCDFFromCounts([]int64{1, 2})
-}
-
 // Property: a CDF is monotonically non-decreasing and RangeProbability
 // partitions: At(j) == sum of adjacent ranges.
 func TestCDFMonotoneProperty(t *testing.T) {

@@ -65,19 +65,6 @@ func (t *Table) Vector(i int64) (tensor.Vector, error) {
 	return tensor.Vector(t.data[off : off+int64(t.Dim)]), nil
 }
 
-// SetVector copies v into row i.
-func (t *Table) SetVector(i int64, v tensor.Vector) error {
-	if len(v) != t.Dim {
-		return fmt.Errorf("embedding: vector dim %d != table dim %d", len(v), t.Dim)
-	}
-	dst, err := t.Vector(i)
-	if err != nil {
-		return err
-	}
-	copy(dst, v)
-	return nil
-}
-
 // Slice returns a new Table containing rows [lo, hi) of t. The returned
 // table shares the backing storage with t (a shard view, not a copy), which
 // mirrors how a shard container holds a contiguous range of a sorted table.
@@ -247,9 +234,6 @@ func (b *Batch) InputIndices(i int) []int64 {
 	}
 	return b.Indices[lo:hi]
 }
-
-// TotalLookups returns the total number of gathers the batch performs.
-func (b *Batch) TotalLookups() int { return len(b.Indices) }
 
 // Clone deep-copies the batch.
 func (b *Batch) Clone() *Batch {

@@ -18,6 +18,16 @@ func mustTable(t *testing.T, rows int64, dim int) *Table {
 	return tab
 }
 
+// setRow writes v into row i through the Vector view.
+func setRow(t *testing.T, tab *Table, i int64, v tensor.Vector) {
+	t.Helper()
+	row, err := tab.Vector(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(row, v)
+}
+
 func TestNewTableValidation(t *testing.T) {
 	if _, err := NewTable("t", 0, 4); err == nil {
 		t.Fatal("want error for zero rows")
@@ -36,9 +46,7 @@ func TestTableSizeBytes(t *testing.T) {
 
 func TestVectorViewAndSet(t *testing.T) {
 	tab := mustTable(t, 4, 2)
-	if err := tab.SetVector(2, tensor.Vector{1, 2}); err != nil {
-		t.Fatal(err)
-	}
+	setRow(t, tab, 2, tensor.Vector{1, 2})
 	v, err := tab.Vector(2)
 	if err != nil {
 		t.Fatal(err)
@@ -52,16 +60,13 @@ func TestVectorViewAndSet(t *testing.T) {
 	if _, err := tab.Vector(-1); !errors.Is(err, ErrIndexRange) {
 		t.Fatalf("want ErrIndexRange, got %v", err)
 	}
-	if err := tab.SetVector(0, tensor.Vector{1}); err == nil {
-		t.Fatal("want dim error")
-	}
 }
 
 func TestGatherPoolHandChecked(t *testing.T) {
 	tab := mustTable(t, 3, 2)
-	_ = tab.SetVector(0, tensor.Vector{1, 10})
-	_ = tab.SetVector(1, tensor.Vector{2, 20})
-	_ = tab.SetVector(2, tensor.Vector{3, 30})
+	setRow(t, tab, 0, tensor.Vector{1, 10})
+	setRow(t, tab, 1, tensor.Vector{2, 20})
+	setRow(t, tab, 2, tensor.Vector{3, 30})
 	dst := make(tensor.Vector, 2)
 	if err := tab.GatherPool(dst, []int64{0, 2, 2}); err != nil {
 		t.Fatal(err)
@@ -83,7 +88,7 @@ func TestGatherPoolErrors(t *testing.T) {
 
 func TestSliceSharesStorage(t *testing.T) {
 	tab := mustTable(t, 10, 2)
-	_ = tab.SetVector(5, tensor.Vector{7, 8})
+	setRow(t, tab, 5, tensor.Vector{7, 8})
 	shard, err := tab.Slice(4, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +104,7 @@ func TestSliceSharesStorage(t *testing.T) {
 		t.Fatalf("shard row = %v", v)
 	}
 	// Mutation through the parent is visible in the shard (shared storage).
-	_ = tab.SetVector(5, tensor.Vector{9, 9})
+	setRow(t, tab, 5, tensor.Vector{9, 9})
 	if v[0] != 9 {
 		t.Fatal("Slice must share storage")
 	}
@@ -116,9 +121,9 @@ func TestSliceValidation(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	tab := mustTable(t, 2, 2)
-	_ = tab.SetVector(0, tensor.Vector{1, 1})
+	setRow(t, tab, 0, tensor.Vector{1, 1})
 	c := tab.Clone()
-	_ = c.SetVector(0, tensor.Vector{5, 5})
+	setRow(t, c, 0, tensor.Vector{5, 5})
 	v, _ := tab.Vector(0)
 	if v[0] != 1 {
 		t.Fatal("Clone must not share storage")
@@ -127,9 +132,9 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestPermute(t *testing.T) {
 	tab := mustTable(t, 3, 1)
-	_ = tab.SetVector(0, tensor.Vector{10})
-	_ = tab.SetVector(1, tensor.Vector{11})
-	_ = tab.SetVector(2, tensor.Vector{12})
+	setRow(t, tab, 0, tensor.Vector{10})
+	setRow(t, tab, 1, tensor.Vector{11})
+	setRow(t, tab, 2, tensor.Vector{12})
 	sorted, err := tab.Permute([]int64{2, 0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +185,8 @@ func TestBatchValidate(t *testing.T) {
 
 func TestBatchAccessors(t *testing.T) {
 	b := &Batch{Indices: []int64{1, 7, 3, 4, 8}, Offsets: []int32{0, 2}}
-	if b.BatchSize() != 2 || b.TotalLookups() != 5 {
-		t.Fatalf("size=%d lookups=%d", b.BatchSize(), b.TotalLookups())
+	if b.BatchSize() != 2 || len(b.Indices) != 5 {
+		t.Fatalf("size=%d lookups=%d", b.BatchSize(), len(b.Indices))
 	}
 	if got := b.InputIndices(0); len(got) != 2 || got[0] != 1 || got[1] != 7 {
 		t.Fatalf("input0 = %v", got)
@@ -199,17 +204,17 @@ func TestBatchAccessors(t *testing.T) {
 func TestGatherPoolBatch(t *testing.T) {
 	tab := mustTable(t, 4, 2)
 	for i := int64(0); i < 4; i++ {
-		_ = tab.SetVector(i, tensor.Vector{float32(i), float32(10 * i)})
+		setRow(t, tab, i, tensor.Vector{float32(i), float32(10 * i)})
 	}
 	b := &Batch{Indices: []int64{0, 1, 2, 3}, Offsets: []int32{0, 2}}
 	out := tensor.NewMatrix(2, 2)
 	if err := tab.GatherPoolBatch(out, b); err != nil {
 		t.Fatal(err)
 	}
-	if out.At(0, 0) != 1 || out.At(0, 1) != 10 {
+	if out.Row(0)[0] != 1 || out.Row(0)[1] != 10 {
 		t.Fatalf("row0 = %v", out.Row(0))
 	}
-	if out.At(1, 0) != 5 || out.At(1, 1) != 50 {
+	if out.Row(1)[0] != 5 || out.Row(1)[1] != 50 {
 		t.Fatalf("row1 = %v", out.Row(1))
 	}
 	bad := tensor.NewMatrix(1, 2)

@@ -41,33 +41,6 @@ func (c *Counter) Value() int64 {
 	return c.n
 }
 
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	mu sync.Mutex
-	v  float64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	g.mu.Lock()
-	g.v = v
-	g.mu.Unlock()
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	g.mu.Lock()
-	g.v += delta
-	g.mu.Unlock()
-}
-
-// Value returns the stored value.
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.v
-}
-
 // GaugeVec is a labeled family of gauges, created on first Set — the
 // shape the serving layer uses for per-epoch, per-shard utility series
 // ("epoch3/t0/s1" → utility) that outlive the epoch that produced them.
@@ -106,13 +79,6 @@ func (g *GaugeVec) Labels() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the number of stored gauges.
-func (g *GaugeVec) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
 }
 
 // QPSMeter measures completed-queries-per-second over a sliding window.
@@ -266,14 +232,6 @@ func (l *LatencyRecorder) Mean() time.Duration {
 		sum += d
 	}
 	return sum / time.Duration(len(l.samples))
-}
-
-// Reset discards all samples.
-func (l *LatencyRecorder) Reset() {
-	l.mu.Lock()
-	l.samples = l.samples[:0]
-	l.seen = 0
-	l.mu.Unlock()
 }
 
 // Histogram counts observations into fixed buckets — the shape the serving

@@ -45,15 +45,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Fatalf("Value = %v, want 1.5", g.Value())
-	}
-}
-
 func TestQPSMeterWindow(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
@@ -181,15 +172,6 @@ func TestLatencyRecorderReservoirBounded(t *testing.T) {
 	q := l.Quantile(0.5)
 	if q < 0 || q > 10*time.Millisecond {
 		t.Fatalf("reservoir P50 = %v outside observed range", q)
-	}
-}
-
-func TestLatencyRecorderReset(t *testing.T) {
-	l := NewLatencyRecorder(8)
-	l.Observe(time.Second)
-	l.Reset()
-	if l.Count() != 0 || l.Quantile(0.5) != 0 {
-		t.Fatal("Reset must clear samples")
 	}
 }
 
@@ -402,7 +384,7 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestGaugeVec(t *testing.T) {
 	g := NewGaugeVec()
-	if g.Len() != 0 || len(g.Labels()) != 0 {
+	if len(g.Labels()) != 0 {
 		t.Fatal("fresh gauge vec not empty")
 	}
 	g.Set("epoch0/t0/s0", 0.75)
@@ -417,9 +399,6 @@ func TestGaugeVec(t *testing.T) {
 	labels := g.Labels()
 	if len(labels) != 2 || labels[0] != "epoch0/t0/s0" || labels[1] != "epoch0/t0/s1" {
 		t.Fatalf("labels = %v", labels)
-	}
-	if g.Len() != 2 {
-		t.Fatalf("len = %d", g.Len())
 	}
 }
 
@@ -437,7 +416,7 @@ func TestGaugeVecConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if g.Len() != 80 {
-		t.Fatalf("len = %d, want 80", g.Len())
+	if n := len(g.Labels()); n != 80 {
+		t.Fatalf("len = %d, want 80", n)
 	}
 }

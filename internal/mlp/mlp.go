@@ -40,17 +40,6 @@ func (l *Layer) Forward(dst, x tensor.Vector) error {
 	return tensor.MatVecBias(dst, l.W, x, l.B)
 }
 
-// FLOPs returns the multiply-accumulate cost of one forward pass through
-// the layer for a single input (2 FLOPs per weight, plus the bias adds).
-func (l *Layer) FLOPs() int64 {
-	return 2*int64(l.W.Rows)*int64(l.W.Cols) + int64(l.W.Rows)
-}
-
-// SizeBytes returns the parameter footprint (weights + biases).
-func (l *Layer) SizeBytes() int64 {
-	return l.W.SizeBytes() + int64(len(l.B))*4
-}
-
 // MLP is a stack of fully-connected layers with ReLU between layers and a
 // linear final layer.
 type MLP struct {
@@ -161,24 +150,6 @@ func (m *MLP) ForwardBatch(s *Scratch, dst, x *tensor.Matrix) error {
 		in = out
 	}
 	return tensor.MatMulBias(dst, m.Layers[last].W, in, m.Layers[last].B)
-}
-
-// FLOPs returns the per-input forward cost of the whole stack.
-func (m *MLP) FLOPs() int64 {
-	var total int64
-	for _, l := range m.Layers {
-		total += l.FLOPs()
-	}
-	return total
-}
-
-// SizeBytes returns the total parameter footprint.
-func (m *MLP) SizeBytes() int64 {
-	var total int64
-	for _, l := range m.Layers {
-		total += l.SizeBytes()
-	}
-	return total
 }
 
 // Clone deep-copies the MLP (fresh scratch buffers, copied weights) so a

@@ -151,23 +151,10 @@ func (m *Model) Clone() *Model {
 	return out
 }
 
-// Interact computes the DLRM pairwise feature interaction: the dot products
-// of every unordered pair among {bottom, pooled[0], ..., pooled[n-1]},
-// concatenated with bottom itself. dst must have length InteractionDim().
-func (m *Model) Interact(dst, bottom tensor.Vector, pooled []tensor.Vector) error {
-	cfg := m.Config
-	if len(pooled) != cfg.NumTables {
-		return fmt.Errorf("model %s: %d pooled vectors, want %d", cfg.Name, len(pooled), cfg.NumTables)
-	}
-	if len(dst) != cfg.InteractionDim() {
-		return fmt.Errorf("model %s: interaction dst %d, want %d", cfg.Name, len(dst), cfg.InteractionDim())
-	}
-	return interact(dst, append([]tensor.Vector{bottom}, pooled...))
-}
-
-// interact writes the dot products of every unordered pair of vecs — the
-// bottom-MLP output first, then one pooled vector per table — followed by
-// vecs[0] itself into dst, whose length the caller has checked.
+// interact computes the DLRM pairwise feature interaction: it writes the
+// dot products of every unordered pair of vecs — the bottom-MLP output
+// first, then one pooled vector per table — followed by vecs[0] itself
+// into dst, whose length (InteractionDim) the caller has checked.
 func interact(dst tensor.Vector, vecs []tensor.Vector) error {
 	k := 0
 	for i := 0; i < len(vecs); i++ {
@@ -395,11 +382,6 @@ func (c Config) TableBytes() int64 {
 // reads from memory (gathered rows across all tables and the batch).
 func (c Config) SparseBytesReadPerQuery() int64 {
 	return int64(c.BatchSize) * int64(c.NumTables) * int64(c.Pooling) * int64(c.EmbeddingDim) * embedding.BytesPerElement
-}
-
-// LookupsPerQuery returns the total embedding gathers one query performs.
-func (c Config) LookupsPerQuery() int64 {
-	return int64(c.BatchSize) * int64(c.NumTables) * int64(c.Pooling)
 }
 
 // OccupancyBreakdown is the Fig. 3(a) decomposition.

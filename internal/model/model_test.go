@@ -155,9 +155,6 @@ func TestAccountingPaperGeometry(t *testing.T) {
 	if math.Abs(occ.DenseFLOPsShare+occ.SparseFLOPsShare-1) > 1e-9 {
 		t.Fatal("FLOPs shares must sum to 1")
 	}
-	if got := cfg.LookupsPerQuery(); got != 32*10*128 {
-		t.Fatalf("LookupsPerQuery = %d", got)
-	}
 	if got := cfg.SparseBytesReadPerQuery(); got != 32*10*128*32*4 {
 		t.Fatalf("SparseBytesReadPerQuery = %d", got)
 	}
@@ -288,7 +285,8 @@ func TestModelClone(t *testing.T) {
 		t.Fatal("clone must predict identically")
 	}
 	// Clone's tables are private copies.
-	_ = c.Tables[0].SetVector(0, make(tensor.Vector, 4))
+	row, _ := c.Tables[0].Vector(0)
+	clear(row)
 	pc2, _ := c.Forward(dense, sparse)
 	pm2, _ := m.Forward(dense, sparse)
 	if pm2 != pm {
@@ -318,24 +316,12 @@ func TestNewDenseOnly(t *testing.T) {
 	if math.IsNaN(float64(p)) {
 		t.Fatal("NaN prediction")
 	}
-}
-
-func TestInteractValidation(t *testing.T) {
-	m, _ := New(tiny(), 1)
-	bottom := make(tensor.Vector, 4)
-	pooled := make([]tensor.Vector, 3)
-	for i := range pooled {
-		pooled[i] = make(tensor.Vector, 4)
-	}
-	dst := make(tensor.Vector, 10)
-	if err := m.Interact(dst, bottom, pooled); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Interact(dst, bottom, pooled[:2]); err == nil {
+	if _, err := m.ForwardPooled(tensor.Vector{1, 2, 3, 4}, pooled[:2]); err == nil {
 		t.Fatal("want pooled arity error")
 	}
-	if err := m.Interact(make(tensor.Vector, 5), bottom, pooled); err == nil {
-		t.Fatal("want dst size error")
+	pooled[1] = make(tensor.Vector, 5)
+	if _, err := m.ForwardPooled(tensor.Vector{1, 2, 3, 4}, pooled); err == nil {
+		t.Fatal("want pooled width error")
 	}
 }
 
@@ -344,15 +330,11 @@ func TestInteractHandChecked(t *testing.T) {
 	cfg.NumTables = 1
 	cfg.EmbeddingDim = 2
 	cfg.BottomMLP = []int{4, 2}
-	m, err := New(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bottom := tensor.Vector{1, 2}
 	pooled := []tensor.Vector{{3, 4}}
 	// InteractionDim = C(2,2)=1 pair + dim 2 = 3.
-	dst := make(tensor.Vector, 3)
-	if err := m.Interact(dst, bottom, pooled); err != nil {
+	dst := make(tensor.Vector, cfg.InteractionDim())
+	if err := interact(dst, append([]tensor.Vector{bottom}, pooled...)); err != nil {
 		t.Fatal(err)
 	}
 	if dst[0] != 11 { // 1*3 + 2*4
@@ -521,7 +503,7 @@ func TestForwardPooledBitExactReference(t *testing.T) {
 		for i := range wantProb {
 			wantBottom[i] = refMLPForward(m.Bottom, dense.Row(i))
 			inter := make(tensor.Vector, cfg.InteractionDim())
-			if err := m.Interact(inter, wantBottom[i], pooled[i]); err != nil {
+			if err := interact(inter, append([]tensor.Vector{wantBottom[i]}, pooled[i]...)); err != nil {
 				t.Fatal(err)
 			}
 			want := refMLPForward(m.Top, inter)

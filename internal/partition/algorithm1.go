@@ -161,16 +161,3 @@ func (c *CostModel) Evaluate(p Plan) ([]ShardEstimate, error) {
 	}
 	return out, nil
 }
-
-// PlanMemory returns the total expected memory of a plan in bytes.
-func (c *CostModel) PlanMemory(p Plan) (float64, error) {
-	ests, err := c.Evaluate(p)
-	if err != nil {
-		return 0, err
-	}
-	var total float64
-	for _, e := range ests {
-		total += e.MemoryBytes
-	}
-	return total, nil
-}

@@ -147,7 +147,7 @@ func (pt *Partitioner) run(rows int64, cost CostFunc, fixed int) (Plan, error) {
 	if fixed > groups {
 		// Cannot produce more non-empty shards than candidate groups;
 		// fall back to one row-group per shard by refining granularity.
-		return (&Partitioner{MaxShards: pt.MaxShards, Granularity: maxInt64(rows/int64(fixed), 1)}).
+		return (&Partitioner{MaxShards: pt.MaxShards, Granularity: max(rows/int64(fixed), 1)}).
 			run(rows, cost, fixed)
 	}
 
@@ -216,11 +216,4 @@ func (pt *Partitioner) run(rows int64, cost CostFunc, fixed int) (Plan, error) {
 		}
 	}
 	return Plan{Boundaries: boundaries, Cost: bestCost}, nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

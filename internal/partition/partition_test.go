@@ -389,16 +389,9 @@ func TestEvaluateAndPlanMemory(t *testing.T) {
 	if math.Abs(nsSum-128) > 1e-6 {
 		t.Fatalf("sum of shard NS = %v, want 128", nsSum)
 	}
-	mem, err := cm.PlanMemory(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mem-total) > 1e-6 {
-		t.Fatalf("PlanMemory = %v, sum = %v", mem, total)
-	}
-	// The DP's reported cost equals the evaluated memory.
-	if math.Abs(mem-plan.Cost) > 1e-6 {
-		t.Fatalf("plan cost %v != evaluated %v", plan.Cost, mem)
+	// The DP's reported cost equals the summed evaluated memory.
+	if math.Abs(total-plan.Cost) > 1e-6 {
+		t.Fatalf("plan cost %v != evaluated %v", plan.Cost, total)
 	}
 	if _, err := cm.Evaluate(Plan{}); err == nil {
 		t.Fatal("want error for invalid plan")

@@ -118,20 +118,6 @@ func TestFigure9DimensionOrdering(t *testing.T) {
 	}
 }
 
-func TestModelWiseQPSIsBottleneck(t *testing.T) {
-	p := CPUOnlyProfile()
-	for _, cfg := range model.StateOfTheArt() {
-		mw := p.ModelWiseQPS(cfg)
-		want := math.Min(p.DenseQPS(cfg), p.MonoSparseQPS(cfg))
-		if mw != want {
-			t.Fatalf("%s: ModelWiseQPS = %v, want min %v", cfg.Name, mw, want)
-		}
-		if p.ModelWiseLatency(cfg) != p.DenseLatency(cfg)+p.MonoSparseLatency(cfg) {
-			t.Fatalf("%s: latency must sum stages", cfg.Name)
-		}
-	}
-}
-
 func TestElasticLatencyExceedsStages(t *testing.T) {
 	p := CPUOnlyProfile()
 	cfg := model.RM1()
@@ -280,15 +266,6 @@ func TestBuildQPSModel(t *testing.T) {
 	}
 	if e := MeanAbsRelError(m, p.SweepGatherQPS(32, 32, []int{2, 33, 77, 111})); e > 1e-6 {
 		t.Fatalf("default regression error %v", e)
-	}
-}
-
-func TestLatencyOf(t *testing.T) {
-	if LatencyOf(100) != 10*time.Millisecond {
-		t.Fatal("LatencyOf(100) != 10ms")
-	}
-	if LatencyOf(0) <= 0 {
-		t.Fatal("zero QPS must map to a huge latency")
 	}
 }
 

@@ -220,23 +220,6 @@ func (p *Profile) RPCLatency(payloadBytes int64) time.Duration {
 	return p.RPCBase + time.Duration(float64(payloadBytes)/p.Node.NetBytesPerSec*float64(time.Second))
 }
 
-// ModelWiseQPS returns the throughput of one model-wise replica: the
-// pipeline is bounded by its slowest stage (Fig. 4's 50-vs-100 example).
-func (p *Profile) ModelWiseQPS(cfg model.Config) float64 {
-	d := p.DenseQPS(cfg)
-	s := p.MonoSparseQPS(cfg)
-	if s < d {
-		return s
-	}
-	return d
-}
-
-// ModelWiseLatency returns the end-to-end per-query latency of one
-// model-wise replica (stages traversed serially).
-func (p *Profile) ModelWiseLatency(cfg model.Config) time.Duration {
-	return p.DenseLatency(cfg) + p.MonoSparseLatency(cfg)
-}
-
 // ElasticLatency returns the end-to-end latency of a sharded query: dense
 // compute plus the slowest embedding shard (fan-out is concurrent) plus
 // request/response RPCs and the per-shard fan-out cost, with

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // ProfilePoint is one sample of the Fig. 9 profiling sweep: the measured
@@ -204,12 +203,4 @@ func MeanAbsRelError(m QPSModel, truth []ProfilePoint) float64 {
 		sum += math.Abs(m.QPS(p.Gathers)-p.QPS) / p.QPS
 	}
 	return sum / float64(len(truth))
-}
-
-// LatencyOf is a helper converting a QPS into a per-query duration.
-func LatencyOf(qps float64) time.Duration {
-	if qps <= 0 {
-		return time.Duration(math.MaxInt64)
-	}
-	return time.Duration(float64(time.Second) / qps)
 }

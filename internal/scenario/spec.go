@@ -105,10 +105,10 @@ type ModelSpec struct {
 	WindowQueries int `json:"window_queries"`
 	// Locality overrides the power-law locality P (default: RM1's).
 	Locality float64 `json:"locality"`
-	// Trace, when set, replays a recorded access trace (CSV, see
-	// internal/workload WriteTrace/ReadTrace; resolved relative to the
-	// spec file) as the variant's access distribution instead of the
-	// synthetic power law.
+	// Trace, when set, replays a recorded access trace (CSV of row,count
+	// read by internal/workload ReadTrace; resolved relative to the spec
+	// file) as the variant's access distribution instead of the synthetic
+	// power law.
 	Trace string `json:"trace"`
 	// Transport is "tcp" (default: real loopback microservices) or
 	// "local" (in-process, used by unit tests).

@@ -118,9 +118,6 @@ func NewModelBatcher(name string, backend PredictClient, cfg model.Config, opts 
 	return b
 }
 
-// Options returns the effective (defaulted) options.
-func (b *Batcher) Options() BatcherOptions { return b.opts }
-
 // Model returns the canonical model name the batcher serves.
 func (b *Batcher) Model() string { return b.model }
 

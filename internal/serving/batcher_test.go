@@ -516,41 +516,6 @@ func TestConcurrentPredictThroughputScaling(t *testing.T) {
 	}
 }
 
-// TestStressPredictThroughBatcher drives the Sec. IV-D stress ramp through
-// the dynamic batcher so the QPSmax methodology covers the fused pipeline.
-func TestStressPredictThroughBatcher(t *testing.T) {
-	cfg := liveConfig()
-	m, stats, gen := buildFixture(t, cfg)
-	ld, err := BuildElastic(m, stats, []int64{100, cfg.RowsPerTable}, BuildOptions{
-		Batching: &BatcherOptions{MaxBatch: 16, MaxDelay: 200 * time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ld.Close()
-	seed := uint64(0)
-	var mu sync.Mutex
-	newReq := func() *PredictRequest {
-		mu.Lock()
-		defer mu.Unlock() // the query generator is not concurrency-safe
-		seed++
-		return makeRequest(cfg, gen, seed)
-	}
-	res, err := StressPredict(context.Background(), ld, newReq, StressOptions{
-		MaxConcurrency:   4,
-		RequestsPerLevel: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.QPSMax <= 0 || len(res.Samples) == 0 {
-		t.Fatalf("stress result: %+v", res)
-	}
-	if ld.Batcher.Batches.Value() == 0 {
-		t.Fatal("stress traffic never reached the batcher")
-	}
-}
-
 // TestBatchContextUsesEarliestDeadline pins the fused-call deadline rule:
 // the fused context is bounded by the EARLIEST batchmate deadline, so no
 // request in the batch can execute past its own budget (the old rule took

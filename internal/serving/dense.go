@@ -124,9 +124,6 @@ func (d *DenseShard) Config() model.Config { return d.cfg }
 // Model returns the canonical model name the shard serves.
 func (d *DenseShard) Model() string { return d.model }
 
-// Router returns the routing layer the shard consults.
-func (d *DenseShard) Router() *Router { return d.router }
-
 // gatherCall is one (table, shard) RPC of the fan-out. In rows mode miss
 // records, per requested row, its absolute position in the uniq buffer so
 // the reply rows scatter straight back into the row-view table.

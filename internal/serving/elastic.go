@@ -665,10 +665,6 @@ func (ld *LiveDeployment) Boundaries() []int64 { return ld.Table().Plan }
 // Pre returns the current epoch's preprocessing output.
 func (ld *LiveDeployment) Pre() *Preprocessed { return ld.Table().Pre }
 
-// Pool returns the replica pool of shard s of table t in the current
-// epoch.
-func (ld *LiveDeployment) Pool(t, s int) *ReplicaPool { return ld.Table().Pools[t][s] }
-
 // Shard returns the primary shard service of shard s of table t in the
 // current epoch.
 func (ld *LiveDeployment) Shard(t, s int) *EmbeddingShard { return ld.Table().Shards[t][s] }

@@ -285,7 +285,9 @@ func TestPredictFailsWhenShardUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld.Router.Publish(broken)
+	if _, err := ld.Router.PublishModel(DefaultModel, broken); err != nil {
+		t.Fatal(err)
+	}
 	req := makeRequest(cfg, gen, 1)
 	var reply PredictReply
 	if err := ld.Predict(bg, req, &reply); err == nil {

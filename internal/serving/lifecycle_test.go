@@ -165,7 +165,15 @@ func TestLifecycleDeployUndeployUnderFire(t *testing.T) {
 				if got := md.Router.SwapsFor("c"); got != 0 {
 					fail("cycle %d: redeployed c has %d swaps, want 0", cycle, got)
 				}
-				rtC := ldC.Table()
+				// Collect the variant's shard units while its epoch still
+				// holds them: Close drops the epoch's unit list.
+				var unitsC []*shardUnit
+				for _, row := range ldC.Table().units {
+					unitsC = append(unitsC, row...)
+				}
+				if len(unitsC) == 0 {
+					fail("cycle %d: c's epoch holds no shard units", cycle)
+				}
 				for i, req := range reqsC {
 					var reply PredictReply
 					if err := md.Predict(bg, req, &reply); err != nil {
@@ -186,11 +194,9 @@ func TestLifecycleDeployUndeployUnderFire(t *testing.T) {
 				// Fully released: no epoch reference, no plan-cache
 				// reference — every shard unit of the retired variant is
 				// torn down.
-				for tb := 0; tb < cfgC.NumTables; tb++ {
-					for s := 0; s < rtC.NumShards(tb); s++ {
-						if refs := rtC.ShardRefs(tb, s); refs != 0 {
-							fail("cycle %d: t%d s%d still holds %d refs after undeploy (plan cache not cleared?)", cycle, tb, s, refs)
-						}
+				for i, u := range unitsC {
+					if refs := u.refs.Load(); refs != 0 {
+						fail("cycle %d: unit %d still holds %d refs after undeploy (plan cache not cleared?)", cycle, i, refs)
 					}
 				}
 				if rt := md.Router.LoadModel("c"); rt != nil {

@@ -377,8 +377,4 @@ func TestModelRepartitionLoopsIndependentCadence(t *testing.T) {
 	if !p.ShouldRepartitionModel("a", 0.1, 10, now.Add(2*time.Hour)) {
 		t.Fatal("model a did not recover after its interval")
 	}
-	// The single-model entry point keys its own state.
-	if !p.ShouldRepartition(0.1, 10, now) {
-		t.Fatal("single-model trigger should fire independently")
-	}
 }

@@ -667,16 +667,8 @@ func (p *ReplicaPool) InjectDelay(d time.Duration) {
 	p.p.delay.Store(int64(d))
 }
 
-// InjectedDelay returns the current injected per-call latency.
-func (p *ReplicaPool) InjectedDelay() time.Duration {
-	return time.Duration(p.p.delay.Load())
-}
-
 // QueueStats snapshots the shard queue's pressure signals.
 func (p *ReplicaPool) QueueStats() QueueStats { return p.p.queueStats() }
-
-// Workers returns the current pull-worker count (0 after Close).
-func (p *ReplicaPool) Workers() int { return int(p.p.workers.Load()) }
 
 // Close drains the pool for epoch teardown: enqueues start failing with
 // ErrPoolClosed, every worker exits (finishing its claimed task first),

@@ -96,8 +96,8 @@ func TestInjectDelayStallsGather(t *testing.T) {
 	var reply GatherReply
 
 	pool.InjectDelay(30 * time.Millisecond)
-	if pool.InjectedDelay() != 30*time.Millisecond {
-		t.Fatalf("InjectedDelay = %v", pool.InjectedDelay())
+	if got := time.Duration(pool.p.delay.Load()); got != 30*time.Millisecond {
+		t.Fatalf("injected delay = %v", got)
 	}
 	start := time.Now()
 	if err := pool.Gather(bg, req, &reply); err != nil {

@@ -70,24 +70,3 @@ func (p *Preprocessed) RemapBatch(t int, b *embedding.Batch) (*embedding.Batch, 
 	}
 	return out, nil
 }
-
-// RemapRequest translates a whole predict request from original to sorted
-// ID space.
-func (p *Preprocessed) RemapRequest(req *PredictRequest) (*PredictRequest, error) {
-	out := &PredictRequest{
-		Model:     req.Model,
-		BatchSize: req.BatchSize,
-		DenseDim:  req.DenseDim,
-		Dense:     req.Dense,
-		Tables:    make([]TableBatch, len(req.Tables)),
-		Deadline:  req.Deadline,
-	}
-	for t, tb := range req.Tables {
-		rb, err := p.RemapBatch(t, &embedding.Batch{Indices: tb.Indices, Offsets: tb.Offsets})
-		if err != nil {
-			return nil, err
-		}
-		out.Tables[t] = TableBatch{Indices: rb.Indices, Offsets: rb.Offsets}
-	}
-	return out, nil
-}

@@ -283,8 +283,8 @@ func TestPullPoolDrainsWorkersOnClose(t *testing.T) {
 	s1, _ := NewEmbeddingShard(0, 0, tab, 0, 16)
 	s2, _ := NewEmbeddingShard(0, 0, tab, 0, 16)
 	pool := NewReplicaPool(s1, s2)
-	if pool.Workers() != 2*DefaultWorkersPerReplica {
-		t.Fatalf("workers = %d, want %d", pool.Workers(), 2*DefaultWorkersPerReplica)
+	if got := pool.QueueStats().Workers; got != 2*DefaultWorkersPerReplica {
+		t.Fatalf("workers = %d, want %d", got, 2*DefaultWorkersPerReplica)
 	}
 	req := &GatherRequest{Indices: []int64{1}, Offsets: []int32{0}}
 	var wg sync.WaitGroup
@@ -302,8 +302,8 @@ func TestPullPoolDrainsWorkersOnClose(t *testing.T) {
 	}
 	pool.Close()
 	wg.Wait()
-	if pool.Workers() != 0 {
-		t.Fatalf("workers = %d after Close, want 0", pool.Workers())
+	if got := pool.QueueStats().Workers; got != 0 {
+		t.Fatalf("workers = %d after Close, want 0", got)
 	}
 	var reply GatherReply
 	if err := pool.Gather(bg, req, &reply); !errors.Is(err, ErrPoolClosed) {

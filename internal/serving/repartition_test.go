@@ -369,7 +369,10 @@ func TestRouterDrainWaitsForInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(rtA)
-	pinned := r.Acquire()
+	pinned, err := r.AcquireModel(DefaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pinned != rtA {
 		t.Fatal("acquire returned wrong epoch")
 	}
@@ -377,7 +380,7 @@ func TestRouterDrainWaitsForInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prev := r.Publish(rtB); prev != rtA {
+	if prev, err := r.PublishModel(DefaultModel, rtB); err != nil || prev != rtA {
 		t.Fatal("publish returned wrong predecessor")
 	}
 	// Drain must time out while the request is pinned...
@@ -393,7 +396,10 @@ func TestRouterDrainWaitsForInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// New acquisitions land on the published epoch.
-	got := r.Acquire()
+	got, err := r.AcquireModel(DefaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer got.release()
 	if got != rtB {
 		t.Fatal("acquire after publish returned the retired epoch")

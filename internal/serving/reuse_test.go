@@ -191,7 +191,7 @@ func TestShardRefcountLifecycle(t *testing.T) {
 	ld.cache.maxAge = 1
 	epoch0 := ld.Table()
 	// Live epoch + cache reference.
-	if got := epoch0.ShardRefs(0, 0); got != 2 {
+	if got := epoch0.units[0][0].refs.Load(); got != 2 {
 		t.Fatalf("epoch-0 shard refs = %d, want 2 (epoch + cache)", got)
 	}
 
@@ -209,10 +209,10 @@ func TestShardRefcountLifecycle(t *testing.T) {
 		t.Fatal("drain should have timed out with a pinned epoch")
 	}
 	epoch1 := ld.Table()
-	if got := epoch1.ShardRefs(0, 0); got != 3 {
+	if got := epoch1.units[0][0].refs.Load(); got != 3 {
 		t.Fatalf("shared shard refs = %d, want 3 (two epochs + cache)", got)
 	}
-	if got := epoch1.ShardRefs(0, 1); got != 2 {
+	if got := epoch1.units[0][1].refs.Load(); got != 2 {
 		t.Fatalf("fresh shard refs = %d, want 2 (epoch + cache)", got)
 	}
 
@@ -220,7 +220,7 @@ func TestShardRefcountLifecycle(t *testing.T) {
 	// retiring table was intentionally leaked to us).
 	pinned.release()
 	epoch0.Close()
-	if got := epoch1.ShardRefs(0, 0); got != 2 {
+	if got := epoch1.units[0][0].refs.Load(); got != 2 {
 		t.Fatalf("after retiring epoch 0, shared shard refs = %d, want 2", got)
 	}
 	// The moved shard of epoch 0 is now held only by the cache; its

@@ -164,7 +164,7 @@ func (rt *RoutingTable) UtilitySkew() float64 {
 	return skew
 }
 
-// release decrements the in-flight count (paired with Router.Acquire).
+// release decrements the in-flight count (paired with Router.AcquireModel).
 func (rt *RoutingTable) release() { rt.inflight.Add(-1) }
 
 // Drain blocks until every in-flight request that acquired this epoch has
@@ -200,17 +200,6 @@ func (rt *RoutingTable) Close() {
 		_ = s.Close()
 	}
 	rt.servers = nil
-}
-
-// ShardRefs returns the reference count of the unit behind shard s of
-// table t: one per routing-table epoch using it plus one while the plan
-// cache keeps it warm (0 when the table was hand-assembled without units).
-// Observability for the epoch-reuse tests.
-func (rt *RoutingTable) ShardRefs(t, s int) int64 {
-	if t >= len(rt.units) || s >= len(rt.units[t]) {
-		return 0
-	}
-	return rt.units[t][s].refs.Load()
 }
 
 // modelRoute is one registered model's slot in the router: its current
@@ -345,8 +334,8 @@ func (r *Router) Load() *RoutingTable { return r.LoadModel(DefaultModel) }
 
 // AcquireModel pins the model's current epoch for one request and returns
 // it; the caller must release() it when the fan-out completes. The
-// increment-then-recheck dance closes the race with Publish: if the table
-// changed while we were incrementing, the drain of the old epoch may
+// increment-then-recheck dance closes the race with PublishModel: if the
+// table changed while we were incrementing, the drain of the old epoch may
 // already be watching the count, so back off and pin the fresh table
 // instead.
 func (r *Router) AcquireModel(mdl string) (*RoutingTable, error) {
@@ -364,17 +353,6 @@ func (r *Router) AcquireModel(mdl string) (*RoutingTable, error) {
 	}
 }
 
-// Acquire pins the default model's current epoch (single-variant
-// convenience; panics when no default model is registered — a router from
-// NewRouter always has one).
-func (r *Router) Acquire() *RoutingTable {
-	rt, err := r.AcquireModel(DefaultModel)
-	if err != nil {
-		panic(err)
-	}
-	return rt
-}
-
 // PublishModel atomically installs next as the model's current epoch and
 // returns the superseded table (drain and close it to finish the swap).
 // Other models' epochs, in-flight requests and counters are untouched.
@@ -388,17 +366,6 @@ func (r *Router) PublishModel(mdl string, next *RoutingTable) (*RoutingTable, er
 	mr.swaps.Inc(1)
 	r.Swaps.Inc(1)
 	return prev, nil
-}
-
-// Publish atomically installs next as the default model's current epoch
-// and returns the superseded table (single-variant convenience; panics
-// when no default model is registered).
-func (r *Router) Publish(next *RoutingTable) *RoutingTable {
-	prev, err := r.PublishModel(DefaultModel, next)
-	if err != nil {
-		panic(err)
-	}
-	return prev
 }
 
 // SwapsFor returns how many plan swaps the model has gone through (0 when

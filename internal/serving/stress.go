@@ -60,36 +60,14 @@ type StressResult struct {
 // StressTest ramps closed-loop concurrency against the client, measuring
 // sustained throughput and P95 at each level, and stops at the tail-latency
 // knee. newReq must return a fresh request for every call (requests may be
-// issued concurrently). Canceling ctx aborts the ramp between levels and
-// fails in-flight gathers through the usual RPC cancellation path.
+// issued concurrently). The ramp checks ctx between concurrency levels, so
+// a canceled stress run stops instead of climbing to MaxConcurrency, and
+// canceling fails in-flight gathers through the usual RPC cancellation
+// path.
 func StressTest(ctx context.Context, client GatherClient, newReq func() *GatherRequest, opts StressOptions) (*StressResult, error) {
 	if client == nil || newReq == nil {
 		return nil, fmt.Errorf("serving: stress test needs a client and a request generator")
 	}
-	return stressRamp(ctx, func() error {
-		var reply GatherReply
-		return client.Gather(ctx, newReq(), &reply)
-	}, opts)
-}
-
-// StressPredict runs the same QPSmax ramp against a predict frontend —
-// the dense shard or its dynamic batcher — so the knee of the end-to-end
-// predict pipeline (gather fan-out + fused dense forward) can be measured
-// the same way sparse shards are.
-func StressPredict(ctx context.Context, client PredictClient, newReq func() *PredictRequest, opts StressOptions) (*StressResult, error) {
-	if client == nil || newReq == nil {
-		return nil, fmt.Errorf("serving: stress test needs a client and a request generator")
-	}
-	return stressRamp(ctx, func() error {
-		var reply PredictReply
-		return client.Predict(ctx, newReq(), &reply)
-	}, opts)
-}
-
-// stressRamp is the shared closed-loop ramp: call issues one request.
-// The ramp checks ctx between concurrency levels so a canceled stress
-// run stops instead of climbing to MaxConcurrency.
-func stressRamp(ctx context.Context, call func() error, opts StressOptions) (*StressResult, error) {
 	opts.defaults()
 	result := &StressResult{}
 	var baselineP95 time.Duration
@@ -113,7 +91,8 @@ func stressRamp(ctx context.Context, call func() error, opts StressOptions) (*St
 				defer wg.Done()
 				for r := 0; r < perWorker; r++ {
 					t0 := time.Now()
-					if err := call(); err != nil {
+					var reply GatherReply
+					if err := client.Gather(ctx, newReq(), &reply); err != nil {
 						mu.Lock()
 						if firstErr == nil {
 							firstErr = err

@@ -134,6 +134,3 @@ func (e *Engine) Run(horizon time.Duration) time.Duration {
 	}
 	return e.now
 }
-
-// Pending returns the number of queued events (diagnostics/tests).
-func (e *Engine) Pending() int { return e.queue.Len() }

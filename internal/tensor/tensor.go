@@ -34,12 +34,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// At returns the element at (r, c).
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
-// Set assigns the element at (r, c).
-func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
-
 // Row returns a view (not a copy) of row r.
 func (m *Matrix) Row(r int) Vector { return Vector(m.Data[r*m.Cols : (r+1)*m.Cols]) }
 
@@ -49,10 +43,6 @@ func (m *Matrix) Clone() *Matrix {
 	copy(out.Data, m.Data)
 	return out
 }
-
-// SizeBytes returns the parameter footprint of the matrix in bytes
-// (4 bytes per float32 element).
-func (m *Matrix) SizeBytes() int64 { return int64(len(m.Data)) * 4 }
 
 // MatVec computes dst = m * x for an m of shape (Rows x Cols) and x of
 // length Cols. dst must have length Rows. It returns ErrShape on mismatch.
@@ -274,27 +264,11 @@ func Sigmoid(v Vector) {
 	}
 }
 
-// Zero clears v in place.
-func Zero(v Vector) {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
 // Clone returns a copy of v.
 func (v Vector) Clone() Vector {
 	out := make(Vector, len(v))
 	copy(out, v)
 	return out
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v Vector) float64 {
-	var acc float64
-	for _, x := range v {
-		acc += float64(x) * float64(x)
-	}
-	return math.Sqrt(acc)
 }
 
 // AlmostEqual reports whether a and b are element-wise equal within eps.

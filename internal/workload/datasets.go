@@ -1,6 +1,6 @@
 package workload
 
-import "fmt"
+import "slices"
 
 // DatasetShape describes the access-distribution geometry of one of the
 // real-world datasets the paper plots in Fig. 6. Rows is the number of
@@ -26,15 +26,6 @@ var (
 // Datasets lists the Fig. 6 presets in paper order.
 func Datasets() []DatasetShape { return []DatasetShape{AmazonBooks, Criteo, MovieLens} }
 
-// Sampler builds the power-law sampler realising the dataset's shape.
-func (d DatasetShape) Sampler() (*PowerLawSampler, error) {
-	s, err := NewPowerLawSampler(d.Rows, d.LocalityP, d.Exponent)
-	if err != nil {
-		return nil, fmt.Errorf("workload: dataset %s: %w", d.Name, err)
-	}
-	return s, nil
-}
-
 // AccessFrequencies simulates draws accesses from the dataset's sampler
 // (scaled down to sampleRows rows when sampleRows > 0, preserving shape)
 // and returns the sorted per-row access frequencies normalised to
@@ -55,52 +46,11 @@ func (d DatasetShape) AccessFrequencies(draws int64, sampleRows int64, seed uint
 	}
 	// Ranks are already hotness-ordered in expectation, but finite sampling
 	// jitters the order; sort descending for the plot.
-	sortDescInt64(counts)
+	slices.Sort(counts)
+	slices.Reverse(counts)
 	out := make([]float64, rows)
 	for i, c := range counts {
 		out[i] = 100 * float64(c) / float64(draws)
 	}
 	return out, nil
-}
-
-func sortDescInt64(v []int64) {
-	// Simple bottom-up merge sort to avoid importing sort for a hot loop;
-	// clarity over micro-optimisation: delegate to sort.Slice equivalent.
-	quickSortDesc(v, 0, len(v)-1)
-}
-
-func quickSortDesc(v []int64, lo, hi int) {
-	for lo < hi {
-		if hi-lo < 12 { // insertion sort for small ranges
-			for i := lo + 1; i <= hi; i++ {
-				for j := i; j > lo && v[j] > v[j-1]; j-- {
-					v[j], v[j-1] = v[j-1], v[j]
-				}
-			}
-			return
-		}
-		mid := v[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for v[i] > mid {
-				i++
-			}
-			for v[j] < mid {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i++
-				j--
-			}
-		}
-		// Recurse into the smaller half, loop on the larger.
-		if j-lo < hi-i {
-			quickSortDesc(v, lo, j)
-			lo = i
-		} else {
-			quickSortDesc(v, i, hi)
-			hi = j
-		}
-	}
 }

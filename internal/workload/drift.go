@@ -47,7 +47,4 @@ func (d *DriftingSampler) SetShift(shift int64) { d.shift.Store(shift) }
 // Advance moves the hot set by delta rows and returns the new offset.
 func (d *DriftingSampler) Advance(delta int64) int64 { return d.shift.Add(delta) }
 
-// Shift returns the current rotation offset.
-func (d *DriftingSampler) Shift() int64 { return d.shift.Load() }
-
 var _ Sampler = (*DriftingSampler)(nil)

@@ -46,8 +46,8 @@ func TestDriftingSamplerRotatesHotSet(t *testing.T) {
 	if got := hottestRow(t, d, 7, 4000); got != 200 {
 		t.Fatalf("hottest row after wrap = %d, want 200 (1200 mod 1000)", got)
 	}
-	if d.Shift() != 1200 {
-		t.Fatalf("Shift = %d", d.Shift())
+	if got := d.shift.Load(); got != 1200 {
+		t.Fatalf("shift = %d", got)
 	}
 }
 

@@ -195,8 +195,8 @@ func TestQueryGeneratorShapes(t *testing.T) {
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if b.BatchSize() != 4 || b.TotalLookups() != 32 {
-		t.Fatalf("batch %d lookups %d", b.BatchSize(), b.TotalLookups())
+	if b.BatchSize() != 4 || len(b.Indices) != 32 {
+		t.Fatalf("batch %d lookups %d", b.BatchSize(), len(b.Indices))
 	}
 	for _, idx := range b.Indices {
 		if idx < 0 || idx >= 1000 {
@@ -204,7 +204,7 @@ func TestQueryGeneratorShapes(t *testing.T) {
 		}
 	}
 	rb := g.NextRanks()
-	if rb.BatchSize() != 4 || rb.TotalLookups() != 32 {
+	if rb.BatchSize() != 4 || len(rb.Indices) != 32 {
 		t.Fatal("NextRanks shape broken")
 	}
 }

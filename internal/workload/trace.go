@@ -9,30 +9,11 @@ import (
 	"repro/internal/embedding"
 )
 
-// This file provides CSV trace interchange: per-row access counts can be
-// exported from a profiling window and re-imported later, standing in for
-// the production access-history pipelines the paper cites ([37], [52]).
+// This file provides CSV trace import: per-row access counts recorded
+// from a profiling window are read back as access statistics, standing in
+// for the production access-history pipelines the paper cites ([37], [52]).
 // The format is two columns: row ID, access count; rows with zero counts
 // may be omitted.
-
-// WriteTrace exports access statistics as CSV.
-func WriteTrace(w io.Writer, stats *embedding.AccessStats) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"row", "count"}); err != nil {
-		return fmt.Errorf("workload: writing trace header: %w", err)
-	}
-	for row, count := range stats.Counts {
-		if count == 0 {
-			continue
-		}
-		rec := []string{strconv.Itoa(row), strconv.FormatInt(count, 10)}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("workload: writing trace row %d: %w", row, err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // ReadTrace imports a CSV trace into access statistics for a table with
 // the given row count. Unknown rows and malformed records are errors; the
@@ -74,27 +55,6 @@ func ReadTrace(r io.Reader, rows int64) (*embedding.AccessStats, error) {
 		}
 		stats.Counts[row] += count
 		stats.Total += count
-	}
-	return stats, nil
-}
-
-// SynthesizeTrace draws `draws` accesses from a sampler (through an
-// optional ID mapping) and returns the resulting statistics — a synthetic
-// stand-in for a production trace with a known locality.
-func SynthesizeTrace(s Sampler, mapping IDMapping, draws int64, seed uint64) (*embedding.AccessStats, error) {
-	if mapping == nil {
-		mapping = IdentityMapping(s.Rows())
-	}
-	if mapping.Rows() != s.Rows() {
-		return nil, fmt.Errorf("workload: mapping rows %d != sampler rows %d", mapping.Rows(), s.Rows())
-	}
-	stats := embedding.NewAccessStats(s.Rows())
-	rng := NewRNG(seed)
-	for i := int64(0); i < draws; i++ {
-		row := mapping.RowOf(s.SampleRank(rng))
-		if err := stats.Record(row); err != nil {
-			return nil, err
-		}
 	}
 	return stats, nil
 }

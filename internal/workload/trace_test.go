@@ -2,8 +2,11 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/embedding"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -11,13 +14,20 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := SynthesizeTrace(s, NewShuffledMapping(1000, 3), 50_000, 7)
-	if err != nil {
-		t.Fatal(err)
+	mapping := NewShuffledMapping(1000, 3)
+	stats := embedding.NewAccessStats(1000)
+	rng := NewRNG(7)
+	for i := 0; i < 50_000; i++ {
+		if err := stats.Record(mapping.RowOf(s.SampleRank(rng))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, stats); err != nil {
-		t.Fatal(err)
+	buf.WriteString("row,count\n")
+	for row, count := range stats.Counts {
+		if count > 0 {
+			fmt.Fprintf(&buf, "%d,%d\n", row, count)
+		}
 	}
 	back, err := ReadTrace(&buf, 1000)
 	if err != nil {
@@ -67,40 +77,5 @@ func TestReadTraceAccumulatesDuplicates(t *testing.T) {
 	}
 	if stats.Counts[3] != 12 || stats.Total != 12 {
 		t.Fatalf("counts=%v total=%d", stats.Counts, stats.Total)
-	}
-}
-
-func TestWriteTraceSkipsZeroRows(t *testing.T) {
-	s, _ := NewPowerLawSampler(100, 0.9, 0.9)
-	stats, err := SynthesizeTrace(s, nil, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, stats); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
-	// Header + at most 10 non-zero rows.
-	if lines > 11 {
-		t.Fatalf("trace has %d lines for 10 draws", lines)
-	}
-}
-
-func TestSynthesizeTraceValidation(t *testing.T) {
-	s, _ := NewPowerLawSampler(100, 0.9, 0.9)
-	if _, err := SynthesizeTrace(s, IdentityMapping(50), 10, 1); err == nil {
-		t.Fatal("want mapping mismatch error")
-	}
-}
-
-func TestSynthesizeTraceLocality(t *testing.T) {
-	s, _ := NewPowerLawSampler(10_000, 0.9, 0.9)
-	stats, err := SynthesizeTrace(s, nil, 200_000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := stats.LocalityP(); p < 0.87 || p > 0.95 {
-		t.Fatalf("locality %v, want ~0.9", p)
 	}
 }

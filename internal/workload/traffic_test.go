@@ -145,7 +145,7 @@ func TestPoissonArrivalsZeroRate(t *testing.T) {
 
 func TestDatasetShapes(t *testing.T) {
 	for _, ds := range Datasets() {
-		s, err := ds.Sampler()
+		s, err := NewPowerLawSampler(ds.Rows, ds.LocalityP, ds.Exponent)
 		if err != nil {
 			t.Fatalf("%s: %v", ds.Name, err)
 		}
