@@ -105,11 +105,13 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The second line vets tensor for a GOARCH without the assembly tile, so the
-# portable tile that such builds run is type-checked on every amd64 vet too.
+# The arm64 lines vet tensor and embedding for a GOARCH without their
+# assembly kernels, so the portable twins that such builds run (and the
+# !amd64 files that select them) are type-checked on every amd64 vet too.
 vet:
 	$(GO) vet ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/tensor/...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/embedding/...
 
 # Documentation lint: every package must carry a godoc package comment
 # (see docs/ARCHITECTURE.md for the layer map the comments plug into).

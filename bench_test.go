@@ -392,6 +392,43 @@ func BenchmarkKernel_GatherPool(b *testing.B) {
 	}
 }
 
+// BenchmarkKernel_GatherPoolServed times the pooled gather at the geometry
+// the gather workloads serve — a 200k x 64 table, batches of 32 bags of 128
+// rows drawn with the benchmark's power-law locality (P = 0.9, s = 0.9) —
+// and reports ns per pooled row. It cycles through 64 pre-drawn batches so
+// the rows touched are not one cache-resident set.
+func BenchmarkKernel_GatherPoolServed(b *testing.B) {
+	const rows, dim, bags, bag, batches = 200_000, 64, 32, 128, 64
+	tab, err := embedding.NewRandomTable("bench", rows, dim, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sampler, err := workload.NewPowerLawSampler(rows, 0.9, 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := workload.NewRNG(2)
+	in := make([]*embedding.Batch, batches)
+	for k := range in {
+		in[k] = &embedding.Batch{Indices: make([]int64, bags*bag), Offsets: make([]int32, bags)}
+		for i := range in[k].Indices {
+			in[k].Indices[i] = sampler.SampleRank(rng)
+		}
+		for i := range in[k].Offsets {
+			in[k].Offsets[i] = int32(i * bag)
+		}
+	}
+	out := tensor.NewMatrix(bags, dim)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tab.GatherPoolBatch(out, in[i%batches]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bags*bag), "ns/row")
+}
+
 // BenchmarkKernel_MatVec times the dense kernel on the two layers that
 // dominate bench-dense — bottom 256->128 (most MACs) and top 42->256 (a
 // width no unroll factor divides) — and reports ns per multiply-accumulate.

@@ -114,30 +114,32 @@ func (t *Table) checkIndices(indices []int64) error {
 }
 
 // pool is the gather-and-pool kernel over already-validated indices
-// (len(dst) == Dim). Rows accumulate four at a time so four independent
-// row streams — four cache misses — are in flight at once and dst is
-// loaded and stored once per group instead of once per row.
+// (len(dst) == Dim). It holds a bag's sum in registers: each column has one
+// accumulator that starts from +0 and adds the rows in index order, and dst
+// is written once at the end. The first Dim&^31 columns run poolCols32 —
+// SSE2 on amd64, 32 columns per pass with the row 8 positions ahead
+// prefetched — and the rest run poolColsGo. Every element's add order is
+// the one-row-at-a-time loop's, so the result is that loop's bit for bit,
+// and dst's old contents are never read. GatherPool, GatherPoolBatch and
+// every caller of theirs (the monolith oracle, the pooled shard gather)
+// pool through this one function.
 func (t *Table) pool(dst []float32, indices []int64) {
-	clear(dst)
-	dim := int64(len(dst))
-	data := t.data
-	for ; len(indices) >= 4; indices = indices[4:] {
-		o0, o1, o2, o3 := indices[0]*dim, indices[1]*dim, indices[2]*dim, indices[3]*dim
-		AddRows4(dst, data[o0:o0+dim], data[o1:o1+dim], data[o2:o2+dim], data[o3:o3+dim])
+	dim := len(dst)
+	c := dim &^ (poolChunk - 1)
+	if c > 0 {
+		poolCols32(dst[:c], t.data, dim, indices)
 	}
-	for _, idx := range indices {
-		o := idx * dim
-		AddRow(dst, data[o:o+dim])
+	if c < dim {
+		poolColsGo(dst[c:], t.data[c:], dim, indices)
 	}
 }
 
 // AddRows4 adds four rows into dst element-wise: dst[j] = (((dst[j] + r0[j])
 // + r1[j]) + r2[j]) + r3[j]. The float32 additions happen in exactly that
 // order — the order of four consecutive AddRow calls — so regrouping a
-// sum-pool into AddRows4 steps never changes a bit of the result; the
-// monolith oracle, the sharded gathers and the rows-mode merge all pool
-// through this one kernel and stay bit-identical to the naive loop. Every
-// row must be at least len(dst) long.
+// sum-pool into AddRows4 steps never changes a bit of the result. It is the
+// rows-mode merge kernel: serving's predictRows adds the fetched rows of a
+// bag through it, by slot. Every row must be at least len(dst) long.
 func AddRows4(dst, r0, r1, r2, r3 []float32) {
 	n := len(dst)
 	r0, r1, r2, r3 = r0[:n], r1[:n], r2[:n], r3[:n]
@@ -152,7 +154,7 @@ func AddRows4(dst, r0, r1, r2, r3 []float32) {
 }
 
 // AddRow adds one row into dst element-wise (the tail step of AddRows4
-// grouping). r must be at least len(dst) long.
+// grouping in the rows-mode merge). r must be at least len(dst) long.
 func AddRow(dst, r []float32) {
 	r = r[:len(dst)]
 	for j := range dst {

@@ -298,55 +298,131 @@ func naiveGatherPool(tab *Table, indices []int64) []float32 {
 	return dst
 }
 
-// TestGatherPoolBitExact pins the order-preserving contract: for every
-// index count around the 4-row grouping and a long tail, odd and even
-// dims, repeated indices and values spanning sixteen orders of magnitude
-// (where float32 addition is far from associative), the kernel's output
-// has the reference loop's exact bits.
+// bitExactCorpora fill a table for TestGatherPoolBitExact from a splitmix64
+// stream: values spanning sixteen orders of magnitude (float32 addition is
+// far from associative there), values near the ends of the float32 range,
+// and IEEE specials mixed with ordinary values.
+var bitExactCorpora = []struct {
+	name string
+	fill func(next func() uint64) float32
+}{
+	{"normal", func(next func() uint64) float32 { return spread(next, 17, 8) }}, // 1e-8 … 1e8
+	{"wide", func(next func() uint64) float32 { return spread(next, 71, 35) }},  // 1e-35 … 1e35
+	{"specials", func(next func() uint64) float32 {
+		// One NaN bit pattern: the default NaN the hardware generates for
+		// Inf + -Inf, which the corpus's infinities produce anyway. Which
+		// payload a sum of two different NaNs keeps depends on operand
+		// order, and the compiler may commute a scalar add, so a second
+		// pattern would test the compiler rather than the kernel.
+		inf := float32(math.Inf(1))
+		specials := []float32{
+			inf + -inf,
+			float32(math.Inf(1)), float32(math.Inf(-1)),
+			math.MaxFloat32, -math.MaxFloat32,
+			math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+			0, float32(math.Copysign(0, -1)),
+		}
+		if next()%4 == 0 {
+			return specials[next()%uint64(len(specials))]
+		}
+		return spread(next, 17, 8)
+	}},
+}
+
+// spread draws ±(1…2)·10^e with e uniform in [-shift, decades-1-shift].
+func spread(next func() uint64, decades, shift uint64) float32 {
+	mag := math.Pow(10, float64(next()%decades)-float64(shift))
+	frac := 1 + float64(next()%1000)/1000
+	if next()%2 == 0 {
+		mag = -mag
+	}
+	return float32(mag * frac)
+}
+
+// TestGatherPoolBitExact pins the order-preserving contract: for every bag
+// length around the kernel's 8-row prefetch distance and a long tail, dims
+// that run only the portable columns (1, 3), only the assembly chunks (32,
+// 64, 96) or both in one call (100), repeated indices and every corpus, the
+// kernel's output has the reference loop's exact bits — NaN included,
+// compared by Float32bits like every other value. The portable kernel is
+// checked over all columns as well, so the path other architectures run is
+// exercised here too.
 func TestGatherPoolBitExact(t *testing.T) {
 	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 129}
 	const rows = 64 // far fewer rows than the long lists: indices repeat
-	for _, dim := range []int{1, 3, 32, 64} {
-		tab := mustTable(t, rows, dim)
-		seed := uint64(dim)
-		next := func() uint64 { // splitmix64
-			seed += 0x9e3779b97f4a7c15
-			z := seed
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			return z ^ (z >> 31)
-		}
-		for i := range tab.data {
-			mag := math.Pow(10, float64(next()%17)-8) // 1e-8 … 1e8
-			frac := 1 + float64(next()%1000)/1000
-			if next()%2 == 0 {
-				mag = -mag
+	for _, corpus := range bitExactCorpora {
+		for _, dim := range []int{1, 3, 32, 64, 96, 100} {
+			tab := mustTable(t, rows, dim)
+			seed := uint64(dim)
+			next := func() uint64 { // splitmix64
+				seed += 0x9e3779b97f4a7c15
+				z := seed
+				z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+				z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+				return z ^ (z >> 31)
 			}
-			tab.data[i] = float32(mag * frac)
-		}
-		for _, n := range counts {
-			indices := make([]int64, n)
-			for i := range indices {
-				indices[i] = int64(next() % rows)
+			for i := range tab.data {
+				tab.data[i] = corpus.fill(next)
 			}
-			if n >= 2 {
-				indices[1] = indices[0] // an adjacent repeat inside one group
-			}
-			want := naiveGatherPool(tab, indices)
-			got := make(tensor.Vector, dim)
-			for i := range got {
-				got[i] = float32(math.NaN()) // stale contents must not leak through
-			}
-			if err := tab.GatherPool(got, indices); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("dim %d, %d indices, element %d: kernel %x (%v) != reference %x (%v)",
-						dim, n, i, math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
+			for _, n := range counts {
+				indices := make([]int64, n)
+				for i := range indices {
+					indices[i] = int64(next() % rows)
+				}
+				if n >= 2 {
+					indices[1] = indices[0] // an adjacent repeat
+				}
+				want := naiveGatherPool(tab, indices)
+				for _, kernel := range []struct {
+					name string
+					run  func(dst []float32) error
+				}{
+					{"GatherPool", func(dst []float32) error { return tab.GatherPool(dst, indices) }},
+					{"poolColsGo", func(dst []float32) error { poolColsGo(dst, tab.data, dim, indices); return nil }},
+				} {
+					got := make(tensor.Vector, dim)
+					for i := range got {
+						got[i] = 7 // stale contents must not leak through
+					}
+					if err := kernel.run(got); err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s, %s corpus, dim %d, %d indices, element %d: kernel %x (%v) != reference %x (%v)",
+								kernel.name, corpus.name, dim, n, i,
+								math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
+						}
+					}
 				}
 			}
 		}
+	}
+}
+
+// A warm pooled gather at the served geometry (dim 64, bags of 128)
+// allocates nothing: validation, the kernel and the output rows all work
+// in place.
+func TestGatherPoolBatchZeroAllocs(t *testing.T) {
+	const bags, bag = 4, 128
+	tab, err := NewRandomTable("t", 10_000, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Batch{Indices: make([]int64, bags*bag), Offsets: make([]int32, bags)}
+	for i := range b.Indices {
+		b.Indices[i] = int64(i*7919) % tab.Rows
+	}
+	for i := range b.Offsets {
+		b.Offsets[i] = int32(i * bag)
+	}
+	out := tensor.NewMatrix(bags, tab.Dim)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tab.GatherPoolBatch(out, b); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm GatherPoolBatch allocated %.1f times per call, want 0", allocs)
 	}
 }
 

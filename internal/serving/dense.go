@@ -680,7 +680,7 @@ func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply
 			// distinguish), killing the 32KB memclr a recycled scratch
 			// would otherwise need per request.
 			copy(dst, rowView[slotBuf[ibase+lo]])
-			// The rest accumulate through the shared pooling kernel, four
+			// The rest accumulate through the rows-mode merge kernel, four
 			// row streams at a time; its add order is the one-row-at-a-time
 			// order, so the grouping changes no bit.
 			slots := slotBuf[ibase+lo+1 : ibase+hi]
