@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-contract fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants lint-deps ci
+.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-contract fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants lint-deps loc ci
 
 build:
 	$(GO) build ./...
@@ -137,5 +137,17 @@ lint-deps:
 		if [ -n "$$found" ]; then \
 			echo "lint-deps: module in $$dir depends on:"; echo "$$found"; exit 1; fi; \
 	done
+
+# Line count of non-test Go: one line per directory under internal/, cmd/
+# and examples/ (subpackages count with their parent, so internal/serving
+# includes wire/), then the total. It only reports; nothing gates on it,
+# and ci does not run it.
+loc:
+	@total=0; for d in internal/* cmd/* examples/*; do \
+		[ -d "$$d" ] || continue; \
+		n=$$(find "$$d" -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		[ "$$n" -gt 0 ] || continue; \
+		printf '%6d  %s\n' "$$n" "$$d"; total=$$((total + n)); \
+	done; printf '%6d  total\n' "$$total"
 
 ci: fmt-check vet lint-doc lint-invariants lint-deps build test-short race race-repartition lifecycle-smoke scenario-smoke scenario-guard bench-smoke bench-contract fuzz-smoke

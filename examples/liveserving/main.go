@@ -4,7 +4,7 @@
 // driven over the admin API.
 //
 // Every embedding shard of every variant runs behind its own TCP
-// server (the stand-in for the paper's gRPC mesh); a round-robin replica
+// server (the stand-in for the paper's gRPC mesh); a pull-based replica
 // pool plays Linkerd; an HPA-style control loop watches each variant's own
 // offered load and scales shard replicas in and out while a Poisson client
 // drives stepped traffic through a single exported predict endpoint

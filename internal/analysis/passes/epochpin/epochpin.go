@@ -1,7 +1,6 @@
 // Package epochpin is the invariant pass enforcing the routing layer's
 // epoch-pinning discipline: every routing table obtained from
-// Router.Acquire or Router.AcquireModel must reach release() on every
-// return path of the acquiring function — via defer, via a release on
+// Router.AcquireModel must reach release() on every return path of the acquiring function — via defer, via a release on
 // each branch, or by an explicit handoff (returning the pinned table,
 // storing it, or passing it on transfers the obligation to the new
 // owner). A pin that can leak keeps the epoch's in-flight refcount
@@ -22,7 +21,7 @@ import (
 func Pass() analysis.Pass {
 	return analysis.Pass{
 		Name: "epochpin",
-		Doc:  "Router.Acquire/AcquireModel results must reach release() (or an explicit handoff) on every return path",
+		Doc:  "Router.AcquireModel results must reach release() (or an explicit handoff) on every return path",
 		Run:  run,
 	}
 }
@@ -39,15 +38,15 @@ func run(u *analysis.Unit, report func(token.Pos, string)) {
 	}
 }
 
-// isAcquire reports whether the call is Router.Acquire/AcquireModel
-// from a package named serving (the fixtures' fake package matches the
-// real one by name).
+// isAcquire reports whether the call is Router.AcquireModel from a
+// package named serving (the fixtures' fake package matches the real one
+// by name).
 func isAcquire(u *analysis.Unit, call *ast.CallExpr) bool {
 	fn := u.CalleeFunc(call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "serving" {
 		return false
 	}
-	if fn.Name() != "Acquire" && fn.Name() != "AcquireModel" {
+	if fn.Name() != "AcquireModel" {
 		return false
 	}
 	return analysis.ReceiverNamed(fn, "Router")

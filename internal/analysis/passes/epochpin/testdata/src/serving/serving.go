@@ -1,5 +1,5 @@
 // Package serving is the epochpin fixture: a miniature Router whose
-// Acquire/AcquireModel methods pin an epoch, plus the release() method
+// AcquireModel method pins an epoch, plus the release() method
 // the pass requires on every path. The pass matches the real routing
 // layer by package name, so this stand-in exercises it end to end.
 package serving
@@ -14,9 +14,6 @@ func (rt *RoutingTable) release() { rt.pinned = false }
 
 // Router hands out pinned routing tables.
 type Router struct{ rt RoutingTable }
-
-// Acquire pins the current epoch.
-func (r *Router) Acquire() *RoutingTable { return &r.rt }
 
 // AcquireModel pins the epoch of one model's table.
 func (r *Router) AcquireModel(model string) (*RoutingTable, error) {

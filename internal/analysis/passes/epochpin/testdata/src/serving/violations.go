@@ -5,15 +5,15 @@ package serving
 import "errors"
 
 func discards(r *Router) {
-	r.Acquire() // want `\[epochpin\] acquired epoch is discarded`
+	r.AcquireModel("m") // want `\[epochpin\] acquired epoch is discarded`
 }
 
 func blankBound(r *Router) {
-	_ = r.Acquire() // want `acquired epoch is discarded`
+	_, _ = r.AcquireModel("m") // want `acquired epoch is discarded`
 }
 
 func earlyReturnLeak(r *Router, ready bool) error {
-	rt := r.Acquire()
+	rt, _ := r.AcquireModel("m")
 	if !ready {
 		return errors.New("not ready") // want `this return path drops the pin`
 	}
@@ -22,19 +22,19 @@ func earlyReturnLeak(r *Router, ready bool) error {
 }
 
 func fallsOffEnd(r *Router) { // the leak is reported at the acquire below
-	rt := r.Acquire() // want `function can fall off the end`
+	rt, _ := r.AcquireModel("m") // want `function can fall off the end`
 	_ = rt.pinned
 }
 
 func nestedLeak(r *Router, retry bool) {
 	if retry {
-		rt := r.Acquire() // want `no release or handoff follows the acquire`
+		rt, _ := r.AcquireModel("m") // want `no release or handoff follows the acquire`
 		_ = rt.pinned
 	}
 }
 
 func okDefer(r *Router, q []int) int {
-	rt := r.Acquire()
+	rt, _ := r.AcquireModel("m")
 	defer rt.release()
 	return len(q)
 }
@@ -49,7 +49,7 @@ func okErrBranch(r *Router, model string) error {
 }
 
 func okAllBranches(r *Router, fast bool) int {
-	rt := r.Acquire()
+	rt, _ := r.AcquireModel("m")
 	if fast {
 		rt.release()
 		return 1
@@ -59,12 +59,12 @@ func okAllBranches(r *Router, fast bool) int {
 }
 
 func okHandoff(r *Router) *RoutingTable {
-	rt := r.Acquire()
+	rt, _ := r.AcquireModel("m")
 	return rt // the caller inherits the release obligation
 }
 
 func okGoroutineHandoff(r *Router, done chan struct{}) {
-	rt := r.Acquire()
+	rt, _ := r.AcquireModel("m")
 	go func() {
 		defer rt.release()
 		<-done
@@ -73,6 +73,6 @@ func okGoroutineHandoff(r *Router, done chan struct{}) {
 
 func suppressedLeak(r *Router) {
 	//lint:escape epochpin the drain-timeout path abandons the epoch on purpose
-	rt := r.Acquire()
+	rt, _ := r.AcquireModel("m")
 	_ = rt.pinned
 }

@@ -107,8 +107,6 @@ type Deployment struct {
 	// ColdStart is how long a new pod takes to become Ready
 	// (parameter-load dominated; Sec. VI-D).
 	ColdStart time.Duration
-	// MaxReplicas caps scaling (0 = unlimited).
-	MaxReplicas int
 
 	pods []*Pod
 }
@@ -144,9 +142,6 @@ func (c *Cluster) Scale(name string, replicas int, now time.Duration) error {
 	}
 	if replicas < 0 {
 		return fmt.Errorf("cluster: negative replica count %d", replicas)
-	}
-	if d.MaxReplicas > 0 && replicas > d.MaxReplicas {
-		replicas = d.MaxReplicas
 	}
 	for len(d.pods) < replicas {
 		c.nextPodID++

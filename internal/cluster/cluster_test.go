@@ -161,21 +161,6 @@ func TestDeploymentsListing(t *testing.T) {
 	}
 }
 
-func TestMaxReplicasCap(t *testing.T) {
-	c := NewAutoProvisioned(gbSpec(64000, 384, 0))
-	d, err := c.CreateDeployment("a", gbSpec(100, 1, 0), 0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.MaxReplicas = 3
-	if err := c.Scale("a", 10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if desired, _ := d.Replicas(); desired != 3 {
-		t.Fatalf("desired = %d, want capped 3", desired)
-	}
-}
-
 // --- HPA tests ---
 
 func TestHPAPolicyValidation(t *testing.T) {
@@ -430,23 +415,6 @@ func TestScaleUpDownConservesResourcesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRepartitionPolicyValidate(t *testing.T) {
-	good := &RepartitionPolicy{MinSkew: 0.5, MinRequests: 100, MinInterval: time.Minute}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []*RepartitionPolicy{
-		{MinSkew: 0},
-		{MinSkew: 1.5},
-		{MinSkew: 0.5, MinRequests: -1},
-		{MinSkew: 0.5, MinInterval: -time.Second},
-	} {
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("policy %+v must not validate", bad)
-		}
 	}
 }
 

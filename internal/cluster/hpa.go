@@ -105,20 +105,6 @@ type RepartitionPolicy struct {
 	lastFire map[string]time.Time
 }
 
-// Validate checks policy invariants.
-func (p *RepartitionPolicy) Validate() error {
-	if p.MinSkew <= 0 || p.MinSkew >= 1 {
-		return fmt.Errorf("cluster: repartition skew floor must be in (0,1), got %v", p.MinSkew)
-	}
-	if p.MinRequests < 0 {
-		return fmt.Errorf("cluster: negative repartition warm-up %d", p.MinRequests)
-	}
-	if p.MinInterval < 0 {
-		return fmt.Errorf("cluster: negative repartition interval %v", p.MinInterval)
-	}
-	return nil
-}
-
 // Forget drops the per-model state the policy holds for the named model:
 // its last firing time. The serving control plane calls this when a model
 // is undeployed: per-variant control loops start and stop as models come

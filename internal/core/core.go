@@ -41,11 +41,6 @@ func NewSystem(platform perfmodel.Platform) (*System, error) {
 	return &System{Profile: prof, Planner: &deploy.Planner{Profile: prof}}, nil
 }
 
-// Plan produces a deployment plan under the given policy.
-func (s *System) Plan(policy deploy.Policy, cfg model.Config, targetQPS float64) (*deploy.Plan, error) {
-	return s.Planner.Plan(policy, cfg, targetQPS)
-}
-
 // Comparison holds model-wise and ElasticRec plans for the same target.
 type Comparison struct {
 	ModelWise *deploy.Plan

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/model"
@@ -43,7 +43,7 @@ func TestCompareHeadlineMetrics(t *testing.T) {
 
 func TestPlanDispatch(t *testing.T) {
 	sys, _ := NewSystem(perfmodel.CPUGPU)
-	p, err := sys.Plan(deploy.PolicyModelWiseCache, model.RM1(), 200)
+	p, err := sys.Planner.Plan(deploy.PolicyModelWiseCache, model.RM1(), 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +209,16 @@ func TestFigure19Table(t *testing.T) {
 	if len(tab.Rows) < 25 {
 		t.Fatalf("rows = %d, want the 30-minute timeline", len(tab.Rows))
 	}
+	// The golden pins every rendered sample, peak and SLA-violation
+	// count, and with them the order of the HPA step, the sample and the
+	// pod tick at one instant.
+	want, err := os.ReadFile("testdata/fig19.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.String(); got != string(want) {
+		t.Fatalf("Figure 19 differs from testdata/fig19.golden:\n%s", got)
+	}
 }
 
 func TestFigure14And17(t *testing.T) {
@@ -230,15 +240,6 @@ func TestFigure14And17(t *testing.T) {
 func TestDefaultTarget(t *testing.T) {
 	if DefaultTarget(perfmodel.CPUOnly) != 100 || DefaultTarget(perfmodel.CPUGPU) != 200 {
 		t.Fatal("default targets wrong")
-	}
-}
-
-func TestDynamicTrafficDefaults(t *testing.T) {
-	c := DynamicTrafficConfig{}
-	c.defaults()
-	if c.PeakQPS != 250 || c.SLA != deploy.DefaultSLA ||
-		c.HPAInterval != 15*time.Second || c.SampleEvery != 10*time.Second {
-		t.Fatalf("defaults = %+v", c)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -35,47 +34,35 @@ type Fig19Series struct {
 type DynamicTrafficConfig struct {
 	Platform perfmodel.Platform
 	Model    model.Config
-	// PeakQPS is the staircase peak (the paper drives RM1 to ~250).
+	// PeakQPS is the staircase peak (default 250; the paper drives RM1 to
+	// ~250).
 	PeakQPS float64
-	// SLA is the tail-latency agreement (default 400 ms).
-	SLA time.Duration
-	// HPAInterval is the autoscaler control period (default 15 s).
-	HPAInterval time.Duration
-	// SampleEvery sets the output sampling period (default 10 s).
-	SampleEvery time.Duration
-	// ScaleDownStabilization delays scale-in (default 2 min).
-	ScaleDownStabilization time.Duration
 }
 
-func (c *DynamicTrafficConfig) defaults() {
-	if c.PeakQPS <= 0 {
-		c.PeakQPS = 250
-	}
-	if c.SLA <= 0 {
-		c.SLA = deploy.DefaultSLA
-	}
-	if c.HPAInterval <= 0 {
-		c.HPAInterval = 15 * time.Second
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 10 * time.Second
-	}
-	if c.ScaleDownStabilization <= 0 {
-		c.ScaleDownStabilization = 2 * time.Minute
-	}
-}
+// The Fig. 19 timing: the HPA's 15 s control period (Kubernetes' default
+// sync period) and 2 min scale-in stabilization, the timeline's 10 s
+// sampling period, and the 1 s pod-lifecycle tick that both periods are
+// multiples of. The SLA is deploy.DefaultSLA.
+const (
+	hpaInterval            = 15 * time.Second
+	sampleEvery            = 10 * time.Second
+	podTick                = time.Second
+	scaleDownStabilization = 2 * time.Minute
+)
 
 // RunDynamicTraffic simulates the Fig. 19 experiment for one policy: the
 // plan is materialized at the staircase's base load, then Kubernetes HPA
 // controllers scale each deployment as the offered load steps up and down,
 // with pod cold-start delays gating when capacity actually arrives.
 func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Series, error) {
-	cfg.defaults()
+	if cfg.PeakQPS <= 0 {
+		cfg.PeakQPS = 250
+	}
 	prof, err := perfmodel.ProfileFor(cfg.Platform)
 	if err != nil {
 		return nil, err
 	}
-	planner := &deploy.Planner{Profile: prof, SLA: cfg.SLA}
+	planner := &deploy.Planner{Profile: prof}
 	pattern := workload.Figure19Pattern(cfg.PeakQPS)
 
 	base := pattern.QPSAt(0)
@@ -97,7 +84,7 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 	for i := range plan.Shards {
 		s := &plan.Shards[i]
 		pol := s.HPA
-		pol.ScaleDownStabilization = cfg.ScaleDownStabilization
+		pol.ScaleDownStabilization = scaleDownStabilization
 		pol.MaxReplicas = 512
 		h, err := cluster.NewHPA(pol)
 		if err != nil {
@@ -172,38 +159,19 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 	}
 
 	series := &Fig19Series{Policy: policy}
-	engine := sim.New()
-	horizon := pattern.Duration()
-
-	// Pod lifecycle ticks.
-	if err := engine.Every(0, time.Second, horizon, func(now time.Duration) bool {
-		cl.Tick(now)
-		return true
-	}); err != nil {
-		return nil, err
-	}
-
-	// HPA control loop.
-	if err := engine.Every(cfg.HPAInterval, cfg.HPAInterval, horizon, func(now time.Duration) bool {
+	scale := func(now time.Duration) {
 		offered := pattern.QPSAt(now)
 		for _, sc := range scalers {
-			sample := cluster.MetricSample{
+			metric := cluster.MetricSample{
 				OfferedQPS:     offered,
 				LatencySeconds: stageLatency(sc.spec, offered).Seconds(),
 			}
-			if _, err := sc.hpa.Evaluate(cl, sample, now); err != nil {
-				// Scheduling failures surface as stalled scaling, which
-				// the timeline itself exposes; keep simulating.
-				continue
-			}
+			// Scheduling failures surface as stalled scaling, which the
+			// timeline itself exposes; keep simulating.
+			_, _ = sc.hpa.Evaluate(cl, metric, now)
 		}
-		return true
-	}); err != nil {
-		return nil, err
 	}
-
-	// Output sampling.
-	if err := engine.Every(0, cfg.SampleEvery, horizon, func(now time.Duration) bool {
+	sample := func(now time.Duration) {
 		offered := pattern.QPSAt(now)
 		achieved := offered
 		if cap := capacity(); achieved > cap {
@@ -214,7 +182,7 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 		if mem > series.PeakMemBytes {
 			series.PeakMemBytes = mem
 		}
-		if lat > cfg.SLA {
+		if lat > deploy.DefaultSLA {
 			series.SLAViolations++
 		}
 		series.Points = append(series.Points, Fig19Point{
@@ -224,12 +192,23 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 			MemBytes:    mem,
 			TailLatency: lat,
 		})
-		return true
-	}); err != nil {
-		return nil, err
 	}
 
-	engine.Run(horizon)
+	// One pass per pod tick, up to and including the horizon. Events at
+	// the same instant run in a fixed order, which testdata/fig19.golden
+	// pins: at t = 0 the pods tick, then the first sample; after that the
+	// HPA steps, then the sample, then the pods tick.
+	cl.Tick(0)
+	sample(0)
+	for now := podTick; now <= pattern.Duration(); now += podTick {
+		if now%hpaInterval == 0 {
+			scale(now)
+		}
+		if now%sampleEvery == 0 {
+			sample(now)
+		}
+		cl.Tick(now)
+	}
 	return series, nil
 }
 

@@ -237,17 +237,6 @@ func (b *Batch) InputIndices(i int) []int64 {
 	return b.Indices[lo:hi]
 }
 
-// Clone deep-copies the batch.
-func (b *Batch) Clone() *Batch {
-	out := &Batch{
-		Indices: make([]int64, len(b.Indices)),
-		Offsets: make([]int32, len(b.Offsets)),
-	}
-	copy(out.Indices, b.Indices)
-	copy(out.Offsets, b.Offsets)
-	return out
-}
-
 // GatherPoolBatch runs GatherPool for every input in the batch and writes
 // the pooled vector for input i into out.Row(i). out must be
 // (BatchSize x Dim). The batch structure and every index are validated

@@ -194,11 +194,6 @@ func TestBatchAccessors(t *testing.T) {
 	if got := b.InputIndices(1); len(got) != 3 || got[2] != 8 {
 		t.Fatalf("input1 = %v", got)
 	}
-	c := b.Clone()
-	c.Indices[0] = 99
-	if b.Indices[0] == 99 {
-		t.Fatal("Clone must deep-copy")
-	}
 }
 
 func TestGatherPoolBatch(t *testing.T) {

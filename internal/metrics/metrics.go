@@ -220,20 +220,6 @@ func (l *LatencyRecorder) Quantile(q float64) time.Duration {
 	return snapshot[idx]
 }
 
-// Mean returns the mean of the retained samples, or 0 when empty.
-func (l *LatencyRecorder) Mean() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range l.samples {
-		sum += d
-	}
-	return sum / time.Duration(len(l.samples))
-}
-
 // Histogram counts observations into fixed buckets — the shape the serving
 // batcher exports for queue depth and fused-batch size so the autoscaler
 // and stress tester can see how the dynamic-batching pipeline behaves.

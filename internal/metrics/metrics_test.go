@@ -148,7 +148,7 @@ func TestLatencyRecorderExactQuantiles(t *testing.T) {
 
 func TestLatencyRecorderEmptyAndClamps(t *testing.T) {
 	l := NewLatencyRecorder(0)
-	if l.Quantile(0.95) != 0 || l.Mean() != 0 {
+	if l.Quantile(0.95) != 0 {
 		t.Fatal("empty recorder must report zero")
 	}
 	l.Observe(time.Second)
@@ -172,15 +172,6 @@ func TestLatencyRecorderReservoirBounded(t *testing.T) {
 	q := l.Quantile(0.5)
 	if q < 0 || q > 10*time.Millisecond {
 		t.Fatalf("reservoir P50 = %v outside observed range", q)
-	}
-}
-
-func TestLatencyRecorderMean(t *testing.T) {
-	l := NewLatencyRecorder(8)
-	l.Observe(10 * time.Millisecond)
-	l.Observe(30 * time.Millisecond)
-	if got := l.Mean(); got != 20*time.Millisecond {
-		t.Fatalf("Mean = %v, want 20ms", got)
 	}
 }
 

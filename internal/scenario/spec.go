@@ -196,9 +196,10 @@ type Phase struct {
 
 // Event actions.
 const (
-	// ActionKillReplica marks one replica of a shard pool dead: requests
-	// round-robined onto it fail and the pool's request-level failover
-	// retries the survivors (serving.ReplicaPool.KillReplica).
+	// ActionKillReplica marks one replica of a shard pool dead: its
+	// workers keep pulling, every gather they pull fails, and the pool's
+	// request-level failover retries the survivors
+	// (serving.ReplicaPool.KillReplica).
 	ActionKillReplica = "kill-replica"
 	// ActionReviveReplica brings a killed replica back.
 	ActionReviveReplica = "revive-replica"

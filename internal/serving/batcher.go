@@ -118,9 +118,6 @@ func NewModelBatcher(name string, backend PredictClient, cfg model.Config, opts 
 	return b
 }
 
-// Model returns the canonical model name the batcher serves.
-func (b *Batcher) Model() string { return b.model }
-
 // Predict enqueues the request and blocks until its inputs have been
 // scored inside some fused batch, or until ctx is done. Safe for
 // concurrent use; the request is read-only until Predict returns. A

@@ -121,9 +121,6 @@ func NewModelDenseShard(name string, denseModel *model.Model, router *Router) (*
 // frontend to validate requests before they join a fused batch).
 func (d *DenseShard) Config() model.Config { return d.cfg }
 
-// Model returns the canonical model name the shard serves.
-func (d *DenseShard) Model() string { return d.model }
-
 // gatherCall is one (table, shard) RPC of the fan-out. In rows mode miss
 // records, per requested row, its absolute position in the uniq buffer so
 // the reply rows scatter straight back into the row-view table.

@@ -662,13 +662,6 @@ func (ld *LiveDeployment) Epoch() int64 {
 // Boundaries returns the current epoch's per-table boundary plan.
 func (ld *LiveDeployment) Boundaries() []int64 { return ld.Table().Plan }
 
-// Pre returns the current epoch's preprocessing output.
-func (ld *LiveDeployment) Pre() *Preprocessed { return ld.Table().Pre }
-
-// Shard returns the primary shard service of shard s of table t in the
-// current epoch.
-func (ld *LiveDeployment) Shard(t, s int) *EmbeddingShard { return ld.Table().Shards[t][s] }
-
 // ShardUtility returns the Fig. 14-style memory utility of shard s of
 // table t over the traffic the current epoch has served.
 func (ld *LiveDeployment) ShardUtility(t, s int) float64 {

@@ -28,9 +28,10 @@ func (f *flakyClient) Gather(ctx context.Context, req *GatherRequest, reply *Gat
 
 // corruptingClient scribbles partial fields into the reply, then fails —
 // the shape of a replica dying mid-serialization.
-type corruptingClient struct{}
+type corruptingClient struct{ calls atomic.Int64 }
 
-func (corruptingClient) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
+func (c *corruptingClient) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
+	c.calls.Add(1)
 	reply.BatchSize = 999
 	reply.Dim = 999
 	reply.Pooled = []float32{1e9, 1e9}
@@ -59,31 +60,49 @@ func TestReplicaPoolFailsOverToHealthyReplica(t *testing.T) {
 	}
 }
 
+// appendingClient appends its pooled answer instead of assigning it —
+// legitimate under the pool contract (every attempt starts from a zeroed
+// reply), and exactly the behavior that exposes a missing reset: leaked
+// garbage from a failed attempt shows up as extra elements.
+type appendingClient struct{}
+
+func (appendingClient) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
+	reply.BatchSize = 1
+	reply.Dim = 4
+	reply.Pooled = append(reply.Pooled, 0.5, 0.5, 0.5, 0.5)
+	return nil
+}
+
 // TestReplicaPoolFailoverResetsReply is the regression test for the
 // reply-reuse bug: a failed replica that leaves partial fields behind must
 // not contaminate the reply a later healthy replica fills in.
 func TestReplicaPoolFailoverResetsReply(t *testing.T) {
-	tab, err := embedding.NewRandomTable("t", 100, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	healthy, err := NewEmbeddingShard(0, 0, tab, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two replicas: the round robin must hit the corrupting one first at
-	// least every other call, so run several calls and check each reply.
-	pool := NewReplicaPool(corruptingClient{}, healthy)
+	corrupt := &corruptingClient{}
+	pool := NewReplicaPool(corrupt, appendingClient{})
 	defer pool.Close()
 	req := &GatherRequest{Indices: []int64{1}, Offsets: []int32{0}}
-	for i := 0; i < 6; i++ {
-		var reply GatherReply
-		if err := pool.Gather(bg, req, &reply); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if reply.BatchSize != 1 || reply.Dim != 4 || len(reply.Pooled) != 4 {
-			t.Fatalf("call %d: corrupted reply leaked through failover: %+v", i, reply)
-		}
+	// Pull model: whichever idle worker claims a task serves it, so drive
+	// a concurrent burst — the backlog forces every worker (the corrupting
+	// replica's included) to pull, and each failed attempt must fail over
+	// with a reset reply.
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var reply GatherReply
+			if err := pool.Gather(bg, req, &reply); err != nil {
+				t.Errorf("call %d: %v", i, err)
+				return
+			}
+			if reply.BatchSize != 1 || reply.Dim != 4 || len(reply.Pooled) != 4 {
+				t.Errorf("call %d: corrupted attempt leaked through failover: %+v", i, reply)
+			}
+		}()
+	}
+	wg.Wait()
+	if corrupt.calls.Load() == 0 {
+		t.Fatal("the corrupting replica's workers never pulled a gather")
 	}
 }
 
@@ -120,116 +139,6 @@ func TestReplicaPoolTransientFailureRecovers(t *testing.T) {
 	// After the transient window the same pool recovers.
 	if err := pool.Gather(bg, req, &reply); err != nil {
 		t.Fatalf("recovered replica still failing: %v", err)
-	}
-}
-
-// failingPredict always errors; healthyPredict echoes one probability.
-type failingPredict struct{ calls atomic.Int64 }
-
-func (f *failingPredict) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	f.calls.Add(1)
-	reply.Probs = []float32{-1} // partial garbage a retry must not keep
-	return fmt.Errorf("predict replica down")
-}
-
-type healthyPredict struct{}
-
-func (healthyPredict) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	reply.Probs = []float32{0.5}
-	return nil
-}
-
-// TestPredictPoolFailsOver gives PredictPool the same failover contract
-// ReplicaPool has: a dead dense replica's workers must not fail callers
-// while a healthy replica remains, and the reply must be reset between
-// attempts.
-func TestPredictPoolFailsOver(t *testing.T) {
-	dead := &failingPredict{}
-	pool := NewPredictPool(dead, healthyPredict{})
-	defer pool.Close()
-	req := &PredictRequest{BatchSize: 1, DenseDim: 1, Dense: []float32{0}}
-	// Pull model: whichever idle worker claims a task serves it, so drive
-	// a concurrent burst — the backlog forces every worker (the dead
-	// replica's included) to pull, and each failed attempt must fail over
-	// with a reset reply.
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var reply PredictReply
-			if err := pool.Predict(bg, req, &reply); err != nil {
-				t.Errorf("call %d: %v", i, err)
-				return
-			}
-			if len(reply.Probs) != 1 || reply.Probs[0] != 0.5 {
-				t.Errorf("call %d: failover leaked a failed attempt's reply: %+v", i, reply)
-			}
-		}()
-	}
-	wg.Wait()
-	if dead.calls.Load() == 0 {
-		t.Fatal("the dead replica's workers never pulled a predict")
-	}
-	allDead := NewPredictPool(&failingPredict{}, &failingPredict{})
-	defer allDead.Close()
-	var reply PredictReply
-	if err := allDead.Predict(bg, req, &reply); err == nil ||
-		!strings.Contains(err.Error(), "all 2 predict replicas failed") {
-		t.Fatalf("want all-replicas-failed error, got %v", err)
-	}
-}
-
-// corruptingPredict scribbles garbage into the reply, then fails — the
-// dense-path twin of corruptingClient.
-type corruptingPredict struct{ calls atomic.Int64 }
-
-func (c *corruptingPredict) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	c.calls.Add(1)
-	reply.Probs = append(reply.Probs, 1e9, 1e9, 1e9)
-	return fmt.Errorf("corrupting: died mid-reply")
-}
-
-// appendingPredict appends its answer instead of assigning — legitimate
-// under the pool contract (every attempt starts from a zeroed reply), and
-// exactly the behavior that exposes a missing reset: leaked garbage from a
-// failed attempt shows up as extra elements.
-type appendingPredict struct{}
-
-func (appendingPredict) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	reply.Probs = append(reply.Probs, 0.5)
-	return nil
-}
-
-// TestPredictPoolFailoverResetsReply is the predict-path regression test
-// for the reply-reuse bug: both pools now share the pull-pool failover,
-// which must zero the caller's reply before every retry, so a corrupted
-// first attempt can never bleed into the healthy replica's answer.
-func TestPredictPoolFailoverResetsReply(t *testing.T) {
-	corrupt := &corruptingPredict{}
-	pool := NewPredictPool(corrupt, appendingPredict{})
-	defer pool.Close()
-	req := &PredictRequest{BatchSize: 1, DenseDim: 1, Dense: []float32{0}}
-	var wg sync.WaitGroup
-	for i := 0; i < 64; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var reply PredictReply
-			if err := pool.Predict(bg, req, &reply); err != nil {
-				t.Errorf("call %d: %v", i, err)
-				return
-			}
-			if len(reply.Probs) != 1 || reply.Probs[0] != 0.5 {
-				t.Errorf("call %d: corrupted attempt leaked through failover: %+v", i, reply)
-			}
-		}()
-	}
-	wg.Wait()
-	if corrupt.calls.Load() == 0 {
-		t.Fatal("the corrupting replica's workers never pulled a predict")
 	}
 }
 

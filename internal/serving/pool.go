@@ -12,13 +12,11 @@ import (
 	"repro/internal/embedding"
 )
 
-// This file is the pull-based shard worker pool. Where the original
-// ReplicaPool pushed each gather at a round-robined replica, the pool now
-// inverts the flow: callers enqueue work onto a bounded per-shard queue
-// and replica workers pull from it — Gather/Predict is enqueue + wait, the
-// workers own the actual RPC call, and replica membership (autoscaling,
-// fault injection) is a property of who is pulling, not of who was pushed
-// at. The inversion is what lets the autoscaler size a shard's replica set
+// This file is the pull-based shard worker pool. Callers enqueue gathers
+// onto a bounded per-shard queue and replica workers pull from it: Gather
+// is enqueue + wait, the workers own the actual RPC call, and replica
+// membership (autoscaling, fault injection) is a property of who is
+// pulling. That is what lets the autoscaler size a shard's replica set
 // from queue pressure (depth + service-time EWMAs, see QueueStats and
 // QueuePolicy) inside a swap epoch, instead of waiting for a repartition.
 //
@@ -54,7 +52,7 @@ const (
 	DefaultQueueCapacity = 256
 	// DefaultWorkersPerReplica is how many pull workers service one
 	// replica concurrently — >1 so a pipelined TCP replica keeps multiple
-	// gathers in flight, matching the push model's caller concurrency.
+	// gathers in flight.
 	DefaultWorkersPerReplica = 4
 
 	// ewmaAlpha smooths the depth/service-time signals the queue
@@ -64,6 +62,13 @@ const (
 	// task its own replica already failed, so it doesn't spin while the
 	// surviving replicas' workers are busy.
 	handoffBackoff = 100 * time.Microsecond
+)
+
+// Texts of the pool's own errors.
+const (
+	errPoolScope     = "serving: replica pool"
+	errPoolEmpty     = "serving: replica pool is empty"
+	errPoolAllFailed = "serving: all %d replicas failed: %w"
 )
 
 // PoolOptions sizes a pull pool.
@@ -105,13 +110,13 @@ const (
 	taskAbandoned
 )
 
-// pullTask is one enqueued call. Tasks are recycled through a sync.Pool:
+// pullTask is one enqueued gather. Tasks are recycled through a sync.Pool:
 // exactly one party recycles each task — the caller after receiving its
 // done signal, or a worker that dequeues an abandoned one.
-type pullTask[Req, Reply any] struct {
+type pullTask struct {
 	ctx   context.Context
-	req   *Req
-	reply *Reply
+	req   *GatherRequest
+	reply *GatherReply
 	state atomic.Int32
 	done  chan error // buffered 1; empty whenever the task is recycled
 
@@ -121,7 +126,7 @@ type pullTask[Req, Reply any] struct {
 }
 
 // tried reports whether replica id already failed this task.
-func (t *pullTask[Req, Reply]) tried(id int) bool {
+func (t *pullTask) tried(id int) bool {
 	for _, v := range t.attemptedBy {
 		if v == id {
 			return true
@@ -132,10 +137,10 @@ func (t *pullTask[Req, Reply]) tried(id int) bool {
 
 // poolReplica is one pulling replica: a client plus the fault-injection
 // dead flag and the stop signal its workers watch. added and busy feed
-// the scale-in utilization ranking (see remove).
-type poolReplica[C any] struct {
+// the scale-in utilization ranking (see Remove).
+type poolReplica struct {
 	id     int
-	client C
+	client GatherClient
 	dead   atomic.Bool
 	stop   chan struct{}
 	once   sync.Once
@@ -147,7 +152,7 @@ type poolReplica[C any] struct {
 // utilization is the fraction of the replica's pool lifetime spent
 // serving successful calls (capped at 1; a replica's workers can overlap
 // calls, but the cap keeps the ranking monotone).
-func (r *poolReplica[C]) utilization(now time.Time) float64 {
+func (r *poolReplica) utilization(now time.Time) float64 {
 	alive := now.Sub(r.added)
 	if alive <= 0 {
 		return 0
@@ -160,22 +165,26 @@ func (r *poolReplica[C]) utilization(now time.Time) float64 {
 }
 
 // halt stops the replica's workers (idempotent).
-func (r *poolReplica[C]) halt() { r.once.Do(func() { close(r.stop) }) }
+func (r *poolReplica) halt() { r.once.Do(func() { close(r.stop) }) }
 
-// pullPool is the shared pull implementation behind ReplicaPool and
-// PredictPool: one bounded queue, per-replica worker sets, request-level
-// failover across replicas, fault hooks in the worker loop.
-type pullPool[C, Req, Reply any] struct {
-	call     func(C, context.Context, *Req, *Reply) error
-	scope    string // error prefix, e.g. "serving: replica pool"
-	emptyErr string // exact empty-pool error text (API compatibility)
-	failFmt  string // exact all-replicas-failed format (count, wrapped err)
-
-	queue             chan *pullTask[Req, Reply]
+// ReplicaPool serves one shard's gathers through a pull pool: Gather
+// enqueues onto the shard's bounded queue and waits; the shard's replica
+// workers pull, dispatch and fail over. Replicas can be added and removed
+// at runtime, which is how the live autoscaler scales a shard's
+// microservice in and out from queue pressure, within a swap epoch.
+//
+// The pool also carries the serving layer's fault-injection hooks, used by
+// the scenario harness (internal/scenario) to rehearse failures against a
+// live deployment: KillReplica marks one replica dead — its workers fail
+// every task they pull, like a crashed pod, and the request-level failover
+// hands the task to the survivors — and InjectDelay stalls every call
+// through the pool by a fixed latency, modeling a degraded node.
+type ReplicaPool struct {
+	queue             chan *pullTask
 	workersPerReplica int
 
 	mu       sync.RWMutex // guards replicas, closed, nextID; enqueue holds RLock
-	replicas []*poolReplica[C]
+	replicas []*poolReplica
 	closed   bool
 	nextID   int
 
@@ -195,9 +204,14 @@ type pullPool[C, Req, Reply any] struct {
 	tasks sync.Pool
 }
 
-// newPullPool builds an empty pool; replicas arrive through add.
-func newPullPool[C, Req, Reply any](scope, emptyErr, failFmt string,
-	call func(C, context.Context, *Req, *Reply) error, opts PoolOptions) *pullPool[C, Req, Reply] {
+// NewReplicaPool creates a pool over the given replicas with default
+// queue sizing.
+func NewReplicaPool(replicas ...GatherClient) *ReplicaPool {
+	return NewReplicaPoolOptions(PoolOptions{}, replicas...)
+}
+
+// NewReplicaPoolOptions creates a pool with explicit queue sizing.
+func NewReplicaPoolOptions(opts PoolOptions, replicas ...GatherClient) *ReplicaPool {
 	capacity := opts.QueueCapacity
 	if capacity <= 0 {
 		capacity = DefaultQueueCapacity
@@ -206,51 +220,47 @@ func newPullPool[C, Req, Reply any](scope, emptyErr, failFmt string,
 	if workers <= 0 {
 		workers = DefaultWorkersPerReplica
 	}
-	p := &pullPool[C, Req, Reply]{
-		call:              call,
-		scope:             scope,
-		emptyErr:          emptyErr,
-		failFmt:           failFmt,
-		queue:             make(chan *pullTask[Req, Reply], capacity),
+	p := &ReplicaPool{
+		queue:             make(chan *pullTask, capacity),
 		workersPerReplica: workers,
 	}
 	p.tasks.New = func() any {
-		return &pullTask[Req, Reply]{done: make(chan error, 1)}
+		return &pullTask{done: make(chan error, 1)}
+	}
+	for _, c := range replicas {
+		p.Add(c)
 	}
 	return p
 }
 
-// getTask readies a recycled (or fresh) task for one call.
-func (p *pullPool[C, Req, Reply]) getTask(ctx context.Context, req *Req, reply *Reply) *pullTask[Req, Reply] {
-	t := p.tasks.Get().(*pullTask[Req, Reply])
-	t.ctx, t.req, t.reply = ctx, req, reply
-	t.state.Store(taskPending)
-	t.attemptedBy = t.attemptedBy[:0]
-	t.attempts = 0
-	t.lastErr = nil
-	return t
-}
-
 // putTask recycles a task. The caller must hold exclusive ownership and
 // the done channel must be empty.
-func (p *pullPool[C, Req, Reply]) putTask(t *pullTask[Req, Reply]) {
+func (p *ReplicaPool) putTask(t *pullTask) {
 	t.ctx, t.req, t.reply, t.lastErr = nil, nil, nil, nil
 	p.tasks.Put(t)
 }
 
-// do is the caller side: enqueue with reject-when-full backpressure, then
-// wait for a worker's completion or abandon on context expiry.
-func (p *pullPool[C, Req, Reply]) do(ctx context.Context, req *Req, reply *Reply) error {
+// Gather enqueues the request onto the shard queue and waits for a replica
+// worker to complete it. On a full queue it fails immediately with an
+// error wrapping ErrQueueFull; on a replica failure the task fails over to
+// the remaining replicas once each, and only when every replica has failed
+// does the aggregated error come back. A canceled context abandons a
+// still-queued task immediately.
+func (p *ReplicaPool) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
-		return fmt.Errorf("%s: %w", p.scope, ErrPoolClosed)
+		return fmt.Errorf("%s: %w", errPoolScope, ErrPoolClosed)
 	}
 	if len(p.replicas) == 0 {
 		p.mu.RUnlock()
-		return errors.New(p.emptyErr)
+		return errors.New(errPoolEmpty)
 	}
-	t := p.getTask(ctx, req, reply)
+	t := p.tasks.Get().(*pullTask)
+	t.ctx, t.req, t.reply = ctx, req, reply
+	t.state.Store(taskPending)
+	t.attemptedBy = t.attemptedBy[:0]
+	t.attempts = 0
 	select {
 	case p.queue <- t:
 		d := p.depth.Add(1)
@@ -264,7 +274,7 @@ func (p *pullPool[C, Req, Reply]) do(ctx context.Context, req *Req, reply *Reply
 		p.mu.RUnlock()
 		p.rejected.Add(1)
 		p.putTask(t)
-		return fmt.Errorf("%s: %d calls queued: %w", p.scope, cap(p.queue), ErrQueueFull)
+		return fmt.Errorf("%s: %d calls queued: %w", errPoolScope, cap(p.queue), ErrQueueFull)
 	}
 
 	select {
@@ -285,14 +295,15 @@ func (p *pullPool[C, Req, Reply]) do(ctx context.Context, req *Req, reply *Reply
 	}
 }
 
-// add registers a replica and starts its workers (no-op on a closed pool).
-func (p *pullPool[C, Req, Reply]) add(c C) {
+// Add appends a replica and starts its pull workers (no-op on a closed
+// pool).
+func (p *ReplicaPool) Add(c GatherClient) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return
 	}
-	rep := &poolReplica[C]{id: p.nextID, client: c, stop: make(chan struct{}), added: time.Now()}
+	rep := &poolReplica{id: p.nextID, client: c, stop: make(chan struct{}), added: time.Now()}
 	p.nextID++
 	p.replicas = append(p.replicas, rep)
 	p.wg.Add(p.workersPerReplica)
@@ -302,21 +313,20 @@ func (p *pullPool[C, Req, Reply]) add(c C) {
 	}
 }
 
-// remove drops the *coldest* replica — the one with the lowest fraction
-// of its pool lifetime spent serving — and stops its workers. A worker
-// mid-call finishes (and delivers) its current task first, so scale-down
-// never loses a gather. Ties (e.g. a pool that has served no traffic)
-// break toward the newest replica, preserving the previous LIFO
-// behavior. Refuses to empty the pool, and never takes the only replica
-// not marked dead by fault injection: scale-in racing a kill would
-// otherwise leave a pool of dead replicas and fail callers until the
-// revive, even though a live replica existed the whole time.
-func (p *pullPool[C, Req, Reply]) remove() (C, bool) {
-	var zero C
+// Remove drops the coldest replica — the lowest fraction of its pool
+// lifetime spent serving — stops its workers and returns it. Ties (e.g. a
+// pool that has served no traffic) break toward the newest replica. It
+// returns nil when the pool would become empty — a shard always keeps one
+// replica — and never takes the only replica not marked dead by fault
+// injection: scale-in racing a kill would otherwise leave a pool of dead
+// replicas and fail callers until the revive, even though a live replica
+// existed the whole time. A worker mid-call finishes (and delivers) its
+// current task first, so scale-in never loses a gather.
+func (p *ReplicaPool) Remove() GatherClient {
 	p.mu.Lock()
 	if len(p.replicas) <= 1 {
 		p.mu.Unlock()
-		return zero, false
+		return nil
 	}
 	liveCount := 0
 	for _, rep := range p.replicas {
@@ -336,24 +346,24 @@ func (p *pullPool[C, Req, Reply]) remove() (C, bool) {
 	}
 	if coldest < 0 { // unreachable: len>1 and at most one live excluded
 		p.mu.Unlock()
-		return zero, false
+		return nil
 	}
 	rep := p.replicas[coldest]
 	p.replicas = append(p.replicas[:coldest], p.replicas[coldest+1:]...)
 	p.mu.Unlock()
 	rep.halt()
-	return rep.client, true
+	return rep.client
 }
 
-// size returns the replica count.
-func (p *pullPool[C, Req, Reply]) size() int {
+// Size returns the replica count.
+func (p *ReplicaPool) Size() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return len(p.replicas)
 }
 
-// live returns the count of replicas not marked dead by fault injection.
-func (p *pullPool[C, Req, Reply]) live() int {
+// Live returns the count of replicas not marked dead by fault injection.
+func (p *ReplicaPool) Live() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	n := 0
@@ -365,8 +375,16 @@ func (p *pullPool[C, Req, Reply]) live() int {
 	return n
 }
 
+// KillReplica is the scenario fault hook for a crashed pod: replica i
+// keeps pulling, but every task it claims fails immediately and hands off
+// to the survivors. It reports whether i addressed a replica.
+func (p *ReplicaPool) KillReplica(i int) bool { return p.setDead(i, true) }
+
+// ReviveReplica clears a KillReplica injection.
+func (p *ReplicaPool) ReviveReplica(i int) bool { return p.setDead(i, false) }
+
 // setDead flips replica i's (current slice position) fault-injection flag.
-func (p *pullPool[C, Req, Reply]) setDead(i int, dead bool) bool {
+func (p *ReplicaPool) setDead(i int, dead bool) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if i < 0 || i >= len(p.replicas) {
@@ -376,16 +394,27 @@ func (p *pullPool[C, Req, Reply]) setDead(i int, dead bool) bool {
 	return true
 }
 
-// close rejects further enqueues, stops every worker, waits for them to
-// drain to zero, and fails any still-queued tasks with ErrPoolClosed.
-func (p *pullPool[C, Req, Reply]) close() {
+// InjectDelay is the scenario fault hook for a degraded node: every
+// subsequent call through the pool stalls d before dispatch (0 removes
+// the injection). The stall honors the caller's context deadline.
+func (p *ReplicaPool) InjectDelay(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	p.delay.Store(int64(d))
+}
+
+// Close drains the pool for epoch teardown: enqueues start failing with
+// ErrPoolClosed, every worker exits (finishing its claimed task first),
+// and queued tasks fail rather than hang. Idempotent.
+func (p *ReplicaPool) Close() {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return
 	}
 	p.closed = true
-	reps := append([]*poolReplica[C](nil), p.replicas...)
+	reps := append([]*poolReplica(nil), p.replicas...)
 	p.mu.Unlock()
 	for _, rep := range reps {
 		rep.halt()
@@ -396,7 +425,7 @@ func (p *pullPool[C, Req, Reply]) close() {
 		case t := <-p.queue:
 			p.depth.Add(-1)
 			if t.state.CompareAndSwap(taskPending, taskRunning) {
-				t.done <- fmt.Errorf("%s: %w", p.scope, ErrPoolClosed)
+				t.done <- fmt.Errorf("%s: %w", errPoolScope, ErrPoolClosed)
 			} else {
 				p.putTask(t) // abandoned; caller already returned
 			}
@@ -407,7 +436,7 @@ func (p *pullPool[C, Req, Reply]) close() {
 }
 
 // runWorker is one replica worker: pull, claim, serve, repeat.
-func (p *pullPool[C, Req, Reply]) runWorker(rep *poolReplica[C]) {
+func (p *ReplicaPool) runWorker(rep *poolReplica) {
 	defer p.wg.Done()
 	defer p.workers.Add(-1)
 	for {
@@ -431,8 +460,8 @@ func (p *pullPool[C, Req, Reply]) runWorker(rep *poolReplica[C]) {
 }
 
 // serve runs one claimed task on rep: fault hooks first (injected stall,
-// dead replica), then the dispatch, then failover bookkeeping.
-func (p *pullPool[C, Req, Reply]) serve(rep *poolReplica[C], t *pullTask[Req, Reply]) {
+// dead replica), then the gather, then failover bookkeeping.
+func (p *ReplicaPool) serve(rep *poolReplica, t *pullTask) {
 	if t.tried(rep.id) {
 		// This replica already failed the task; hand it back for a
 		// survivor and back off so the hand-off doesn't spin.
@@ -467,35 +496,36 @@ func (p *pullPool[C, Req, Reply]) serve(rep *poolReplica[C], t *pullTask[Req, Re
 	if t.attempts > 0 {
 		// A failed attempt may have left partial fields behind; reset so
 		// this replica's reply is never contaminated by the last one.
-		var zero Reply
-		*t.reply = zero
+		*t.reply = GatherReply{}
 	}
 	start := time.Now()
-	if err := p.call(rep.client, t.ctx, t.req, t.reply); err != nil {
+	if err := rep.client.Gather(t.ctx, t.req, t.reply); err != nil {
 		p.fail(t, rep, err)
 		return
 	}
 	elapsed := time.Since(start)
 	rep.busy.Add(int64(elapsed))
-	p.noteService(elapsed)
+	p.statsMu.Lock()
+	p.serviceEWMA += ewmaAlpha * (float64(elapsed) - p.serviceEWMA)
+	p.statsMu.Unlock()
 	t.done <- nil
 }
 
 // fail records a failed attempt and either fails the task over to an
 // untried replica or delivers the aggregated error.
-func (p *pullPool[C, Req, Reply]) fail(t *pullTask[Req, Reply], rep *poolReplica[C], err error) {
+func (p *ReplicaPool) fail(t *pullTask, rep *poolReplica, err error) {
 	t.lastErr = err
 	t.attemptedBy = append(t.attemptedBy, rep.id)
 	t.attempts++
 	if t.ctx.Err() != nil || !p.hasUntried(t) {
-		t.done <- fmt.Errorf(p.failFmt, len(t.attemptedBy), t.lastErr)
+		t.done <- fmt.Errorf(errPoolAllFailed, len(t.attemptedBy), t.lastErr)
 		return
 	}
 	p.requeue(t)
 }
 
 // hasUntried reports whether any current replica has not yet failed t.
-func (p *pullPool[C, Req, Reply]) hasUntried(t *pullTask[Req, Reply]) bool {
+func (p *ReplicaPool) hasUntried(t *pullTask) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	for _, rep := range p.replicas {
@@ -509,7 +539,7 @@ func (p *pullPool[C, Req, Reply]) hasUntried(t *pullTask[Req, Reply]) bool {
 // requeue puts a running task back on the queue (failover hand-off). If
 // the queue is full the task fails now — backpressure beats unbounded
 // retry buffering.
-func (p *pullPool[C, Req, Reply]) requeue(t *pullTask[Req, Reply]) {
+func (p *ReplicaPool) requeue(t *pullTask) {
 	t.state.Store(taskPending)
 	select {
 	case p.queue <- t:
@@ -518,13 +548,13 @@ func (p *pullPool[C, Req, Reply]) requeue(t *pullTask[Req, Reply]) {
 		if t.state.CompareAndSwap(taskPending, taskRunning) {
 			err := t.lastErr
 			if err == nil {
-				err = fmt.Errorf("%s: %d calls queued: %w", p.scope, cap(p.queue), ErrQueueFull)
+				err = fmt.Errorf("%s: %d calls queued: %w", errPoolScope, cap(p.queue), ErrQueueFull)
 			}
 			n := len(t.attemptedBy)
 			if n == 0 {
 				n = 1
 			}
-			t.done <- fmt.Errorf(p.failFmt, n, err)
+			t.done <- fmt.Errorf(errPoolAllFailed, n, err)
 		} else {
 			p.putTask(t) // abandoned in the hand-off window
 		}
@@ -532,7 +562,7 @@ func (p *pullPool[C, Req, Reply]) requeue(t *pullTask[Req, Reply]) {
 }
 
 // noteDepth folds one enqueue-time queue length into the depth EWMA.
-func (p *pullPool[C, Req, Reply]) noteDepth(d float64) {
+func (p *ReplicaPool) noteDepth(d float64) {
 	if d < 0 {
 		d = 0
 	}
@@ -541,15 +571,8 @@ func (p *pullPool[C, Req, Reply]) noteDepth(d float64) {
 	p.statsMu.Unlock()
 }
 
-// noteService folds one successful dispatch latency into the service EWMA.
-func (p *pullPool[C, Req, Reply]) noteService(d time.Duration) {
-	p.statsMu.Lock()
-	p.serviceEWMA += ewmaAlpha * (float64(d) - p.serviceEWMA)
-	p.statsMu.Unlock()
-}
-
-// queueStats snapshots the pool's pressure signals.
-func (p *pullPool[C, Req, Reply]) queueStats() QueueStats {
+// QueueStats snapshots the shard queue's pressure signals.
+func (p *ReplicaPool) QueueStats() QueueStats {
 	p.mu.RLock()
 	replicas := len(p.replicas)
 	liveReplicas := 0
@@ -579,146 +602,7 @@ func (p *pullPool[C, Req, Reply]) queueStats() QueueStats {
 	}
 }
 
-// ReplicaPool serves one shard's gathers through the pull pool: Gather
-// enqueues onto the shard's bounded queue and waits; the shard's replica
-// workers pull, dispatch and fail over. Replicas can be added and removed
-// at runtime, which is how the live autoscaler scales a shard's
-// microservice in and out — now from queue pressure, within a swap epoch.
-//
-// The pool also carries the serving layer's fault-injection hooks, used by
-// the scenario harness (internal/scenario) to rehearse failures against a
-// live deployment: KillReplica marks one replica dead — its workers fail
-// every task they pull, like a crashed pod, and the request-level failover
-// hands the task to the survivors — and InjectDelay stalls every call
-// through the pool by a fixed latency, modeling a degraded node.
-type ReplicaPool struct {
-	p *pullPool[GatherClient, GatherRequest, GatherReply]
-}
-
-// NewReplicaPool creates a pool over the given replicas with default
-// queue sizing.
-func NewReplicaPool(replicas ...GatherClient) *ReplicaPool {
-	return NewReplicaPoolOptions(PoolOptions{}, replicas...)
-}
-
-// NewReplicaPoolOptions creates a pool with explicit queue sizing.
-func NewReplicaPoolOptions(opts PoolOptions, replicas ...GatherClient) *ReplicaPool {
-	p := &ReplicaPool{p: newPullPool[GatherClient, GatherRequest, GatherReply](
-		"serving: replica pool",
-		"serving: replica pool is empty",
-		"serving: all %d replicas failed: %w",
-		func(c GatherClient, ctx context.Context, req *GatherRequest, reply *GatherReply) error {
-			return c.Gather(ctx, req, reply)
-		}, opts)}
-	for _, c := range replicas {
-		p.p.add(c)
-	}
-	return p
-}
-
-// Gather enqueues the request onto the shard queue and waits for a replica
-// worker to complete it. On a full queue it fails immediately with an
-// error wrapping ErrQueueFull; on a replica failure the task fails over to
-// the remaining replicas once each, and only when every replica has failed
-// does the aggregated error come back. A canceled context abandons a
-// still-queued task immediately.
-func (p *ReplicaPool) Gather(ctx context.Context, req *GatherRequest, reply *GatherReply) error {
-	return p.p.do(ctx, req, reply)
-}
-
-// Add appends a replica and starts its pull workers.
-func (p *ReplicaPool) Add(c GatherClient) { p.p.add(c) }
-
-// Remove drops the coldest replica — lowest per-replica utilization
-// (busy time over pool lifetime), ties toward the newest — and returns
-// it (nil when the pool would become empty — a shard always keeps one
-// replica). The sole replica not marked dead by fault injection is never
-// chosen, so scale-in cannot strand callers on an all-dead pool. Its
-// workers finish any claimed task before exiting, so no gather is lost.
-func (p *ReplicaPool) Remove() GatherClient {
-	c, ok := p.p.remove()
-	if !ok {
-		return nil
-	}
-	return c
-}
-
-// Size returns the replica count.
-func (p *ReplicaPool) Size() int { return p.p.size() }
-
-// Live returns the count of replicas not marked dead by fault injection.
-func (p *ReplicaPool) Live() int { return p.p.live() }
-
-// KillReplica is the scenario fault hook for a crashed pod: replica i
-// keeps pulling, but every task it claims fails immediately and hands off
-// to the survivors. It reports whether i addressed a replica.
-func (p *ReplicaPool) KillReplica(i int) bool { return p.p.setDead(i, true) }
-
-// ReviveReplica clears a KillReplica injection.
-func (p *ReplicaPool) ReviveReplica(i int) bool { return p.p.setDead(i, false) }
-
-// InjectDelay is the scenario fault hook for a degraded node: every
-// subsequent call through the pool stalls d before dispatch (0 removes
-// the injection). The stall honors the caller's context deadline.
-func (p *ReplicaPool) InjectDelay(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.p.delay.Store(int64(d))
-}
-
-// QueueStats snapshots the shard queue's pressure signals.
-func (p *ReplicaPool) QueueStats() QueueStats { return p.p.queueStats() }
-
-// Close drains the pool for epoch teardown: enqueues start failing with
-// ErrPoolClosed, every worker exits (finishing its claimed task first),
-// and queued tasks fail rather than hang. Idempotent.
-func (p *ReplicaPool) Close() { p.p.close() }
-
 var _ GatherClient = (*ReplicaPool)(nil)
-
-// PredictPool serves dense-replica predicts through the same pull
-// implementation as ReplicaPool — one queue, per-replica workers, the same
-// failover semantics and the same between-attempt reply reset, so a failed
-// replica's partial reply can never bleed into the next attempt's.
-type PredictPool struct {
-	p *pullPool[PredictClient, PredictRequest, PredictReply]
-}
-
-// NewPredictPool creates a pool over the given replicas.
-func NewPredictPool(replicas ...PredictClient) *PredictPool {
-	p := &PredictPool{p: newPullPool[PredictClient, PredictRequest, PredictReply](
-		"serving: predict pool",
-		"serving: predict pool is empty",
-		"serving: all %d predict replicas failed: %w",
-		func(c PredictClient, ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-			return c.Predict(ctx, req, reply)
-		}, PoolOptions{})}
-	for _, c := range replicas {
-		p.p.add(c)
-	}
-	return p
-}
-
-// Predict enqueues the request and waits for a replica worker, with the
-// same failover and backpressure contract as ReplicaPool.Gather.
-func (p *PredictPool) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
-	return p.p.do(ctx, req, reply)
-}
-
-// Add appends a replica and starts its pull workers.
-func (p *PredictPool) Add(c PredictClient) { p.p.add(c) }
-
-// Size returns the replica count.
-func (p *PredictPool) Size() int { return p.p.size() }
-
-// QueueStats snapshots the pool's pressure signals.
-func (p *PredictPool) QueueStats() QueueStats { return p.p.queueStats() }
-
-// Close drains the pool: workers exit, queued tasks fail. Idempotent.
-func (p *PredictPool) Close() { p.p.close() }
-
-var _ PredictClient = (*PredictPool)(nil)
 
 // QueuePolicy is the queue-depth autoscaling policy: scale a shard's
 // replica set from its pull-queue pressure instead of offered QPS. The

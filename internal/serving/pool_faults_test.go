@@ -30,8 +30,8 @@ func poolFixture(t *testing.T, n int) *ReplicaPool {
 }
 
 // TestKillReplicaFailsOverWithoutClientErrors is the fault-injection
-// contract the scenario harness relies on: a killed replica stays in the
-// round robin (so it takes hits) but every hit fails over to a survivor,
+// contract the scenario harness relies on: a killed replica keeps pulling
+// (so it takes hits) but every hit fails over to a survivor,
 // invisible to clients — including under concurrency.
 func TestKillReplicaFailsOverWithoutClientErrors(t *testing.T) {
 	pool := poolFixture(t, 2)
@@ -96,7 +96,7 @@ func TestInjectDelayStallsGather(t *testing.T) {
 	var reply GatherReply
 
 	pool.InjectDelay(30 * time.Millisecond)
-	if got := time.Duration(pool.p.delay.Load()); got != 30*time.Millisecond {
+	if got := time.Duration(pool.delay.Load()); got != 30*time.Millisecond {
 		t.Fatalf("injected delay = %v", got)
 	}
 	start := time.Now()

@@ -332,7 +332,7 @@ func TestPrewarmBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ld.Close()
-	sh := ld.Shard(0, 0)
+	sh := ld.Table().Shards[0][0]
 	if got := sh.Prewarm(1 << 20); got != sh.Rows() {
 		t.Fatalf("Prewarm touched %d rows, want clamped to %d", got, sh.Rows())
 	}

@@ -329,9 +329,6 @@ func (r *Router) LoadModel(mdl string) *RoutingTable {
 	return mr.current.Load()
 }
 
-// Load returns the default model's current epoch without pinning it.
-func (r *Router) Load() *RoutingTable { return r.LoadModel(DefaultModel) }
-
 // AcquireModel pins the model's current epoch for one request and returns
 // it; the caller must release() it when the fan-out completes. The
 // increment-then-recheck dance closes the race with PublishModel: if the

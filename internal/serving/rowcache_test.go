@@ -374,8 +374,8 @@ func TestReplicaPoolRemovesColdest(t *testing.T) {
 					busy[i] = busy[0] // all tied
 				}
 			}
-			pool.p.replicas[i].added = base
-			pool.p.replicas[i].busy.Store(busy[i])
+			pool.replicas[i].added = base
+			pool.replicas[i].busy.Store(busy[i])
 		}
 		// Expected victim: minimum busy (equal lifetimes make utilization
 		// proportional to busy), ties toward the highest index.

@@ -223,41 +223,6 @@ func TestShardedEquivalenceOverTCP(t *testing.T) {
 	}
 }
 
-func TestPredictPoolOverTCP(t *testing.T) {
-	cfg := liveConfig()
-	cfg.NumTables = 2
-	m, _, gen := buildFixture(t, cfg)
-	mono := NewMonolith(m.Clone())
-	srv, err := NewRPCServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if err := srv.RegisterPredict("Mono", mono); err != nil {
-		t.Fatal(err)
-	}
-	client, err := DialPredict(srv.Addr(), "Mono")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	pool := NewPredictPool(client, mono) // mixed transports round-robin
-	defer pool.Close()
-	for i := 0; i < 4; i++ {
-		req := makeRequest(cfg, gen, uint64(100+i))
-		var reply PredictReply
-		if err := pool.Predict(bg, req, &reply); err != nil {
-			t.Fatal(err)
-		}
-		if len(reply.Probs) != cfg.BatchSize {
-			t.Fatalf("probs = %v", reply.Probs)
-		}
-	}
-	if pool.Size() != 2 {
-		t.Fatal("pool size mismatch")
-	}
-}
-
 func TestBuildElasticValidation(t *testing.T) {
 	cfg := liveConfig()
 	m, stats, _ := buildFixture(t, cfg)
@@ -363,10 +328,6 @@ func TestReplicaPoolSharesLoadAndScaling(t *testing.T) {
 	var reply GatherReply
 	if err := empty.Gather(bg, req, &reply); err == nil {
 		t.Fatal("want empty-pool error")
-	}
-	emptyPredict := NewPredictPool()
-	if err := emptyPredict.Predict(bg, &PredictRequest{}, &PredictReply{}); err == nil {
-		t.Fatal("want empty predict pool error")
 	}
 }
 

@@ -65,13 +65,6 @@ func (p *TrafficPattern) QPSAt(t time.Duration) float64 {
 // Duration returns the total pattern length.
 func (p *TrafficPattern) Duration() time.Duration { return p.total }
 
-// Phases returns a copy of the schedule.
-func (p *TrafficPattern) Phases() []TrafficPhase {
-	out := make([]TrafficPhase, len(p.phases))
-	copy(out, p.phases)
-	return out
-}
-
 // Figure19Pattern reproduces the paper's dynamic-traffic experiment: the
 // offered load rises in five increments between minute 5 and minute 20,
 // then falls at minute 24, over a 30-minute run. peak is the maximum
