@@ -18,10 +18,13 @@ test-short:
 # utility bitset every gather touches; cluster and workload drive
 # goroutine-based control loops and traffic generators. The scenario
 # harness runs without -short so its live runs (concurrent clients against
-# fault-injected pools) execute under the detector.
+# fault-injected pools) execute under the detector, and so does the
+# Sec. IV-D stress table, whose request generator runs on every stress
+# worker at once.
 race:
 	$(GO) test -race -short ./internal/serving/... ./internal/metrics/... ./internal/cluster/... ./internal/workload/...
 	$(GO) test -race -count=1 ./internal/scenario/...
+	$(GO) test -race -count=1 -run 'TestStressTable$$' ./internal/core/
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
@@ -30,10 +33,11 @@ bench:
 # the race detector: 8 concurrent clients, 10 swaps, deploy/undeploy under
 # fire, both transports — plus the pull-pool invariant suite (no gather
 # lost or duplicated across scale/kill churn, typed backpressure,
-# drain-to-zero on close) and the autoscaler against a live pool (queue
-# policy scale-out to the cap, cooldown spacing, scale-in to one).
+# drain-to-zero on close) and the frontend control loop (queue policy
+# scale-out to the cap, cooldown spacing, scale-in to one; models deployed,
+# swapped and undeployed under a running loop).
 race-repartition:
-	$(GO) test -race -run 'Repartition|Straggler|Cancels|Lifecycle|ReplanMemo|PullPool|LiveAutoscaler' -count=1 ./internal/serving/
+	$(GO) test -race -run 'Repartition|Straggler|Cancels|Lifecycle|PullPool|LiveAutoscaler' -count=1 ./internal/serving/
 
 # Closed-loop smoke: the three DP-planned scenario experiments in short
 # mode (~5 s) — profile -> re-plan -> swap, two models on independent swap
@@ -131,12 +135,17 @@ lint-invariants:
 # Dependency lint: the serving plane speaks one protocol
 # (internal/serving/wire). net/rpc and encoding/gob would be a second one;
 # neither module may depend on them, directly, transitively or from a test.
+# The live stack also stays off the analytic simulator: internal/serving
+# and its tests may not depend on cluster, deploy or perfmodel.
 lint-deps:
 	@for dir in . benchmark; do \
 		found="$$(cd $$dir && $(GO) list -deps -test ./... | grep -x -e net/rpc -e encoding/gob)"; \
 		if [ -n "$$found" ]; then \
 			echo "lint-deps: module in $$dir depends on:"; echo "$$found"; exit 1; fi; \
 	done
+	@found="$$($(GO) list -deps -test ./internal/serving/... | grep -x -e repro/internal/cluster -e repro/internal/deploy -e repro/internal/perfmodel)"; \
+	if [ -n "$$found" ]; then \
+		echo "lint-deps: internal/serving depends on:"; echo "$$found"; exit 1; fi
 
 # Line count of non-test Go: one line per directory under internal/, cmd/
 # and examples/ (subpackages count with their parent, so internal/serving

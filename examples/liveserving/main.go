@@ -5,22 +5,21 @@
 //
 // Every embedding shard of every variant runs behind its own TCP
 // server (the stand-in for the paper's gRPC mesh); a pull-based replica
-// pool plays Linkerd; an HPA-style control loop watches each variant's own
-// offered load and scales shard replicas in and out while a Poisson client
-// drives stepped traffic through a single exported predict endpoint
-// (requests carry their model name on the wire).
+// pool plays Linkerd; an HPA-style control loop scales each shard's
+// replicas in and out on the depth of its own pull queue while a Poisson
+// client drives stepped traffic through a single exported predict
+// endpoint (requests carry their model name on the wire).
 //
 // The run starts with two variants ("hot", "slow") and the served set
 // changes under fire: variant "burst" is DEPLOYED into the running
 // frontend halfway through (build → warm → publish over the versioned
 // admin RPC riding the same TCP listener — no restart), and variant "hot"
 // is UNDEPLOYED at three quarters (drained, unregistered, its shard
-// services fully released) while the others keep serving. The controller
-// keeps the autoscaler in step: a deployed variant gets its repartition
-// loop and scaling entries automatically, an undeployed one has them torn
-// down. Hot sets still drift mid-run, so the closed profiling ->
-// repartition -> serve loop of Sec. IV-B runs per model on independent
-// cadences throughout.
+// services fully released) while the others keep serving. The control
+// loop reads the served set on every tick, so it picks the deployed
+// variant up and lets the undeployed one go by itself. Hot sets still
+// drift mid-run, so the closed profiling -> repartition -> serve loop of
+// Sec. IV-B runs per model on independent cadences throughout.
 //
 // Run with: go run ./examples/liveserving [-duration 12s]
 package main
@@ -33,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/serving"
@@ -184,83 +182,40 @@ func main() {
 	defer admin.Close()
 	fmt.Printf("multi-model predict frontend + admin control plane exported at %s\n", addr)
 
-	// Live autoscaler: every shard of every variant's current epoch scales
-	// on its OWN variant's offered QPS — the per-model meters live in the
-	// frontend now (created at deploy, dropped at undeploy, so a retired
-	// model's metrics never linger).
+	// One control loop watches the frontend: every tick it reads the
+	// served variants and their current epochs, so a deployed variant is
+	// scaled and repartitioned from its first tick and an undeployed one
+	// is let go — nothing here has to tell it. Every shard pool scales on
+	// its own pull-queue pressure: a depth EWMA above one queued gather
+	// per replica adds a replica inside the live epoch, no repartition
+	// needed. The skew trigger's policy is shared, but firing times are
+	// kept per variant, so variants profile and swap on independent
+	// cadences.
 	as := &serving.LiveAutoscaler{
-		Interval:        500 * time.Millisecond,
-		OfferedModelQPS: md.OfferedQPS,
-	}
-	// One repartition loop per variant, sharing one policy: firing state
-	// is per model, so variants profile and swap on independent cadences.
-	// The controller binding keeps loops and scaling entries in step with
-	// the served set: Deploy wires a variant in, Undeploy tears it down
-	// and forgets its policy state.
-	policy := &cluster.RepartitionPolicy{
-		MinSkew: 0.35,
-		// Dense dispatches, not client requests: the batcher fuses ~3
-		// requests per forward batch at this MaxBatch, so 25 dispatches ≈
-		// 75 client requests of warm-up per variant.
-		MinRequests: 25,
-		MinInterval: *duration, // at most one swap per variant per run
-	}
-	// The epoch's own geometry drives the scaling entries (not the
-	// client-side variant map: a model can be deployed by an external
-	// admin this example has no generator for).
-	scaledFor := func(name string, ld *serving.LiveDeployment) []*serving.AutoscaledShard {
-		rt := ld.Table()
-		if rt == nil {
-			return nil
-		}
-		scaled := []*serving.AutoscaledShard{}
-		for t := 0; t < len(rt.Boundaries); t++ {
-			for s := 0; s < rt.NumShards(t); s++ {
-				t, s := t, s
-				lo := int64(0)
-				if s > 0 {
-					lo = rt.Boundaries[t][s-1]
-				}
-				hi := rt.Boundaries[t][s]
-				sorted := rt.Pre.Sorted[t]
-				entry := &serving.AutoscaledShard{
-					Name:   fmt.Sprintf("%s-e%d-t%d-s%d", name, rt.Epoch, t, s),
-					Model:  name,
-					Pool:   rt.Pools[t][s],
-					QPSMax: 20 * float64(s+1), // hotter shards saturate sooner
-					Spawn: func() (serving.GatherClient, error) {
-						return serving.NewEmbeddingShard(t, s, sorted, lo, hi)
-					},
-					MaxReplicas: 6,
-				}
-				// The hottest shard scales on its pull queue's measured
-				// pressure instead of offered QPS: depth EWMA above one
-				// queued gather per replica adds a replica inside the live
-				// epoch, no repartition needed.
-				if s == 0 {
-					entry.Queue = &serving.QueuePolicy{HighDepth: 1, LowDepth: 0.05, Cooldown: 2 * time.Second}
-				}
-				scaled = append(scaled, entry)
-			}
-		}
-		return scaled
-	}
-	md.Controller().Bind(&serving.AutoscalerBinding{
-		Autoscaler: as,
-		Policy:     policy,
+		Frontend:    md,
+		Interval:    500 * time.Millisecond,
+		Queue:       &serving.QueuePolicy{HighDepth: 1, LowDepth: 0.05, Cooldown: 2 * time.Second},
+		MaxReplicas: 6,
+		Repartition: &serving.RepartitionPolicy{
+			MinSkew: 0.35,
+			// Dense dispatches, not client requests: the batcher fuses ~3
+			// requests per forward batch at this MaxBatch, so 25
+			// dispatches ≈ 75 client requests of warm-up per variant.
+			MinRequests: 25,
+			MinInterval: *duration, // at most one swap per variant per run
+		},
 		Replan: func(_ string, stats []*embedding.AccessStats) ([]int64, error) {
 			return proportionalReplan(stats)
 		},
-		Shards: scaledFor,
 		OnRepartition: func(name string, retired int64, err error) {
 			if err != nil {
 				log.Printf("repartition %s: %v", name, err)
 				return
 			}
 			fmt.Printf("-> repartitioned %q live: retired epoch %d, serving epoch %d (other variants untouched)\n",
-				name, retired, md.Epoch(name))
+				name, retired, retired+1)
 		},
-	})
+	}
 	as.Start()
 	defer as.Stop()
 
@@ -299,8 +254,8 @@ func main() {
 			// Deploy "burst" into the running frontend over the wire: the
 			// spec (config + seed + profiling counts + plan) rides the
 			// admin RPC; the frontend builds, pre-warms and publishes
-			// while traffic keeps flowing, and the binding starts its
-			// repartition loop and scaling entries automatically.
+			// while traffic keeps flowing, and the control loop finds it
+			// on its next tick.
 			window := burst.window(100)
 			counts := make([][]int64, len(window))
 			for t, st := range window {
@@ -326,9 +281,10 @@ func main() {
 		if undeployAt > 0 && at > undeployAt {
 			undeployAt = 0
 			// Take "hot" out of the client rotation first, then drain it
-			// out of the frontend: its repartition loop stops, its final
-			// epoch drains, its shard services tear down, and the name
-			// becomes reusable — "slow" and "burst" never notice.
+			// out of the frontend: its final epoch drains, its shard
+			// services tear down, the control loop drops it on its next
+			// tick, and the name becomes reusable — "slow" and "burst"
+			// never notice.
 			rotation = []*variant{burst, burst, slow}
 			if _, err := admin.Undeploy(context.Background(), hot.name); err != nil {
 				log.Fatalf("admin undeploy: %v", err)

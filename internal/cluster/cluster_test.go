@@ -417,52 +417,3 @@ func TestScaleUpDownConservesResourcesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRepartitionPolicyTrigger(t *testing.T) {
-	p := &RepartitionPolicy{MinSkew: 0.5, MinRequests: 100, MinInterval: time.Minute}
-	now := time.Unix(1000, 0)
-	// Healthy skew (strongly concentrated utility) never fires.
-	if p.ShouldRepartitionModel("m", 0.8, 500, now) {
-		t.Fatal("healthy skew fired")
-	}
-	// A flattened profile fires only after the warm-up request count.
-	if p.ShouldRepartitionModel("m", 0.1, 50, now) {
-		t.Fatal("fired during warm-up")
-	}
-	if !p.ShouldRepartitionModel("m", 0.1, 500, now) {
-		t.Fatal("stale epoch did not fire")
-	}
-	// Re-firing is suppressed inside MinInterval, allowed after it.
-	if p.ShouldRepartitionModel("m", 0.1, 500, now.Add(30*time.Second)) {
-		t.Fatal("re-fired inside MinInterval")
-	}
-	if !p.ShouldRepartitionModel("m", 0.1, 500, now.Add(2*time.Minute)) {
-		t.Fatal("did not re-fire after MinInterval")
-	}
-}
-
-func TestRepartitionPolicyForget(t *testing.T) {
-	p := &RepartitionPolicy{MinSkew: 0.5, MinRequests: 0, MinInterval: time.Hour}
-	now := time.Unix(1000, 0)
-	if !p.ShouldRepartitionModel("a", 0.1, 10, now) {
-		t.Fatal("model a should fire")
-	}
-	if p.ShouldRepartitionModel("a", 0.1, 10, now.Add(time.Second)) {
-		t.Fatal("model a re-fired inside its interval")
-	}
-	// Undeploying the model forgets its firing time: a redeployed "a"
-	// fires immediately, then is throttled on the interval again.
-	p.Forget("a")
-	if !p.ShouldRepartitionModel("a", 0.1, 10, now.Add(2*time.Second)) {
-		t.Fatal("forgotten model inherited the retired firing time")
-	}
-	if p.ShouldRepartitionModel("a", 0.1, 10, now.Add(2*time.Minute)) {
-		t.Fatal("redeployed model re-fired inside its interval")
-	}
-	// Forgetting an unknown model is a no-op.
-	p.Forget("ghost")
-	// Other models' state is untouched.
-	if !p.ShouldRepartitionModel("b", 0.1, 10, now) {
-		t.Fatal("model b throttled by forgetting a")
-	}
-}

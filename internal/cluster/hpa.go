@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 )
 
@@ -67,74 +66,6 @@ func (p HPAPolicy) Validate() error {
 		return fmt.Errorf("cluster: negative tolerance %v", p.Tolerance)
 	}
 	return nil
-}
-
-// RepartitionPolicy decides when a live deployment's partition plan has
-// gone stale and should be re-planned from a fresh profiling window. It is
-// the control-plane counterpart of the HPA policies above: HPAs adjust
-// replica counts within a plan, a RepartitionPolicy decides when the plan
-// itself must be swapped (Sec. IV-B's re-profiling loop). The signal is
-// the per-shard memory-utility profile of Fig. 14: a hotness-aligned plan
-// is strongly skewed — the small hot shard saturates its rows while the
-// big cold shard stays barely touched — so when traffic hotness drifts
-// away from the boundaries the plan was cut for, accesses spread out and
-// the utility profile flattens. The trigger fires when the observed skew
-// (max - min utility across a table's shards) falls below MinSkew.
-//
-// One policy can govern several models of a multi-model deployment:
-// warm-up and re-trigger suppression are tracked per model name (see
-// ShouldRepartitionModel), so model A firing never consumes model B's
-// interval — each variant repartitions on its own cadence.
-type RepartitionPolicy struct {
-	// MinSkew is the smallest healthy utility spread (in (0, 1)); an
-	// epoch whose skew has flattened below it is considered stale.
-	MinSkew float64
-	// MinRequests is the warm-up: the epoch must have served at least
-	// this many requests before its utility profile is meaningful. The
-	// unit is dense-shard dispatches — with dynamic batching enabled, a
-	// fused batch of several client requests counts once, so size the
-	// warm-up against the expected fusion factor.
-	MinRequests int64
-	// MinInterval suppresses re-triggering the same model while its fresh
-	// plan warms up.
-	MinInterval time.Duration
-
-	mu sync.Mutex
-	// lastFire[model] is when that model's trigger last fired; absence
-	// means it never has.
-	lastFire map[string]time.Time
-}
-
-// Forget drops the per-model state the policy holds for the named model:
-// its last firing time. The serving control plane calls this when a model
-// is undeployed: per-variant control loops start and stop as models come
-// and go, and a name redeployed later must start from a clean slate
-// instead of inheriting the retired model's firing history (which would
-// wrongly throttle the new model's first repartition).
-func (p *RepartitionPolicy) Forget(model string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.lastFire, model)
-}
-
-// ShouldRepartitionModel is the per-model trigger: it evaluates the named
-// model's skew and warm-up against the shared thresholds but keeps the
-// firing/interval state per model, so concurrent variants sharing one
-// policy are throttled independently.
-func (p *RepartitionPolicy) ShouldRepartitionModel(model string, skew float64, served int64, now time.Time) bool {
-	if served < p.MinRequests || skew >= p.MinSkew {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if last, fired := p.lastFire[model]; fired && now.Sub(last) < p.MinInterval {
-		return false
-	}
-	if p.lastFire == nil {
-		p.lastFire = make(map[string]time.Time)
-	}
-	p.lastFire[model] = now
-	return true
 }
 
 // MetricSample is one control-loop observation for a deployment.

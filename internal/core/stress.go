@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/embedding"
@@ -13,8 +14,9 @@ import (
 // StressTable runs the Sec. IV-D QPSmax measurement against real,
 // in-process embedding shards: a scaled-down RM1 table is hotness-split
 // into three shards and each is ramped until its tail-latency knee. The
-// resulting per-shard QPSmax values are exactly what ElasticRec feeds the
-// sparse shards' HPA thresholds.
+// per-shard QPSmax values are a report: in the paper they set the sparse
+// shards' HPA thresholds, but nothing here reads them — the live loop
+// scales on queue depth.
 func StressTable() (*Table, error) {
 	const rows = 200_000
 	const dim = 32
@@ -37,9 +39,14 @@ func StressTable() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		// StressTest calls newReq from its concurrent workers; the shard's
+		// one RNG is guarded so they draw from it in turn.
+		var rngMu sync.Mutex
 		rng := workload.NewRNG(uint64(s) + 1)
 		shardRows := hi - lo
 		newReq := func() *serving.GatherRequest {
+			rngMu.Lock()
+			defer rngMu.Unlock()
 			req := &serving.GatherRequest{Offsets: make([]int32, 4)}
 			for i := 0; i < 4; i++ {
 				req.Offsets[i] = int32(len(req.Indices))
@@ -73,6 +80,6 @@ func StressTable() (*Table, error) {
 		lo = hi
 	}
 	t.Notes = append(t.Notes,
-		"closed-loop ramp over live in-process shards on this machine; QPSmax feeds the sparse shards' HPA thresholds (Sec. IV-D)")
+		"closed-loop ramp over live in-process shards on this machine; QPSmax is reported only (the paper's sparse-shard HPA target, Sec. IV-D; the live loop scales on queue depth)")
 	return t, nil
 }

@@ -69,8 +69,8 @@ type ModelResult struct {
 	Metrics  Metrics
 	Deployed bool
 	Status   serving.ModelStatus
-	// ReplicasAdded/Removed tally the model's queue-depth autoscaler
-	// actions over the run (0 without an autoscale block).
+	// ReplicasAdded/Removed tally the queue-depth autoscaler's actions on
+	// the model's pools over the run (0 without an autoscale block).
 	ReplicasAdded   int64
 	ReplicasRemoved int64
 }
@@ -131,8 +131,6 @@ func (r *Result) Rows() []benchio.Row {
 			mrow.Extra["epoch"] = float64(st.Epoch)
 			mrow.Extra["swaps"] = float64(st.Swaps)
 			mrow.Extra["shards"] = float64(st.Shards)
-			mrow.Extra["replans"] = float64(st.Counters.Replans)
-			mrow.Extra["replan_memo_hits"] = float64(st.Counters.ReplanMemoHits)
 			mrow.Extra["preprocesses"] = float64(st.Counters.Preprocesses)
 			mrow.Extra["pre_cache_hits"] = float64(st.Counters.PreCacheHits)
 			mrow.Extra["shards_built"] = float64(st.Counters.ShardsBuilt)

@@ -87,12 +87,9 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	}
 	defer md.Close()
 	r.md = md
-	for _, v := range r.variants {
-		if v.active {
-			if err := md.StartProfile(v.spec.Name); err != nil {
-				return nil, err
-			}
-		}
+	for _, name := range md.Models() {
+		ld, _ := md.Deployment(name)
+		ld.StartProfile()
 	}
 
 	// All traffic and lifecycle control rides the exported TCP endpoint,
@@ -113,16 +110,15 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	defer admin.Close()
 	r.frontend, r.admin = frontend, admin
 
-	// Variants with an autoscale block each get their own queue-depth
-	// control loop over their live shard pools; the loops start when the
-	// drive loop starts (so scale events are timestamped against run
-	// start) and are rewired after any event that changes the epoch.
-	for _, v := range r.variants {
-		if a := v.spec.Autoscale; a != nil {
-			v.scaler = &serving.LiveAutoscaler{Interval: a.Interval.D(), OnScale: r.onScale}
-			if v.active {
-				r.wireAutoscale(v)
-			}
+	// An autoscale block runs the frontend's queue-depth control loop over
+	// every served model's live shard pools. It starts when the drive loop
+	// starts (so scale events are timestamped against run start) and reads
+	// the served set on every tick, so no event has to rewire it.
+	if a := spec.Autoscale; a != nil {
+		r.scaler = &serving.LiveAutoscaler{
+			Frontend: md, Interval: a.Interval.D(),
+			Queue: a.queuePolicy(), MaxReplicas: a.MaxReplicas,
+			OnScale: r.onScale,
 		}
 	}
 
@@ -145,9 +141,8 @@ type variant struct {
 	// inflight tracks this variant's issued-but-unfinished requests so an
 	// undeploy event can drain them before unregistering the name.
 	inflight sync.WaitGroup
-	// scaler is the variant's queue-depth autoscaler (nil without an
-	// Autoscale block); replicasAdded/Removed tally its scale actions.
-	scaler          *serving.LiveAutoscaler
+	// replicasAdded/Removed tally the autoscaler's actions on the
+	// variant's pools.
 	replicasAdded   atomic.Int64
 	replicasRemoved atomic.Int64
 
@@ -302,6 +297,9 @@ type runner struct {
 	frontend *serving.RPCPredictClient
 	admin    *serving.AdminClient
 	replan   func(model.Config, []*embedding.AccessStats) ([]int64, error)
+	// scaler is the frontend's queue-depth autoscaler (nil without an
+	// Autoscale block).
+	scaler *serving.LiveAutoscaler
 
 	collector *collector
 	// start anchors event timestamps; written once before any autoscaler
@@ -315,72 +313,20 @@ type runner struct {
 // onScale is the autoscaler callback: tally the variant's scale action and
 // put it on the event log like any timeline event (called from the
 // control-loop goroutine).
-func (r *runner) onScale(s *serving.AutoscaledShard, from, to int) {
-	v := r.byName[s.Model]
+func (r *runner) onScale(mdl string, table, shard, from, to int) {
+	v := r.byName[mdl]
 	if v == nil {
 		return
 	}
-	var detail string
+	verb := "out"
 	if to > from {
 		v.replicasAdded.Add(1)
-		detail = fmt.Sprintf("%s scaled out %d -> %d replicas on queue depth", s.Name, from, to)
 	} else {
 		v.replicasRemoved.Add(1)
-		detail = fmt.Sprintf("%s scaled in %d -> %d replicas on queue depth", s.Name, from, to)
+		verb = "in"
 	}
-	r.record(time.Since(r.start), ActionScale, s.Model, detail)
-}
-
-// wireAutoscale points the variant's control loop at its current epoch's
-// shard pools: one AutoscaledShard per (table, shard), each with the
-// spec's queue policy and a Spawn that serves the same sorted row range
-// in-process. Called at start and again after any epoch-changing event
-// (deploy, repartition), so scaling always targets the live pools.
-func (r *runner) wireAutoscale(v *variant) {
-	if v.scaler == nil {
-		return
-	}
-	ld, ok := r.md.Deployment(v.spec.Name)
-	if !ok {
-		return
-	}
-	rt := ld.Table()
-	if rt == nil || rt.Pre == nil {
-		return
-	}
-	a := v.spec.Autoscale
-	var shards []*serving.AutoscaledShard
-	for t := 0; t < len(rt.Boundaries); t++ {
-		for s := 0; s < rt.NumShards(t); s++ {
-			t, s := t, s
-			lo := int64(0)
-			if s > 0 {
-				lo = rt.Boundaries[t][s-1]
-			}
-			hi := rt.Boundaries[t][s]
-			sorted := rt.Pre.Sorted[t]
-			shards = append(shards, &serving.AutoscaledShard{
-				Name:        fmt.Sprintf("%s-e%d-t%d-s%d", v.spec.Name, rt.Epoch, t, s),
-				Model:       v.spec.Name,
-				Pool:        rt.Pools[t][s],
-				Queue:       a.queuePolicy(),
-				MaxReplicas: a.MaxReplicas,
-				Spawn: func() (serving.GatherClient, error) {
-					return serving.NewEmbeddingShard(t, s, sorted, lo, hi)
-				},
-			})
-		}
-	}
-	v.scaler.SetModelShards(v.spec.Name, shards...)
-}
-
-// stopScalers halts every variant's autoscaler loop (idempotent).
-func (r *runner) stopScalers() {
-	for _, v := range r.variants {
-		if v.scaler != nil {
-			v.scaler.Stop()
-		}
-	}
+	r.record(time.Since(r.start), ActionScale, mdl,
+		fmt.Sprintf("t%d/s%d scaled %s %d -> %d replicas on queue depth", table, shard, verb, from, to))
 }
 
 // drive runs the arrival loop: precompute the Poisson schedule, then for
@@ -417,12 +363,10 @@ func (r *runner) drive() error {
 
 	start := time.Now()
 	r.start = start
-	for _, v := range r.variants {
-		if v.scaler != nil {
-			v.scaler.Start()
-		}
+	if r.scaler != nil {
+		r.scaler.Start()
+		defer r.scaler.Stop()
 	}
-	defer r.stopScalers()
 	var wg sync.WaitGroup
 	for _, at := range schedule {
 		time.Sleep(time.Until(start.Add(at)))
@@ -625,11 +569,12 @@ func (r *runner) apply(e *Event) error {
 		if err != nil {
 			return fmt.Errorf("scenario: deploy %q: %w", e.Model, err)
 		}
-		if err := r.md.StartProfile(v.spec.Name); err != nil {
-			return err
+		ld, ok := r.md.Deployment(v.spec.Name)
+		if !ok {
+			return fmt.Errorf("scenario: deploy %q: not served after the deploy", e.Model)
 		}
+		ld.StartProfile()
 		v.active = true
-		r.wireAutoscale(v)
 		r.recordEpoch(at, e.Action, e.Model, fmt.Sprintf("deployed live: epoch %d, %d shards", reply.Epoch, reply.Shards), reply.Epoch)
 		return nil
 
@@ -639,12 +584,8 @@ func (r *runner) apply(e *Event) error {
 		// addressing the name, the variant's in-flight requests complete
 		// (bounded by the request timeout), and only then does the
 		// control plane unregister it. The autoscaler lets go of the
-		// variant's pools before the drain so no scale action races the
-		// teardown.
+		// variant's pools on its next tick.
 		v.active = false
-		if v.scaler != nil {
-			v.scaler.RemoveModelShards(e.Model)
-		}
 		v.inflight.Wait()
 		//lint:escape ctxflow timeline events fire from the scenario clock, not from a request; each is its own root
 		if _, err := r.admin.Undeploy(context.Background(), e.Model); err != nil {
@@ -665,28 +606,18 @@ func (r *runner) apply(e *Event) error {
 
 	case ActionRepartition:
 		v := r.byName[e.Model]
-		window, err := r.md.SnapshotProfile(e.Model)
-		if err != nil {
-			return err
-		}
-		if window == nil {
-			return fmt.Errorf("scenario: repartition %q: no live profiling window", e.Model)
-		}
-		boundaries, err := r.replan(v.cfg, window)
-		if err != nil {
-			return err
+		ld, ok := r.md.Deployment(e.Model)
+		if !ok {
+			return fmt.Errorf("scenario: repartition %q: not deployed", e.Model)
 		}
 		//lint:escape ctxflow timeline events fire from the scenario clock, not from a request; each is its own root
-		if err := r.md.Repartition(context.Background(), e.Model, window, boundaries); err != nil {
+		boundaries, err := ld.Replan(context.Background(), func(window []*embedding.AccessStats) ([]int64, error) {
+			return r.replan(v.cfg, window)
+		})
+		if err != nil {
 			return fmt.Errorf("scenario: repartition %q: %w", e.Model, err)
 		}
-		if err := r.md.StartProfile(e.Model); err != nil {
-			return err
-		}
-		// The swap replaced the shard pools; point the control loop at the
-		// new epoch's.
-		r.wireAutoscale(v)
-		epoch := r.md.Epoch(e.Model)
+		epoch := ld.Epoch()
 		r.recordEpoch(at, e.Action, e.Model, fmt.Sprintf("zero-downtime swap to epoch %d, boundaries %v", epoch, boundaries), epoch)
 		return nil
 	}

@@ -183,7 +183,7 @@ func TestRunAutoscaleAddsReplicas(t *testing.T) {
 	spec.Name = "autoscale"
 	spec.Duration = Duration(1500 * time.Millisecond)
 	spec.Models[0].Tables = 1
-	spec.Models[0].Autoscale = &Autoscale{
+	spec.Autoscale = &Autoscale{
 		Interval:    Duration(25 * time.Millisecond),
 		HighDepth:   0.5,
 		LowDepth:    0, // never scale in: a drained queue after the burst must not flap

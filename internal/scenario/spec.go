@@ -9,7 +9,7 @@
 // exported frontend, applies the timeline, and emits one machine-readable
 // BENCH_scenario_<name>.json artifact per run (internal/benchio rows:
 // p50/p95/p99 latency, achieved vs offered QPS, error rate, and the
-// control plane's swap/replan/cache counters) that cmd/scenarioguard diffs
+// control plane's swap, build and cache counters) that cmd/scenarioguard diffs
 // against a checked-in baseline — so "does it survive a flash crowd with a
 // dead replica?" is a config file, not new driver code.
 package scenario
@@ -82,6 +82,11 @@ type Spec struct {
 	Traffic Traffic `json:"traffic"`
 	// Timeline is the injected-event schedule (may be empty).
 	Timeline []Event `json:"timeline"`
+	// Autoscale, when set, runs the frontend's queue-depth autoscaler
+	// over every served model's shard pools: replicas are added/removed
+	// from pull-queue pressure alone, within the serving epoch, without a
+	// repartition.
+	Autoscale *Autoscale `json:"autoscale"`
 }
 
 // ModelSpec declares one DLRM variant of the mix. It is the declarative
@@ -120,10 +125,6 @@ type ModelSpec struct {
 	Batching *Batching `json:"batching"`
 	// Drift, when set, migrates the variant's hot set during the run.
 	Drift *Drift `json:"drift"`
-	// Autoscale, when set, runs the queue-depth autoscaler over the
-	// variant's shard pools: replicas are added/removed from pull-queue
-	// pressure alone, within the serving epoch, without a repartition.
-	Autoscale *Autoscale `json:"autoscale"`
 	// RowCacheBytes, when positive, enables the frontend hot-row cache
 	// (gather path v2) with this byte budget; hit/miss/bytes counters
 	// surface in the artifact's per-model rows.
@@ -133,7 +134,7 @@ type ModelSpec struct {
 	Deferred bool `json:"deferred"`
 }
 
-// Autoscale configures a variant's queue-depth replica autoscaler (the
+// Autoscale configures the frontend's queue-depth replica autoscaler (the
 // declarative face of serving.QueuePolicy + LiveAutoscaler).
 type Autoscale struct {
 	// Interval is the control-loop tick (default 1s).
@@ -220,8 +221,8 @@ const (
 	// closes the current phase and opens one named Label. An at-0 phase
 	// event names the first phase.
 	ActionPhase = "phase"
-	// ActionScale is recorded (never scheduled) when a model's queue-depth
-	// autoscaler adds or removes a shard replica during the run; it is not
+	// ActionScale is recorded (never scheduled) when the queue-depth
+	// autoscaler adds or removes a shard replica of a model; it is not
 	// a valid timeline action.
 	ActionScale = "scale"
 )
@@ -360,17 +361,6 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario %s: model %q: drift needs at or every", s.Name, m.Name)
 			}
 		}
-		if a := m.Autoscale; a != nil {
-			if err := a.queuePolicy().Validate(); err != nil {
-				return fmt.Errorf("scenario %s: model %q: autoscale: %w", s.Name, m.Name, err)
-			}
-			if a.Interval < 0 {
-				return fmt.Errorf("scenario %s: model %q: autoscale interval must not be negative", s.Name, m.Name)
-			}
-			if a.MaxReplicas < 0 {
-				return fmt.Errorf("scenario %s: model %q: autoscale max_replicas must not be negative", s.Name, m.Name)
-			}
-		}
 		if b := m.Batching; b != nil && (b.MaxBatch < 0 || b.MaxDelay < 0) {
 			return fmt.Errorf("scenario %s: model %q: batching max_batch/max_delay must not be negative", s.Name, m.Name)
 		}
@@ -383,6 +373,17 @@ func (s *Spec) Validate() error {
 	}
 	if active == 0 {
 		return fmt.Errorf("scenario %s: every model is deferred; nothing to serve at start", s.Name)
+	}
+	if a := s.Autoscale; a != nil {
+		if err := a.queuePolicy().Validate(); err != nil {
+			return fmt.Errorf("scenario %s: autoscale: %w", s.Name, err)
+		}
+		if a.Interval < 0 {
+			return fmt.Errorf("scenario %s: autoscale interval must not be negative", s.Name)
+		}
+		if a.MaxReplicas < 0 {
+			return fmt.Errorf("scenario %s: autoscale max_replicas must not be negative", s.Name)
+		}
 	}
 	if err := s.Traffic.validate(s); err != nil {
 		return err
@@ -480,12 +481,12 @@ func (s *Spec) Scale(f float64) *Spec {
 			scaled.Every = scale(d.Every)
 			out.Models[i].Drift = &scaled
 		}
-		if a := out.Models[i].Autoscale; a != nil {
-			scaled := *a
-			scaled.Interval = scale(a.Interval)
-			scaled.Cooldown = scale(a.Cooldown)
-			out.Models[i].Autoscale = &scaled
-		}
+	}
+	if a := s.Autoscale; a != nil {
+		scaled := *a
+		scaled.Interval = scale(a.Interval)
+		scaled.Cooldown = scale(a.Cooldown)
+		out.Autoscale = &scaled
 	}
 	out.Timeline = append([]Event(nil), s.Timeline...)
 	for i := range out.Timeline {

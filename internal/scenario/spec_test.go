@@ -159,11 +159,11 @@ func TestValidateRejectsBadShapes(t *testing.T) {
 		{"drift without cadence", func(s *Spec) { s.Models[0].Drift = &Drift{} }},
 		// The first three are serving.QueuePolicy.Validate's checks,
 		// the last two the block's own.
-		{"autoscale no high depth", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{} }},
-		{"autoscale no hysteresis band", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, LowDepth: 2} }},
-		{"autoscale negative cooldown", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, Cooldown: -1} }},
-		{"autoscale negative interval", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, Interval: -1} }},
-		{"autoscale negative max replicas", func(s *Spec) { s.Models[0].Autoscale = &Autoscale{HighDepth: 2, MaxReplicas: -1} }},
+		{"autoscale no high depth", func(s *Spec) { s.Autoscale = &Autoscale{} }},
+		{"autoscale no hysteresis band", func(s *Spec) { s.Autoscale = &Autoscale{HighDepth: 2, LowDepth: 2} }},
+		{"autoscale negative cooldown", func(s *Spec) { s.Autoscale = &Autoscale{HighDepth: 2, Cooldown: -1} }},
+		{"autoscale negative interval", func(s *Spec) { s.Autoscale = &Autoscale{HighDepth: 2, Interval: -1} }},
+		{"autoscale negative max replicas", func(s *Spec) { s.Autoscale = &Autoscale{HighDepth: 2, MaxReplicas: -1} }},
 		{"batching negative max batch", func(s *Spec) { s.Models[0].Batching = &Batching{MaxBatch: -1} }},
 		{"batching negative max delay", func(s *Spec) { s.Models[0].Batching = &Batching{MaxDelay: Duration(-time.Millisecond)} }},
 	}

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/embedding"
 )
 
 // This file is the serving control plane: the Controller owns runtime
@@ -14,31 +11,11 @@ import (
 // only ever reads immutable model snapshots; every mutation of the served
 // set — deploying a new variant into the running frontend, draining a
 // retired one out — goes through the Controller, which serializes
-// lifecycle operations and keeps the autoscaler's per-variant loops in
-// step with the models that actually exist. The Controller is exposed over
-// the RPC frontend as the versioned admin service (admin.go), so a fleet
-// operator can deploy, drain and inspect variants over the wire with no
-// restart.
-
-// AutoscalerBinding wires a Controller to a LiveAutoscaler so variant
-// lifecycle and control loops stay in lock step: Deploy starts the new
-// variant's repartition loop (and its replica-scaling entries), Undeploy
-// stops them and forgets the variant's policy state, so a reused name
-// starts from a clean slate.
-type AutoscalerBinding struct {
-	// Autoscaler receives one ModelRepartition per deployed variant.
-	Autoscaler *LiveAutoscaler
-	// Policy is the shared staleness policy (state is per model inside).
-	Policy *cluster.RepartitionPolicy
-	// Replan maps a variant's fresh profiling window to new boundaries.
-	Replan func(model string, stats []*embedding.AccessStats) ([]int64, error)
-	// Shards, when set, builds the replica-scaling entries for a variant's
-	// current epoch; invoked at deploy and again after every swap so the
-	// scaling loop always points at the epochs actually serving.
-	Shards func(model string, ld *LiveDeployment) []*AutoscaledShard
-	// OnRepartition, when set, observes every triggered swap.
-	OnRepartition func(model string, retired int64, err error)
-}
+// lifecycle operations. A LiveAutoscaler watching the frontend reads the
+// served set on every tick, so it needs no call from here. The Controller
+// is exposed over the RPC frontend as the versioned admin service
+// (admin.go), so a fleet operator can deploy, drain and inspect variants
+// over the wire with no restart.
 
 // Controller is the lifecycle control plane of one MultiDeployment:
 // Deploy lazily builds and publishes a new variant into the running
@@ -48,8 +25,7 @@ type AutoscalerBinding struct {
 // serialized with each other but never block the request path — data-plane
 // reads are atomic snapshot loads throughout.
 type Controller struct {
-	md      *MultiDeployment
-	binding *AutoscalerBinding // guarded by md.mutateMu
+	md *MultiDeployment
 }
 
 // ModelStatus is one variant's control-plane snapshot.
@@ -96,76 +72,6 @@ type ShardQueueStatus struct {
 	Enqueued, Rejected      int64
 }
 
-// Bind attaches an autoscaler binding and wires every currently served
-// variant into it: each gets a repartition loop (its profiling window is
-// opened if needed) and, when the binding builds them, replica-scaling
-// entries. Subsequent Deploys wire new variants automatically; Undeploy
-// unwires them. Pass nil to detach (existing loops are removed).
-func (c *Controller) Bind(b *AutoscalerBinding) {
-	c.md.mutateMu.Lock()
-	defer c.md.mutateMu.Unlock()
-	if old := c.binding; old != nil && old.Autoscaler != nil {
-		// Detach, don't retire: the models stay live, so their policy
-		// state (firing times) must survive the rebind.
-		for _, name := range c.md.snapshot().names {
-			c.unwireLocked(old, name, false)
-		}
-	}
-	c.binding = b
-	if b == nil || b.Autoscaler == nil {
-		return
-	}
-	s := c.md.snapshot()
-	for _, name := range s.names {
-		c.wireLocked(name, s.deployments[name])
-	}
-}
-
-// wireLocked starts the variant's control loops (caller holds mutateMu).
-func (c *Controller) wireLocked(name string, ld *LiveDeployment) {
-	b := c.binding
-	if b == nil || b.Autoscaler == nil || b.Policy == nil || b.Replan == nil {
-		return
-	}
-	mr := &ModelRepartition{
-		Model:      name,
-		Deployment: ld,
-		Policy:     b.Policy,
-		Replan: func(stats []*embedding.AccessStats) ([]int64, error) {
-			return b.Replan(name, stats)
-		},
-		OnRepartition: func(model string, retired int64, err error) {
-			if err == nil && b.Shards != nil {
-				b.Autoscaler.SetModelShards(model, b.Shards(model, ld)...)
-			}
-			if b.OnRepartition != nil {
-				b.OnRepartition(model, retired, err)
-			}
-		},
-	}
-	b.Autoscaler.AddRepartition(mr)
-	if b.Shards != nil {
-		b.Autoscaler.SetModelShards(name, b.Shards(name, ld)...)
-	}
-	ld.StartProfileIfIdle()
-}
-
-// unwireLocked stops the variant's control loops; with retire set it also
-// forgets the variant's policy state so a reused name never inherits a
-// retired model's firing history. Rebinding a live model passes retire
-// false — its throttle state must survive the binding swap. Caller holds
-// mutateMu.
-func (c *Controller) unwireLocked(b *AutoscalerBinding, name string, retire bool) {
-	if b == nil || b.Autoscaler == nil {
-		return
-	}
-	b.Autoscaler.RemoveRepartition(name)
-	b.Autoscaler.RemoveModelShards(name)
-	if retire && b.Policy != nil {
-		b.Policy.Forget(name)
-	}
-}
-
 // Deploy builds a new variant and publishes it into the running frontend:
 // the spec's tables are preprocessed and sharded, the fresh shards are
 // pre-warmed from the spec's profiling window (build → warm, exactly the
@@ -200,7 +106,6 @@ func (c *Controller) Deploy(ctx context.Context, spec ModelSpec) error {
 		ld.Close()
 		return err
 	}
-	c.wireLocked(name, ld)
 	return nil
 }
 
@@ -219,8 +124,8 @@ func deployExpired(ctx context.Context) error {
 
 // Undeploy drains a variant out of the running frontend: the data-plane
 // snapshot swaps first (new requests for the name fail immediately and its
-// offered-QPS meter is dropped), the variant's repartition loop stops and
-// its policy state is forgotten, then the deployment shuts down —
+// offered-QPS meter is dropped, and a control loop watching the frontend
+// lets go of it on its next tick), then the deployment shuts down —
 // batcher flushed, model unregistered from the router (the name becomes
 // reusable), final epoch drained within ctx, final utilities frozen, and
 // the plan cache cleared so no cached shard unit outlives the model. Every
@@ -233,7 +138,6 @@ func (c *Controller) Undeploy(ctx context.Context, mdl string) error {
 	if err != nil {
 		return err
 	}
-	c.unwireLocked(c.binding, name, true)
 	if err := ld.Shutdown(ctx); err != nil {
 		return fmt.Errorf("serving: undeploy %q: %w", name, err)
 	}

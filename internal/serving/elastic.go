@@ -125,13 +125,11 @@ type LiveDeployment struct {
 
 	// cache is the per-model plan cache (epoch-reuse layer); the build
 	// counters tally construction work for the reuse tests and reports.
-	cache          *planCache
-	preBuilds      metrics.Counter
-	preCacheHits   metrics.Counter
-	shardsBuilt    metrics.Counter
-	shardsReused   metrics.Counter
-	replans        metrics.Counter
-	replanMemoHits metrics.Counter
+	cache        *planCache
+	preBuilds    metrics.Counter
+	preCacheHits metrics.Counter
+	shardsBuilt  metrics.Counter
+	shardsReused metrics.Counter
 
 	servers []*RPCServer // frontend (ExportPredict) servers
 
@@ -507,30 +505,23 @@ func (ld *LiveDeployment) resetReusedUtility(next *RoutingTable, fresh []*shardU
 	}
 }
 
-// ReplanMemo resolves a profiling window to shard boundaries through the
-// plan cache's fingerprint-keyed replan memo: a window already replanned
-// recently returns its memoized DP boundaries without invoking replan at
-// all; a miss runs replan and memoizes the outcome under the same
-// epoch-age eviction as the Preprocess memo. The repartition trigger loop
-// routes through this, so repeated triggers on a recurring distribution
-// skip the DP replan as well as the rebuild.
-func (ld *LiveDeployment) ReplanMemo(stats []*embedding.AccessStats, replan func([]*embedding.AccessStats) ([]int64, error)) ([]int64, error) {
-	fp := fingerprintStats(stats)
-	epoch := int64(0)
-	if rt := ld.Table(); rt != nil {
-		epoch = rt.Epoch
-	}
-	if b := ld.cache.lookupPlan(fp, epoch); b != nil {
-		ld.replanMemoHits.Inc(1)
-		return b, nil
+// Replan is one re-profiling cycle (Sec. IV-B): it closes the live
+// profiling window, maps it to new boundaries with replan, swaps to the
+// new plan (the window rides into the build, so fresh shards are
+// pre-warmed from it) and reopens the window. The window is reopened
+// whatever the outcome, so a transient replan failure never leaves the
+// deployment without one. Returns the boundaries it swapped to.
+func (ld *LiveDeployment) Replan(ctx context.Context, replan func([]*embedding.AccessStats) ([]int64, error)) ([]int64, error) {
+	stats := ld.SnapshotProfile()
+	defer ld.StartProfile()
+	if stats == nil {
+		return nil, fmt.Errorf("serving: replan of model %q without a live profiling window", ld.model)
 	}
 	boundaries, err := replan(stats)
 	if err != nil {
 		return nil, err
 	}
-	ld.replans.Inc(1)
-	ld.cache.putPlan(fp, boundaries, epoch)
-	return boundaries, nil
+	return boundaries, ld.Repartition(ctx, stats, boundaries)
 }
 
 // BuildCounters returns the deployment-lifetime plan-construction tally
@@ -538,18 +529,15 @@ func (ld *LiveDeployment) ReplanMemo(stats []*embedding.AccessStats, replan func
 // or ShardsBuilt) plus the plan cache's current occupancy, including the
 // bytes of cached sorted tables the Preprocess memos pin.
 func (ld *LiveDeployment) BuildCounters() BuildCounters {
-	pres, units, plans, bytes := ld.cache.occupancy()
+	pres, units, bytes := ld.cache.occupancy()
 	rc := ld.rowCache.stats()
 	return BuildCounters{
 		Preprocesses:      ld.preBuilds.Value(),
 		PreCacheHits:      ld.preCacheHits.Value(),
 		ShardsBuilt:       ld.shardsBuilt.Value(),
 		ShardsReused:      ld.shardsReused.Value(),
-		Replans:           ld.replans.Value(),
-		ReplanMemoHits:    ld.replanMemoHits.Value(),
 		CachedPres:        pres,
 		CachedUnits:       units,
-		CachedPlans:       plans,
 		CachedSortedBytes: bytes,
 		RowCacheHits:      rc.Hits,
 		RowCacheMisses:    rc.Misses,
@@ -591,20 +579,23 @@ func (ld *LiveDeployment) Predict(ctx context.Context, req *PredictRequest, repl
 // StartProfile opens a fresh live profiling window: every subsequent
 // Predict records its original-ID accesses, exactly the Sec. IV-B window
 // production servers run ahead of a repartition.
-func (ld *LiveDeployment) StartProfile() {
+func (ld *LiveDeployment) StartProfile() { ld.profile.Store(ld.newProfileWindow()) }
+
+// newProfileWindow returns an empty window sized to the model.
+func (ld *LiveDeployment) newProfileWindow() *profileWindow {
 	w := &profileWindow{stats: make([]*embedding.AccessStats, ld.cfg.NumTables)}
 	for t := range w.stats {
 		w.stats[t] = embedding.NewAccessStats(ld.cfg.RowsPerTable)
 	}
-	ld.profile.Store(w)
+	return w
 }
 
 // StartProfileIfIdle opens a live profiling window only when none is
-// open — re-wiring a control-plane binding over a serving variant must
-// not discard the profile it has already accumulated.
+// open — a control loop that starts watching a serving variant must not
+// discard the profile it has already accumulated.
 func (ld *LiveDeployment) StartProfileIfIdle() {
 	if ld.profile.Load() == nil {
-		ld.StartProfile()
+		ld.profile.CompareAndSwap(nil, ld.newProfileWindow())
 	}
 }
 

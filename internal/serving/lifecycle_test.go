@@ -13,8 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/serving/wire"
 )
@@ -159,7 +157,7 @@ func TestLifecycleDeployUndeployUnderFire(t *testing.T) {
 				if !ok {
 					fail("cycle %d: c missing after deploy", cycle)
 				}
-				if got := md.Epoch("c"); got != 0 {
+				if got := ldC.Epoch(); got != 0 {
 					fail("cycle %d: redeployed c starts at epoch %d, want 0 (stale router slot?)", cycle, got)
 				}
 				if got := md.Router.SwapsFor("c"); got != 0 {
@@ -202,7 +200,10 @@ func TestLifecycleDeployUndeployUnderFire(t *testing.T) {
 				if rt := md.Router.LoadModel("c"); rt != nil {
 					fail("cycle %d: router still serves c after undeploy", cycle)
 				}
-				if got := md.Epoch("c"); got != -1 {
+				if _, ok := md.Deployment("c"); ok {
+					fail("cycle %d: undeployed c is still served", cycle)
+				}
+				if got := ldC.Epoch(); got != -1 {
 					fail("cycle %d: undeployed c reports epoch %d", cycle, got)
 				}
 				var reply PredictReply
@@ -498,63 +499,6 @@ func TestLifecycleUndeployDrainTimeout(t *testing.T) {
 	pinned.Close()
 }
 
-// TestLifecycleAutoscalerBinding checks the controller keeps the
-// autoscaler's per-variant loops in step with the served set: Deploy
-// starts a repartition loop (and opens the profiling window), Undeploy
-// stops it and forgets the variant's policy state so a reused name starts
-// clean.
-func TestLifecycleAutoscalerBinding(t *testing.T) {
-	md, _, _ := multiFixture(t, BuildOptions{}, BuildOptions{})
-	ctrl := md.Controller()
-	policy := &cluster.RepartitionPolicy{MinSkew: 0.5, MinRequests: 0, MinInterval: time.Hour}
-	as := &LiveAutoscaler{}
-	ctrl.Bind(&AutoscalerBinding{
-		Autoscaler: as,
-		Policy:     policy,
-		Replan: func(model string, stats []*embedding.AccessStats) ([]int64, error) {
-			return nil, fmt.Errorf("not triggered in this test")
-		},
-	})
-	if got := len(as.Repartitions); got != 2 {
-		t.Fatalf("binding wired %d loops, want 2 (a, b)", got)
-	}
-
-	cfgC := lifecycleCfgC()
-	mC, statsC, _ := buildFixture(t, cfgC)
-	if err := ctrl.Deploy(bg, ModelSpec{
-		Name: "c", Model: mC, Stats: statsC,
-		Boundaries: []int64{100, 400, cfgC.RowsPerTable},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(as.Repartitions); got != 3 {
-		t.Fatalf("deploy wired %d loops, want 3", got)
-	}
-	ldC, _ := md.Deployment("c")
-	if ldC.SnapshotProfile() == nil {
-		t.Fatal("deploy did not open the variant's profiling window")
-	}
-
-	// Consume C's policy interval, then undeploy: the loop stops and the
-	// policy state is forgotten, so a redeployed "c" can fire immediately.
-	now := time.Now()
-	if !policy.ShouldRepartitionModel("c", 0.1, 10, now) {
-		t.Fatal("policy should fire for c")
-	}
-	if policy.ShouldRepartitionModel("c", 0.1, 10, now.Add(time.Minute)) {
-		t.Fatal("policy re-fired inside c's interval")
-	}
-	if err := ctrl.Undeploy(bg, "c"); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(as.Repartitions); got != 2 {
-		t.Fatalf("undeploy left %d loops, want 2", got)
-	}
-	if !policy.ShouldRepartitionModel("c", 0.1, 10, now.Add(2*time.Minute)) {
-		t.Fatal("undeploy did not forget c's policy state; a reused name inherits the retired model's throttle")
-	}
-}
-
 // TestLifecycleDeployDeadlineNotPublished pins the deploy-deadline
 // contract: a deploy whose ctx expired during the build is torn down
 // rather than published — the name stays free, so the timed-out client's
@@ -691,58 +635,6 @@ func TestLifecycleAdminDeployAbandoned(t *testing.T) {
 	}
 }
 
-// TestLifecycleRebindPreservesLiveState pins the rebind contract: swapping
-// a controller binding over live models must not discard their
-// accumulated profiling windows and must not forget their policy throttle
-// state (only Undeploy retires state).
-func TestLifecycleRebindPreservesLiveState(t *testing.T) {
-	md, _, reqs := multiFixture(t, BuildOptions{}, BuildOptions{})
-	ctrl := md.Controller()
-	policy := &cluster.RepartitionPolicy{MinSkew: 0.5, MinRequests: 0, MinInterval: time.Hour}
-	replan := func(string, []*embedding.AccessStats) ([]int64, error) {
-		return nil, fmt.Errorf("not triggered in this test")
-	}
-	ctrl.Bind(&AutoscalerBinding{Autoscaler: &LiveAutoscaler{}, Policy: policy, Replan: replan})
-
-	// Accumulate profile into a's window and consume a's policy interval.
-	ldA, _ := md.Deployment("a")
-	for i := 0; i < 4; i++ {
-		var reply PredictReply
-		if err := md.Predict(bg, reqs["a"][i], &reply); err != nil {
-			t.Fatal(err)
-		}
-	}
-	now := time.Now()
-	if !policy.ShouldRepartitionModel("a", 0.1, 10, now) {
-		t.Fatal("policy should fire for a")
-	}
-
-	// Rebind (same policy, fresh autoscaler): the window keeps its
-	// accumulated counts and the throttle survives.
-	ctrl.Bind(&AutoscalerBinding{Autoscaler: &LiveAutoscaler{}, Policy: policy, Replan: replan})
-	if policy.ShouldRepartitionModel("a", 0.1, 10, now.Add(time.Minute)) {
-		t.Fatal("rebind forgot a live model's firing time; it re-fired inside MinInterval")
-	}
-	stats := ldA.SnapshotProfile()
-	if stats == nil {
-		t.Fatal("rebind closed the profiling window")
-	}
-	var total int64
-	for _, st := range stats {
-		total += st.Total
-	}
-	if total == 0 {
-		t.Fatal("rebind discarded the accumulated profile")
-	}
-	// Undeploy DOES retire the state (the reused-name contract).
-	if err := ctrl.Undeploy(bg, "a"); err != nil {
-		t.Fatal(err)
-	}
-	if !policy.ShouldRepartitionModel("a", 0.1, 10, now.Add(2*time.Minute)) {
-		t.Fatal("undeploy did not forget the retired model's policy state")
-	}
-}
-
 // TestLifecycleOfferedQPSMeterRemoved checks the per-model frontend meter
 // is created at deploy and dropped at undeploy — a retired model's metrics
 // must not leak.
@@ -763,81 +655,6 @@ func TestLifecycleOfferedQPSMeterRemoved(t *testing.T) {
 	}
 	if _, ok := md.snapshot().meters["b"]; ok {
 		t.Fatal("retired model's meter still registered")
-	}
-}
-
-// TestReplanMemoSkipsRepartitionDP checks the fingerprint-keyed replan
-// memo: a profiling window already replanned recently returns its DP
-// boundaries without invoking the planner, a changed window replans, and
-// the memo ages out with the plan cache's epoch eviction.
-func TestReplanMemoSkipsRepartitionDP(t *testing.T) {
-	cfg := liveConfig()
-	m, stats, _ := buildFixture(t, cfg)
-	ld, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable}, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ld.Close()
-
-	var calls int
-	replan := func([]*embedding.AccessStats) ([]int64, error) {
-		calls++
-		return []int64{80, 300, cfg.RowsPerTable}, nil
-	}
-	b1, err := ld.ReplanMemo(stats, replan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := ld.ReplanMemo(stats, replan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("replan ran %d times for one fingerprint, want 1", calls)
-	}
-	if len(b1) != 3 || len(b2) != 3 || b2[0] != 80 {
-		t.Fatalf("memoized boundaries = %v / %v", b1, b2)
-	}
-	// The memo hands out copies: mutating a result must not poison it.
-	b2[0] = 999
-	b3, err := ld.ReplanMemo(stats, replan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b3[0] != 80 {
-		t.Fatalf("memo poisoned by caller mutation: %v", b3)
-	}
-	c := ld.BuildCounters()
-	if c.Replans != 1 || c.ReplanMemoHits != 2 {
-		t.Fatalf("counters = %d replans / %d hits, want 1 / 2", c.Replans, c.ReplanMemoHits)
-	}
-	if c.CachedPlans != 1 {
-		t.Fatalf("cached plans = %d, want 1", c.CachedPlans)
-	}
-
-	// A different window replans.
-	fresh := driftedStats(t, cfg, 111, 5)
-	if _, err := ld.ReplanMemo(fresh, replan); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("replan ran %d times across two fingerprints, want 2", calls)
-	}
-
-	// The memo ages with the plan cache: after planCacheEpochs epochs of
-	// swaps under other windows, the original fingerprint must re-replan.
-	for i := 0; i < planCacheEpochs+1; i++ {
-		drift := driftedStats(t, cfg, int64(200+i*37), uint64(10+i))
-		if err := ld.Repartition(bg, drift, []int64{60, 250, cfg.RowsPerTable}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	calls = 0
-	if _, err := ld.ReplanMemo(stats, replan); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("evicted fingerprint did not replan (calls = %d)", calls)
 	}
 }
 

@@ -137,21 +137,10 @@ func (md *MultiDeployment) Deployment(mdl string) (*LiveDeployment, bool) {
 	return ld, ok
 }
 
-// deployment resolves a model name or reports the addressable set.
-func (md *MultiDeployment) deployment(mdl string) (*LiveDeployment, error) {
-	s := md.snapshot()
-	ld, ok := s.deployments[canonicalModel(mdl)]
-	if !ok {
-		return nil, fmt.Errorf("serving: frontend serves no model %q (have %v)", canonicalModel(mdl), s.names)
-	}
-	return ld, nil
-}
-
 // OfferedQPS returns the named variant's offered load at the frontend
-// (queries/sec over a sliding window; 0 for an unknown or retired model).
-// This is the per-model attribution meter the live autoscaler scales on —
-// it is created at Deploy and removed at Undeploy, so a retired model's
-// meter never lingers.
+// (queries/sec over a sliding window; 0 for an unknown or retired model),
+// as ModelStatus reports it. The meter is created at Deploy and removed at
+// Undeploy, so a retired model's meter never lingers.
 func (md *MultiDeployment) OfferedQPS(mdl string) float64 {
 	m, ok := md.snapshot().meters[canonicalModel(mdl)]
 	if !ok {
@@ -180,48 +169,6 @@ func (md *MultiDeployment) Predict(ctx context.Context, req *PredictRequest, rep
 }
 
 var _ PredictClient = (*MultiDeployment)(nil)
-
-// Repartition performs a zero-downtime plan swap for one variant; all
-// other variants keep serving their current epochs without ever being
-// drained or republished (see LiveDeployment.Repartition).
-func (md *MultiDeployment) Repartition(ctx context.Context, mdl string, stats []*embedding.AccessStats, newBoundaries []int64) error {
-	ld, err := md.deployment(mdl)
-	if err != nil {
-		return err
-	}
-	return ld.Repartition(ctx, stats, newBoundaries)
-}
-
-// StartProfile opens the named variant's live profiling window (each
-// variant profiles and repartitions on its own cadence).
-func (md *MultiDeployment) StartProfile(mdl string) error {
-	ld, err := md.deployment(mdl)
-	if err != nil {
-		return err
-	}
-	ld.StartProfile()
-	return nil
-}
-
-// SnapshotProfile closes the named variant's profiling window and returns
-// its statistics (nil when no window was open).
-func (md *MultiDeployment) SnapshotProfile(mdl string) ([]*embedding.AccessStats, error) {
-	ld, err := md.deployment(mdl)
-	if err != nil {
-		return nil, err
-	}
-	return ld.SnapshotProfile(), nil
-}
-
-// Epoch returns the named variant's current plan epoch (-1 when the model
-// is unknown or retired).
-func (md *MultiDeployment) Epoch(mdl string) int64 {
-	ld, err := md.deployment(mdl)
-	if err != nil {
-		return -1
-	}
-	return ld.Epoch()
-}
 
 // publishModel installs a freshly built variant into the data plane: the
 // instant the snapshot swaps, the frontend dispatches to it. Caller holds

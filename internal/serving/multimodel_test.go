@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/embedding"
 	"repro/internal/model"
 )
@@ -117,6 +116,7 @@ func TestMultiModelRepartitionIsolation(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			md, monos, reqs := multiFixture(t, tc.optsA, tc.optsB)
+			ldA, _ := md.Deployment("a")
 			ldB, _ := md.Deployment("b")
 			epochB := ldB.Table()
 
@@ -167,7 +167,7 @@ func TestMultiModelRepartitionIsolation(t *testing.T) {
 			for swap := 0; swap < swaps; swap++ {
 				fresh := driftedStats(t, cfgA, int64(swap*40), uint64(swap))
 				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-				err := md.Repartition(ctx, "a", fresh, plans[swap%len(plans)])
+				err := ldA.Repartition(ctx, fresh, plans[swap%len(plans)])
 				cancel()
 				if err != nil {
 					stop.Store(true)
@@ -195,10 +195,10 @@ func TestMultiModelRepartitionIsolation(t *testing.T) {
 			}
 
 			// A advanced 10 epochs; B never moved.
-			if got := md.Epoch("a"); got != swaps {
+			if got := ldA.Epoch(); got != swaps {
 				t.Fatalf("model a epoch = %d, want %d", got, swaps)
 			}
-			if got := md.Epoch("b"); got != 0 {
+			if got := ldB.Epoch(); got != 0 {
 				t.Fatalf("model b epoch = %d, want 0 (A's swaps leaked into B)", got)
 			}
 			if got := md.Router.SwapsFor("a"); got != swaps {
@@ -353,28 +353,5 @@ func TestMultiModelOverTCPFrontend(t *testing.T) {
 				t.Fatalf("model %s over TCP input %d: %v != %v", name, j, got.Probs[j], want.Probs[j])
 			}
 		}
-	}
-}
-
-// TestModelRepartitionLoopsIndependentCadence runs two per-model
-// repartition loops off one shared policy and checks model A's firing
-// does not consume model B's interval (and vice versa) — the
-// independent-cadence contract of ShouldRepartitionModel.
-func TestModelRepartitionLoopsIndependentCadence(t *testing.T) {
-	p := &cluster.RepartitionPolicy{MinSkew: 0.5, MinRequests: 0, MinInterval: time.Hour}
-	now := time.Now()
-	if !p.ShouldRepartitionModel("a", 0.1, 10, now) {
-		t.Fatal("model a should fire")
-	}
-	if p.ShouldRepartitionModel("a", 0.1, 10, now.Add(time.Minute)) {
-		t.Fatal("model a re-fired inside its interval")
-	}
-	// A's firing must not have consumed B's interval.
-	if !p.ShouldRepartitionModel("b", 0.1, 10, now.Add(time.Minute)) {
-		t.Fatal("model b was throttled by model a's firing")
-	}
-	// After A's interval elapses, A may fire again.
-	if !p.ShouldRepartitionModel("a", 0.1, 10, now.Add(2*time.Hour)) {
-		t.Fatal("model a did not recover after its interval")
 	}
 }

@@ -103,15 +103,6 @@ type cachedUnit struct {
 	lastEpoch int64
 }
 
-// cachedPlan is one memoized replan outcome: the DP boundaries computed
-// from a profiling window with this fingerprint. Keyed alongside the
-// Preprocess memo so a re-trigger on an already-seen window skips the DP
-// replan entirely, not just the hotness sort it feeds.
-type cachedPlan struct {
-	boundaries []int64
-	lastEpoch  int64
-}
-
 // planCache memoizes one model's plan-construction outputs across epochs.
 // maxAge == n keeps an entry alive for n epochs past its last use.
 type planCache struct {
@@ -119,7 +110,6 @@ type planCache struct {
 	maxAge int64
 	pres   map[uint64]*cachedPre
 	units  map[unitKey]*cachedUnit
-	plans  map[uint64]*cachedPlan
 }
 
 // newPlanCache creates a cache retaining entries for maxAge epochs past
@@ -129,7 +119,6 @@ func newPlanCache(maxAge int64) *planCache {
 		maxAge: maxAge,
 		pres:   make(map[uint64]*cachedPre),
 		units:  make(map[unitKey]*cachedUnit),
-		plans:  make(map[uint64]*cachedPlan),
 	}
 }
 
@@ -150,27 +139,6 @@ func (c *planCache) lookupPre(fp uint64, epoch int64) *Preprocessed {
 func (c *planCache) putPre(fp uint64, pre *Preprocessed, epoch int64) {
 	c.mu.Lock()
 	c.pres[fp] = &cachedPre{pre: pre, lastEpoch: epoch}
-	c.mu.Unlock()
-}
-
-// lookupPlan returns the memoized replan boundaries for a window
-// fingerprint, refreshing their age (nil on miss). The returned slice is
-// a copy — callers may keep or mutate it freely.
-func (c *planCache) lookupPlan(fp uint64, epoch int64) []int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.plans[fp]
-	if !ok {
-		return nil
-	}
-	e.lastEpoch = epoch
-	return append([]int64(nil), e.boundaries...)
-}
-
-// putPlan memoizes a freshly computed replan outcome (the slice is copied).
-func (c *planCache) putPlan(fp uint64, boundaries []int64, epoch int64) {
-	c.mu.Lock()
-	c.plans[fp] = &cachedPlan{boundaries: append([]int64(nil), boundaries...), lastEpoch: epoch}
 	c.mu.Unlock()
 }
 
@@ -206,11 +174,6 @@ func (c *planCache) evict(epoch int64) {
 			delete(c.pres, fp)
 		}
 	}
-	for fp, e := range c.plans {
-		if e.lastEpoch < epoch-c.maxAge {
-			delete(c.plans, fp)
-		}
-	}
 	for key, e := range c.units {
 		if e.lastEpoch < epoch-c.maxAge {
 			delete(c.units, key)
@@ -231,7 +194,6 @@ func (c *planCache) clear() {
 	units := c.units
 	c.pres = make(map[uint64]*cachedPre)
 	c.units = make(map[unitKey]*cachedUnit)
-	c.plans = make(map[uint64]*cachedPlan)
 	c.mu.Unlock()
 	for _, e := range units {
 		e.unit.release()
@@ -243,7 +205,7 @@ func (c *planCache) clear() {
 // memoized Preprocess output holds a full sorted copy of every embedding
 // table). This is the per-model number the cross-variant cache budget
 // (ROADMAP) will aggregate into a global LRU.
-func (c *planCache) occupancy() (pres, units, plans int, sortedBytes int64) {
+func (c *planCache) occupancy() (pres, units int, sortedBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.pres {
@@ -251,7 +213,7 @@ func (c *planCache) occupancy() (pres, units, plans int, sortedBytes int64) {
 			sortedBytes += tab.SizeBytes()
 		}
 	}
-	return len(c.pres), len(c.units), len(c.plans), sortedBytes
+	return len(c.pres), len(c.units), sortedBytes
 }
 
 // fingerprintStats content-hashes a profiling window (per-table access
@@ -295,18 +257,12 @@ type BuildCounters struct {
 	// ShardsReused counts shard services carried across epochs by
 	// refcount instead of being rebuilt.
 	ShardsReused int64
-	// Replans counts DP replan invocations (fingerprint-memo misses);
-	// ReplanMemoHits counts triggers whose boundaries came straight from
-	// the memo, skipping the DP entirely.
-	Replans        int64
-	ReplanMemoHits int64
-	// CachedPres / CachedUnits / CachedPlans are the plan cache's current
+	// CachedPres / CachedUnits are the plan cache's current
 	// entry counts; CachedSortedBytes is the bytes of cached sorted tables
 	// those Preprocess memos pin — the per-model input to the cross-variant
 	// cache budget.
 	CachedPres        int
 	CachedUnits       int
-	CachedPlans       int
 	CachedSortedBytes int64
 	// RowCache* mirror the frontend hot-row cache (gather path v2): hit /
 	// miss counts on the dense fan-out, entries evicted (budget pressure

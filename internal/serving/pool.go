@@ -7,9 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/embedding"
 )
 
 // This file is the pull-based shard worker pool. Callers enqueue gathers
@@ -603,362 +600,3 @@ func (p *ReplicaPool) QueueStats() QueueStats {
 }
 
 var _ GatherClient = (*ReplicaPool)(nil)
-
-// QueuePolicy is the queue-depth autoscaling policy: scale a shard's
-// replica set from its pull-queue pressure instead of offered QPS. The
-// decision is a pure function of a QueueStats snapshot (see Decide), so
-// the policy is property-testable without a live deployment.
-type QueuePolicy struct {
-	// HighDepth scales out when the per-replica depth EWMA exceeds it.
-	HighDepth float64
-	// LowDepth scales in when the per-replica depth EWMA falls below it
-	// (and more than one replica remains). LowDepth < HighDepth is the
-	// hysteresis band that prevents add/remove flapping.
-	LowDepth float64
-	// Cooldown is the minimum time between scale decisions for one shard.
-	Cooldown time.Duration
-}
-
-// Validate rejects a policy whose thresholds cannot behave (no hysteresis
-// band, negative times).
-func (p *QueuePolicy) Validate() error {
-	if p.HighDepth <= 0 {
-		return fmt.Errorf("serving: queue policy: high depth must be positive")
-	}
-	if p.LowDepth < 0 || p.LowDepth >= p.HighDepth {
-		return fmt.Errorf("serving: queue policy: low depth %.2f must be in [0, high depth %.2f)", p.LowDepth, p.HighDepth)
-	}
-	if p.Cooldown < 0 {
-		return fmt.Errorf("serving: queue policy: cooldown must not be negative")
-	}
-	return nil
-}
-
-// Decide returns the replica delta (-1, 0 or +1) for one control tick:
-// +1 when the per-replica depth EWMA is above HighDepth, -1 when it is
-// below LowDepth with replicas to spare, 0 inside the hysteresis band or
-// within Cooldown of the last scale action. Monotone in the depth signal.
-func (p *QueuePolicy) Decide(st QueueStats, lastScale, now time.Time) int {
-	if p == nil || p.HighDepth <= 0 {
-		return 0
-	}
-	if p.Cooldown > 0 && now.Sub(lastScale) < p.Cooldown {
-		return 0
-	}
-	replicas := st.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	perReplica := st.DepthEWMA / float64(replicas)
-	switch {
-	case perReplica > p.HighDepth:
-		return 1
-	case st.Replicas > 1 && perReplica < p.LowDepth:
-		return -1
-	}
-	return 0
-}
-
-// AutoscaledShard couples a shard replica pool with its scaling target.
-// Two policies exist: the HPA-style offered-QPS target (QPSMax — scale out
-// when offered per-replica QPS exceeds it, Sec. IV-D's throughput-centric
-// sparse-shard policy), and the pull-queue policy (Queue — scale on the
-// pool's own depth/service EWMAs). When Queue is set it takes precedence:
-// queue pressure sees a hot shard directly, without trusting the frontend
-// meter's attribution.
-type AutoscaledShard struct {
-	Name string
-	// Model names the DLRM variant the shard belongs to. The
-	// OfferedModelQPS callback receives it, so a shard without one never
-	// scales on offered QPS (the Queue policy needs no model).
-	Model  string
-	Pool   *ReplicaPool
-	QPSMax float64
-	// Queue, when set, scales the shard from its pull-queue pressure
-	// (Pool.QueueStats) instead of offered QPS.
-	Queue *QueuePolicy
-	// Spawn creates one more replica service for the shard.
-	Spawn func() (GatherClient, error)
-	// MaxReplicas caps scale-out (0 = unlimited).
-	MaxReplicas int
-
-	// lastScale anchors Queue.Cooldown; owned by the evaluating
-	// autoscaler loop.
-	lastScale time.Time
-}
-
-// ModelRepartition is one variant's entry in a multi-model autoscaler: the
-// variant's deployment, its staleness policy and its replanner. Each entry
-// is evaluated independently every control period, so variants repartition
-// on independent cadences — a swap of one never gates, drains or delays
-// another's.
-type ModelRepartition struct {
-	// Model names the variant (for policy state and callbacks; defaults
-	// to the deployment's own model name).
-	Model string
-	// Deployment is the variant's live deployment (from
-	// MultiDeployment.Deployment or BuildElastic).
-	Deployment *LiveDeployment
-	// Policy decides when this variant's utility skew justifies a swap.
-	// Policies may be shared across variants: firing state is kept per
-	// model inside the policy.
-	Policy *cluster.RepartitionPolicy
-	// Replan maps the variant's freshly profiled window to new shard
-	// boundaries.
-	Replan func(stats []*embedding.AccessStats) ([]int64, error)
-	// OnRepartition, when set, observes every triggered swap of this
-	// variant (retired epoch, error if the swap failed).
-	OnRepartition func(model string, retired int64, err error)
-}
-
-// LiveAutoscaler runs a background control loop over shard pools — an
-// in-process stand-in for the Kubernetes HPA controller, used by the live
-// serving example. Besides replica scaling it can own the live
-// repartition trigger: when the deployment's per-shard utility skew
-// (Fig. 14) exceeds the policy threshold, it re-plans and swaps the
-// partition epoch while traffic keeps flowing. Replica scaling and
-// repartitioning are deliberately decoupled signals: queue pressure adds
-// copies of a shard within the current epoch; utility skew moves the rows
-// themselves via a plan swap.
-//
-// Shards and Repartitions may be set directly before Start; once the loop
-// is running, mutate them through the Add/Set/Remove methods — that is how
-// the serving control plane starts and stops per-variant loops as models
-// are deployed into and drained out of a live frontend (Controller.Bind).
-type LiveAutoscaler struct {
-	Shards   []*AutoscaledShard
-	Interval time.Duration
-	// OfferedModelQPS, when set, attributes load per DLRM variant: a
-	// shard whose Model field is set scales on its own variant's offered
-	// QPS (typically a per-model frontend meter split on
-	// PredictRequest.Model) — so one variant's traffic spike never scales
-	// another variant's pools. Without it (or without a Model) the
-	// offered-QPS policy has no signal and leaves the pool as it is.
-	OfferedModelQPS func(model string) float64
-	// OnScale, when set, observes every replica add/remove the loop
-	// performs (called from the control goroutine; keep it fast and
-	// thread-safe).
-	OnScale func(s *AutoscaledShard, from, to int)
-
-	// Repartitions holds one independent repartition loop per served
-	// model (one entry for a single-model deployment): every control
-	// period each variant's skew is evaluated against its own policy, so
-	// variants swap plans on independent cadences.
-	Repartitions []*ModelRepartition
-
-	// mu guards Shards and Repartitions once the loop runs; the step loop
-	// snapshots both under it and evaluates lock-free, so a lifecycle
-	// operation adding or removing a variant's loops never deadlocks
-	// against an in-flight evaluation.
-	mu   sync.Mutex
-	stop chan struct{}
-	wg   sync.WaitGroup
-}
-
-// AddRepartition starts a per-variant repartition loop at runtime (the
-// deploy half of the model lifecycle).
-func (a *LiveAutoscaler) AddRepartition(mr *ModelRepartition) {
-	if mr == nil {
-		return
-	}
-	a.mu.Lock()
-	a.Repartitions = append(a.Repartitions, mr)
-	a.mu.Unlock()
-}
-
-// RemoveRepartition stops the named variant's repartition loop (the
-// undeploy half). An evaluation already in flight finishes — harmlessly,
-// since a retired model's swap fails fast — but no further ticks evaluate
-// the variant.
-func (a *LiveAutoscaler) RemoveRepartition(model string) {
-	a.mu.Lock()
-	keep := a.Repartitions[:0]
-	for _, mr := range a.Repartitions {
-		name := mr.Model
-		if name == "" && mr.Deployment != nil {
-			name = mr.Deployment.Model()
-		}
-		if name != model {
-			keep = append(keep, mr)
-		}
-	}
-	a.Repartitions = keep
-	a.mu.Unlock()
-}
-
-// SetModelShards replaces the named variant's replica-scaling entries —
-// called at deploy and after every epoch swap so the scaling loop always
-// targets the pools that are actually serving.
-func (a *LiveAutoscaler) SetModelShards(model string, shards ...*AutoscaledShard) {
-	a.mu.Lock()
-	keep := a.Shards[:0]
-	for _, s := range a.Shards {
-		if s.Model != model {
-			keep = append(keep, s)
-		}
-	}
-	a.Shards = append(keep, shards...)
-	a.mu.Unlock()
-}
-
-// RemoveModelShards drops the named variant's replica-scaling entries.
-func (a *LiveAutoscaler) RemoveModelShards(model string) {
-	a.SetModelShards(model)
-}
-
-// Start launches the control loop.
-func (a *LiveAutoscaler) Start() {
-	if a.Interval <= 0 {
-		a.Interval = time.Second
-	}
-	a.stop = make(chan struct{})
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		ticker := time.NewTicker(a.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-a.stop:
-				return
-			case <-ticker.C:
-				a.step()
-			}
-		}
-	}()
-}
-
-// step evaluates every shard once (exported for deterministic tests via
-// Evaluate), then every per-model repartition loop. Shards and loops are
-// snapshotted under the mutex and evaluated lock-free, so lifecycle
-// add/remove calls are never blocked behind a slow swap.
-func (a *LiveAutoscaler) step() {
-	a.mu.Lock()
-	shards := append([]*AutoscaledShard(nil), a.Shards...)
-	loops := append([]*ModelRepartition(nil), a.Repartitions...)
-	a.mu.Unlock()
-	for _, s := range shards {
-		_ = a.Evaluate(s)
-	}
-	for _, mr := range loops {
-		_, _ = a.EvaluateModelRepartition(mr, time.Now())
-	}
-}
-
-// Evaluate runs one scaling decision for a shard and returns the replica
-// count after the decision. A shard with a Queue policy scales on the
-// pool's queue pressure; otherwise a shard with a Model set scales on the
-// per-model offered-QPS meter.
-func (a *LiveAutoscaler) Evaluate(s *AutoscaledShard) int {
-	if s.Pool == nil {
-		return 0
-	}
-	if s.Queue != nil {
-		return a.evaluateQueue(s, time.Now())
-	}
-	if s.QPSMax <= 0 || a.OfferedModelQPS == nil || s.Model == "" {
-		return s.Pool.Size()
-	}
-	offered := a.OfferedModelQPS(s.Model)
-	replicas := s.Pool.Size()
-	perReplica := offered / float64(replicas)
-	switch {
-	case perReplica > s.QPSMax && (s.MaxReplicas == 0 || replicas < s.MaxReplicas):
-		if s.Spawn != nil {
-			if c, err := s.Spawn(); err == nil {
-				s.Pool.Add(c)
-				if a.OnScale != nil {
-					a.OnScale(s, replicas, replicas+1)
-				}
-			}
-		}
-	case replicas > 1 && offered/float64(replicas-1) < s.QPSMax*0.5:
-		if s.Pool.Remove() != nil && a.OnScale != nil {
-			a.OnScale(s, replicas, replicas-1)
-		}
-	}
-	return s.Pool.Size()
-}
-
-// evaluateQueue runs one queue-policy decision at the given wall time.
-func (a *LiveAutoscaler) evaluateQueue(s *AutoscaledShard, now time.Time) int {
-	st := s.Pool.QueueStats()
-	switch s.Queue.Decide(st, s.lastScale, now) {
-	case 1:
-		if (s.MaxReplicas != 0 && st.Replicas >= s.MaxReplicas) || s.Spawn == nil {
-			break
-		}
-		if c, err := s.Spawn(); err == nil {
-			s.Pool.Add(c)
-			s.lastScale = now
-			if a.OnScale != nil {
-				a.OnScale(s, st.Replicas, st.Replicas+1)
-			}
-		}
-	case -1:
-		if s.Pool.Remove() != nil {
-			s.lastScale = now
-			if a.OnScale != nil {
-				a.OnScale(s, st.Replicas, st.Replicas-1)
-			}
-		}
-	}
-	return s.Pool.Size()
-}
-
-// EvaluateModelRepartition runs one variant's repartition decision at the
-// given wall time: when the current epoch's utility skew trips the policy,
-// it snapshots the live profiling window, re-plans boundaries and swaps the
-// epoch. Returns whether a swap was attempted. Each variant's skew is
-// judged against its own policy state (keyed by model name), its own
-// profiling window is snapshotted and reopened, and only its own epoch is
-// swapped — other variants sharing the router keep serving undisturbed.
-func (a *LiveAutoscaler) EvaluateModelRepartition(mr *ModelRepartition, now time.Time) (bool, error) {
-	if mr == nil || mr.Deployment == nil || mr.Policy == nil || mr.Replan == nil {
-		return false, nil
-	}
-	name := mr.Model
-	if name == "" {
-		name = mr.Deployment.Model()
-	}
-	rt := mr.Deployment.Table()
-	if rt == nil {
-		// The model was undeployed between the loop snapshot and this
-		// evaluation; nothing to judge.
-		return false, nil
-	}
-	if !mr.Policy.ShouldRepartitionModel(name, rt.UtilitySkew(), rt.Served.Value(), now) {
-		return false, nil
-	}
-	stats := mr.Deployment.SnapshotProfile()
-	if stats == nil {
-		return false, fmt.Errorf("serving: repartition of model %q triggered without a live profiling window", name)
-	}
-	// The replan routes through the deployment's fingerprint-keyed memo: a
-	// window already replanned recently reuses its DP boundaries outright.
-	boundaries, err := mr.Deployment.ReplanMemo(stats, mr.Replan)
-	if err == nil {
-		// The profile snapshot rides into the build so the new epoch's
-		// fresh shards are pre-warmed from the fresh CDF before publish.
-		//lint:escape ctxflow the autoscaler's swap runs on its own detached control loop, not under any request
-		err = mr.Deployment.Repartition(context.Background(), stats, boundaries)
-	}
-	// Reopen the window for the next cycle regardless of outcome — a
-	// transient replan failure must not consume the only window and wedge
-	// the trigger loop for the rest of the process lifetime.
-	mr.Deployment.StartProfile()
-	if mr.OnRepartition != nil {
-		mr.OnRepartition(name, rt.Epoch, err)
-	}
-	return true, err
-}
-
-// Stop halts the loop and waits for it to exit.
-func (a *LiveAutoscaler) Stop() {
-	if a.stop == nil {
-		return
-	}
-	close(a.stop)
-	a.wg.Wait()
-	a.stop = nil
-}

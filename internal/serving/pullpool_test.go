@@ -19,8 +19,9 @@ import (
 // scale-up, scale-down and kill-replica mid-flight; bounded-queue
 // backpressure surfaces the typed error before the caller's deadline
 // blows; workers drain to zero on epoch close; the queue-depth autoscaling
-// policy is hysteretic and monotone as a pure function; and LiveAutoscaler
-// grows and shrinks a live pool under it, capped and spaced by Cooldown.
+// policy is hysteretic and monotone as a pure function; and the
+// LiveAutoscaler's per-pool step grows and shrinks a live pool under it,
+// capped and spaced by Cooldown.
 
 // countedGather records every successful serve and stamps a canonical
 // reply, so the suite can reconcile caller-side and replica-side tallies.
@@ -395,19 +396,23 @@ func TestLiveAutoscalerQueuePolicyScalesOut(t *testing.T) {
 
 	type step struct{ from, to int }
 	var steps []step
-	as := &LiveAutoscaler{OnScale: func(_ *AutoscaledShard, from, to int) {
-		steps = append(steps, step{from, to})
-	}}
-	spawned := 0
-	hot := &AutoscaledShard{
-		Name:        "qds-t0-s0",
-		Pool:        pool,
+	as := &LiveAutoscaler{
 		Queue:       &QueuePolicy{HighDepth: 0.4, LowDepth: 0.1, Cooldown: time.Minute},
 		MaxReplicas: maxReplicas,
-		Spawn: func() (GatherClient, error) {
-			spawned++
-			return newShard(spawned), nil
+		OnScale: func(_ string, _, _, from, to int) {
+			steps = append(steps, step{from, to})
 		},
+	}
+	spawned := 0
+	spawn := func() (GatherClient, error) {
+		spawned++
+		return newShard(spawned), nil
+	}
+	// last is when the pool last scaled, as the loop's tick carries it.
+	var last time.Time
+	decide := func(now time.Time) int {
+		last = as.scale("qds", 0, 0, pool, spawn, last, now)
+		return pool.Size()
 	}
 	req := &GatherRequest{Indices: []int64{1, 2, 3}, Offsets: []int32{0}}
 	fire := func(concurrent int) {
@@ -432,27 +437,27 @@ func TestLiveAutoscalerQueuePolicyScalesOut(t *testing.T) {
 		}
 	}
 
-	// First burst: the exported entry point, on the wall clock.
+	// First burst, on the wall clock.
 	fire(burst)
-	if got := as.Evaluate(hot); got != 2 {
+	if got := decide(time.Now()); got != 2 {
 		t.Fatalf("replicas = %d after the first burst (stats %+v), want 2", got, pool.QueueStats())
 	}
 	wantSteps("first burst", step{1, 2})
 	// Still overloaded, but inside Cooldown of the last decision.
 	fire(burst)
-	as.Evaluate(hot)
+	decide(time.Now())
 	wantSteps("inside cooldown", step{1, 2})
 	// From here the clock is injected: each decision one Cooldown later.
 	now := time.Now()
 	tick := func() time.Time {
-		now = now.Add(2 * hot.Queue.Cooldown)
+		now = now.Add(2 * as.Queue.Cooldown)
 		return now
 	}
-	as.evaluateQueue(hot, tick())
+	decide(tick())
 	wantSteps("second decision", step{1, 2}, step{2, 3})
 	// At MaxReplicas further pressure adds nothing and spawns nothing.
 	fire(burst)
-	as.evaluateQueue(hot, tick())
+	decide(tick())
 	wantSteps("at the cap", step{1, 2}, step{2, 3})
 	if spawned != maxReplicas-1 {
 		t.Fatalf("spawned %d replicas, want %d", spawned, maxReplicas-1)
@@ -464,12 +469,12 @@ func TestLiveAutoscalerQueuePolicyScalesOut(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		fire(1)
 	}
-	as.evaluateQueue(hot, tick())
+	decide(tick())
 	wantSteps("first scale-in", step{1, 2}, step{2, 3}, step{3, 2})
-	as.evaluateQueue(hot, now) // same instant: Cooldown gates
+	decide(now) // same instant: Cooldown gates
 	wantSteps("scale-in inside cooldown", step{1, 2}, step{2, 3}, step{3, 2})
-	as.evaluateQueue(hot, tick())
-	as.evaluateQueue(hot, tick())
+	decide(tick())
+	decide(tick())
 	wantSteps("floor", step{1, 2}, step{2, 3}, step{3, 2}, step{2, 1})
 }
 

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/embedding"
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -430,19 +429,27 @@ func emptyClients(cfg model.Config) [][]GatherClient {
 	return out
 }
 
-// TestLiveAutoscalerTriggersRepartition wires the skew trigger end to
-// end: drifted traffic widens the utility skew, the autoscaler's
-// repartition policy fires, the deployment re-plans from its live
-// profiling window and the epoch advances — all deterministic via
-// EvaluateModelRepartition on a one-element repartition list.
-func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
-	cfg := liveConfig()
+// watchedDeployment serves one model (DefaultModel) behind a frontend for
+// the control-loop tests, with the plan {50, 200, rows}.
+func watchedDeployment(t *testing.T, cfg model.Config) (*MultiDeployment, *LiveDeployment) {
+	t.Helper()
 	m, stats, _ := buildFixture(t, cfg)
-	ld, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable}, BuildOptions{})
+	md, err := BuildMulti(ModelSpec{Model: m, Stats: stats, Boundaries: []int64{50, 200, cfg.RowsPerTable}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ld.Close()
+	t.Cleanup(md.Close)
+	ld, _ := md.Deployment(DefaultModel)
+	return md, ld
+}
+
+// TestLiveAutoscalerTriggersRepartition wires the skew trigger end to
+// end: drifted traffic widens the utility skew, the loop's repartition
+// policy fires, the deployment re-plans from its live profiling window and
+// the epoch advances — all deterministic by driving the loop's tick.
+func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
+	cfg := liveConfig()
+	md, ld := watchedDeployment(t, cfg)
 
 	base, _ := workload.NewPowerLawSampler(cfg.RowsPerTable, cfg.LocalityP, 0.9)
 	drift, _ := workload.NewDriftingSampler(base)
@@ -454,14 +461,14 @@ func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 	}
 
 	var retired []int64
-	mr := &ModelRepartition{
-		Deployment: ld,
-		Policy: &cluster.RepartitionPolicy{
+	as := &LiveAutoscaler{
+		Frontend: md,
+		Repartition: &RepartitionPolicy{
 			MinSkew:     0.5,
 			MinRequests: 50,
 			MinInterval: time.Hour,
 		},
-		Replan: func(stats []*embedding.AccessStats) ([]int64, error) {
+		Replan: func(string, []*embedding.AccessStats) ([]int64, error) {
 			return []int64{50, 200, cfg.RowsPerTable}, nil
 		},
 		OnRepartition: func(_ string, epoch int64, err error) {
@@ -471,31 +478,31 @@ func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 			}
 		},
 	}
-	as := &LiveAutoscaler{Repartitions: []*ModelRepartition{mr}}
 
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			req := &PredictRequest{
+				BatchSize: cfg.BatchSize,
+				DenseDim:  cfg.DenseInputDim,
+				Dense:     make([]float32, cfg.BatchSize*cfg.DenseInputDim),
+			}
+			for tb := 0; tb < cfg.NumTables; tb++ {
+				b := gen.Next()
+				req.Tables = append(req.Tables, TableBatch{Indices: b.Indices, Offsets: b.Offsets})
+			}
+			var reply PredictReply
+			if err := ld.Predict(bg, req, &reply); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	ld.StartProfile()
-	for i := 0; i < 150; i++ {
-		req := &PredictRequest{
-			BatchSize: cfg.BatchSize,
-			DenseDim:  cfg.DenseInputDim,
-			Dense:     make([]float32, cfg.BatchSize*cfg.DenseInputDim),
-		}
-		for tb := 0; tb < cfg.NumTables; tb++ {
-			b := gen.Next()
-			req.Tables = append(req.Tables, TableBatch{Indices: b.Indices, Offsets: b.Offsets})
-		}
-		var reply PredictReply
-		if err := ld.Predict(bg, req, &reply); err != nil {
-			t.Fatal(err)
-		}
-	}
+	serve(150)
 
-	fired, err := as.EvaluateModelRepartition(mr, time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatalf("skew %.3f did not trip the trigger", ld.Table().UtilitySkew())
+	skew := ld.Table().UtilitySkew()
+	as.tick(time.Now())
+	if len(retired) == 0 {
+		t.Fatalf("skew %.3f did not trip the trigger", skew)
 	}
 	if ld.Epoch() != 1 {
 		t.Fatalf("epoch = %d after triggered repartition, want 1", ld.Epoch())
@@ -503,17 +510,24 @@ func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 	if len(retired) != 1 || retired[0] != 0 {
 		t.Fatalf("OnRepartition observed %v, want [0]", retired)
 	}
-	// MinInterval suppresses an immediate second swap.
-	fired, err = as.EvaluateModelRepartition(mr, time.Now())
-	if err != nil {
-		t.Fatal(err)
+	// The swap reopened the profiling window for the next cycle.
+	if ld.profile.Load() == nil {
+		t.Fatal("triggered repartition did not reopen the profiling window")
 	}
-	if fired {
+	// MinInterval suppresses an immediate second swap: the hot set moves
+	// back, so the new epoch is warm and stale too, and only the interval
+	// holds the trigger.
+	drift.SetShift(0)
+	serve(150)
+	if skew := ld.Table().UtilitySkew(); skew >= as.Repartition.MinSkew {
+		t.Fatalf("epoch 1 skew %.3f is healthy; the interval check below would be vacuous", skew)
+	}
+	as.tick(time.Now())
+	if len(retired) != 1 {
 		t.Fatal("repartition re-fired inside MinInterval")
 	}
-	// The autoscaler reopened the profiling window for the next cycle.
 	if ld.SnapshotProfile() == nil {
-		t.Fatal("triggered repartition did not reopen the profiling window")
+		t.Fatal("the loop left the deployment without a profiling window")
 	}
 }
 
@@ -523,12 +537,7 @@ func TestLiveAutoscalerTriggersRepartition(t *testing.T) {
 // profile and succeed.
 func TestEvaluateRepartitionSurvivesReplanFailure(t *testing.T) {
 	cfg := liveConfig()
-	m, stats, _ := buildFixture(t, cfg)
-	ld, err := BuildElastic(m, stats, []int64{50, 200, cfg.RowsPerTable}, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ld.Close()
+	md, ld := watchedDeployment(t, cfg)
 
 	base, _ := workload.NewPowerLawSampler(cfg.RowsPerTable, cfg.LocalityP, 0.9)
 	drift, _ := workload.NewDriftingSampler(base)
@@ -558,40 +567,48 @@ func TestEvaluateRepartitionSurvivesReplanFailure(t *testing.T) {
 
 	replanErr := fmt.Errorf("injected replan failure")
 	failing := true
-	mr := &ModelRepartition{
-		Deployment: ld,
-		Policy: &cluster.RepartitionPolicy{
+	var fired int
+	var lastErr error
+	as := &LiveAutoscaler{
+		Frontend: md,
+		Repartition: &RepartitionPolicy{
 			MinSkew:     0.5,
 			MinRequests: 50,
 			MinInterval: 0, // allow immediate retry after the failure
 		},
-		Replan: func(stats []*embedding.AccessStats) ([]int64, error) {
+		Replan: func(string, []*embedding.AccessStats) ([]int64, error) {
 			if failing {
 				return nil, replanErr
 			}
 			return []int64{50, 200, cfg.RowsPerTable}, nil
 		},
+		OnRepartition: func(_ string, _ int64, err error) {
+			fired++
+			lastErr = err
+		},
 	}
-	as := &LiveAutoscaler{Repartitions: []*ModelRepartition{mr}}
 
 	ld.StartProfile()
 	fire(150)
-	fired, err := as.EvaluateModelRepartition(mr, time.Now())
-	if !fired || err == nil {
-		t.Fatalf("fired=%v err=%v, want fired with the injected failure", fired, err)
+	as.tick(time.Now())
+	if fired != 1 || lastErr == nil {
+		t.Fatalf("fired=%d err=%v, want fired with the injected failure", fired, lastErr)
 	}
 	if ld.Epoch() != 0 {
 		t.Fatal("failed replan must not swap the epoch")
+	}
+	if ld.profile.Load() == nil {
+		t.Fatal("failed replan left the profiling window closed")
 	}
 	// The window was reopened; the next firing profiles fresh traffic and
 	// the swap goes through.
 	failing = false
 	fire(150)
-	fired, err = as.EvaluateModelRepartition(mr, time.Now())
-	if err != nil {
-		t.Fatalf("retry after transient failure: %v", err)
+	as.tick(time.Now())
+	if lastErr != nil {
+		t.Fatalf("retry after transient failure: %v", lastErr)
 	}
-	if !fired || ld.Epoch() != 1 {
-		t.Fatalf("fired=%v epoch=%d, want recovery swap to epoch 1", fired, ld.Epoch())
+	if fired != 2 || ld.Epoch() != 1 {
+		t.Fatalf("fired=%d epoch=%d, want recovery swap to epoch 1", fired, ld.Epoch())
 	}
 }

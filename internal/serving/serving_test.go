@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/embedding"
 	"repro/internal/model"
@@ -331,59 +332,11 @@ func TestReplicaPoolSharesLoadAndScaling(t *testing.T) {
 	}
 }
 
-func TestLiveAutoscalerEvaluate(t *testing.T) {
-	tab, _ := embedding.NewRandomTable("t", 10, 2, 1)
-	base, _ := NewEmbeddingShard(0, 0, tab, 0, 10)
-	pool := NewReplicaPool(base)
-	defer pool.Close()
-	spawned := 0
-	sh := &AutoscaledShard{
-		Name:   "s",
-		Model:  "m",
-		Pool:   pool,
-		QPSMax: 10,
-		Spawn: func() (GatherClient, error) {
-			spawned++
-			s, err := NewEmbeddingShard(0, 0, tab, 0, 10)
-			return s, err
-		},
-		MaxReplicas: 3,
-	}
-	offered := 25.0
-	as := &LiveAutoscaler{
-		Shards:          []*AutoscaledShard{sh},
-		OfferedModelQPS: func(string) float64 { return offered },
-	}
-	// 25 QPS over 1 replica exceeds QPSMax: scale out.
-	if got := as.Evaluate(sh); got != 2 {
-		t.Fatalf("replicas = %d, want 2", got)
-	}
-	if got := as.Evaluate(sh); got != 3 {
-		t.Fatalf("replicas = %d, want 3", got)
-	}
-	// MaxReplicas caps.
-	if got := as.Evaluate(sh); got != 3 {
-		t.Fatalf("replicas = %d, want capped 3", got)
-	}
-	if spawned != 2 {
-		t.Fatalf("spawned = %d", spawned)
-	}
-	// Low traffic scales in (down to 1).
-	offered = 1
-	if got := as.Evaluate(sh); got != 2 {
-		t.Fatalf("replicas = %d, want 2 after scale-in", got)
-	}
-	if got := as.Evaluate(sh); got != 1 {
-		t.Fatalf("replicas = %d, want 1", got)
-	}
-	if got := as.Evaluate(sh); got != 1 {
-		t.Fatalf("replicas = %d, must keep last replica", got)
-	}
-}
-
 func TestLiveAutoscalerStartStop(t *testing.T) {
-	as := &LiveAutoscaler{OfferedModelQPS: func(string) float64 { return 0 }}
+	md, _, _ := multiFixture(t, BuildOptions{}, BuildOptions{})
+	as := &LiveAutoscaler{Frontend: md, Interval: time.Millisecond, Queue: &QueuePolicy{HighDepth: 1}}
 	as.Start()
+	time.Sleep(10 * time.Millisecond)
 	as.Stop()
 	as.Stop() // idempotent
 }

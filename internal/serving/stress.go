@@ -12,8 +12,9 @@ import (
 // This file implements the QPSmax stress test of Sec. IV-D: "ElasticRec
 // measures the maximum QPS each sparse shard can sustain, stress-testing
 // each one of them by gradually increasing input query traffic intensity
-// and monitoring at which point the tail latency increases rapidly." The
-// measured QPSmax becomes the shard's HPA threshold.
+// and monitoring at which point the tail latency increases rapidly." In
+// the paper the measured QPSmax becomes the shard's HPA threshold; here it
+// is reported (core.StressTable), and LiveAutoscaler scales on queue depth.
 
 // StressOptions tunes the ramp.
 type StressOptions struct {
