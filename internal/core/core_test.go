@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -96,6 +97,20 @@ func TestAllStaticFigures(t *testing.T) {
 		if len(tab.Header) == 0 || tab.Title == "" {
 			t.Fatalf("%s: missing header/title", name)
 		}
+		assertGolden(t, name, tab)
+	}
+}
+
+// assertGolden compares tab's rendering with testdata/<name>.golden, which
+// pins every rendered cell and note of the figure.
+func assertGolden(t *testing.T, name string, tab *Table) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.String(); got != string(want) {
+		t.Fatalf("%s differs from testdata/%s.golden:\n%s", name, name, got)
 	}
 }
 
@@ -124,6 +139,7 @@ func TestTablesIandII(t *testing.T) {
 	if len(tab.Rows) < 13 { // 3 RMs + 3 MLP + 3 locality + 4 table-count
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	assertGolden(t, "tables", tab)
 }
 
 func TestMeasureUtilityShape(t *testing.T) {
@@ -212,20 +228,14 @@ func TestFigure19Table(t *testing.T) {
 	// The golden pins every rendered sample, peak and SLA-violation
 	// count, and with them the order of the HPA step, the sample and the
 	// pod tick at one instant.
-	want, err := os.ReadFile("testdata/fig19.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.String(); got != string(want) {
-		t.Fatalf("Figure 19 differs from testdata/fig19.golden:\n%s", got)
-	}
+	assertGolden(t, "fig19", tab)
 }
 
 func TestFigure14And17(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment: live utility experiments (~6s)")
 	}
-	for _, fn := range []func() (*Table, error){Figure14, Figure17} {
+	for name, fn := range map[string]func() (*Table, error){"fig14": Figure14, "fig17": Figure17} {
 		tab, err := fn()
 		if err != nil {
 			t.Fatal(err)
@@ -234,6 +244,7 @@ func TestFigure14And17(t *testing.T) {
 		if len(tab.Rows) < 9 {
 			t.Fatalf("rows = %d", len(tab.Rows))
 		}
+		assertGolden(t, name, tab)
 	}
 }
 
@@ -280,6 +291,7 @@ func TestSchemesTable(t *testing.T) {
 			t.Fatalf("row-wise reference broken: %v", tab.Rows[i])
 		}
 	}
+	assertGolden(t, "schemes", tab)
 }
 
 func TestStressTable(t *testing.T) {

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -63,6 +64,32 @@ func TestPlanElasticPerTable(t *testing.T) {
 	}
 	if plan.TotalMemoryBytes() >= mw.TotalMemoryBytes() {
 		t.Fatal("per-table elastic plan must beat model-wise")
+	}
+}
+
+// One CDF repeated for every table must give exactly the homogeneous plan:
+// both planners build their shard specs the same way.
+func TestPlanElasticPerTableMatchesHomogeneous(t *testing.T) {
+	cfg := model.RM1()
+	cfg.NumTables = 3
+	cfg.RowsPerTable = 20_000
+	s, err := workload.NewPowerLawSampler(cfg.RowsPerTable, cfg.LocalityP, DefaultExponent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdf := s.Analytic()
+	pl := planner(t, perfmodel.CPUOnly)
+	pl.CDF = cdf
+	want, err := pl.PlanElastic(cfg, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := planner(t, perfmodel.CPUOnly).PlanElasticPerTable(cfg, 100, []partition.CDF{cdf, cdf, cdf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-table plan with one CDF differs from the homogeneous plan:\n got %+v\nwant %+v", got, want)
 	}
 }
 
