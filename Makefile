@@ -15,14 +15,15 @@ test-short:
 
 # Race-check the concurrency-heavy packages: the dynamic batcher and the
 # lock-free dense hot path live in serving; metrics holds the lock-free
-# utility bitset every gather touches; cluster and workload drive
-# goroutine-based control loops and traffic generators. The scenario
+# utility bitset every gather touches; workload drives goroutine-based
+# traffic generators, and deploy's Kubernetes model (fleet packing, HPA)
+# runs its short tests beside them. The scenario
 # harness runs without -short so its live runs (concurrent clients against
 # fault-injected pools) execute under the detector, and so does the
 # Sec. IV-D stress table, whose request generator runs on every stress
 # worker at once.
 race:
-	$(GO) test -race -short ./internal/serving/... ./internal/metrics/... ./internal/cluster/... ./internal/workload/...
+	$(GO) test -race -short ./internal/serving/... ./internal/metrics/... ./internal/deploy/... ./internal/workload/...
 	$(GO) test -race -count=1 ./internal/scenario/...
 	$(GO) test -race -count=1 -run 'TestStressTable$$' ./internal/core/
 
@@ -136,14 +137,14 @@ lint-invariants:
 # (internal/serving/wire). net/rpc and encoding/gob would be a second one;
 # neither module may depend on them, directly, transitively or from a test.
 # The live stack also stays off the analytic simulator: internal/serving
-# and its tests may not depend on cluster, deploy or perfmodel.
+# and its tests may not depend on deploy or perfmodel.
 lint-deps:
 	@for dir in . benchmark; do \
 		found="$$(cd $$dir && $(GO) list -deps -test ./... | grep -x -e net/rpc -e encoding/gob)"; \
 		if [ -n "$$found" ]; then \
 			echo "lint-deps: module in $$dir depends on:"; echo "$$found"; exit 1; fi; \
 	done
-	@found="$$($(GO) list -deps -test ./internal/serving/... | grep -x -e repro/internal/cluster -e repro/internal/deploy -e repro/internal/perfmodel)"; \
+	@found="$$($(GO) list -deps -test ./internal/serving/... | grep -x -e repro/internal/deploy -e repro/internal/perfmodel)"; \
 	if [ -n "$$found" ]; then \
 		echo "lint-deps: internal/serving depends on:"; echo "$$found"; exit 1; fi
 

@@ -57,14 +57,14 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			servers, err := plan.ServersNeeded(prof.Node)
+			fleet, err := plan.Materialize(prof.Node)
 			if err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%-8.0f %-18s %10s %9d %8d %10v\n",
 				target, string(policy),
 				metrics.FormatBytes(plan.TotalMemoryBytes()),
-				plan.TotalReplicas(), servers,
+				plan.TotalReplicas(), fleet.NodesInUse(),
 				plan.AvgLatency.Round(time.Millisecond))
 		}
 		fmt.Println()

@@ -6,9 +6,9 @@
 // partitioner as their replanner.
 //
 // The heavy lifting lives in the focused packages: partition (Algorithms 1
-// and 2), deploy (policy planners), perfmodel (hardware model), cluster
-// (Kubernetes substrate), serving (live microservices), workload (traffic)
-// and model (DLRM). core re-exposes the common flows so a downstream user
+// and 2), deploy (policy planners and the Kubernetes fleet/HPA model),
+// perfmodel (hardware model), serving (live microservices), workload
+// (traffic) and model (DLRM). core re-exposes the common flows so a downstream user
 // rarely needs more than:
 //
 //	sys, _ := core.NewSystem(perfmodel.CPUOnly)
@@ -73,18 +73,18 @@ func (c *Comparison) MemoryReductionX() float64 {
 // ServerReductionX returns model-wise servers / ElasticRec servers (Figs.
 // 15 and 18) for the system's node spec.
 func (c *Comparison) ServerReductionX(node perfmodel.NodeSpec) (float64, error) {
-	mw, err := c.ModelWise.ServersNeeded(node)
+	mw, err := c.ModelWise.Materialize(node)
 	if err != nil {
 		return 0, err
 	}
-	er, err := c.Elastic.ServersNeeded(node)
+	er, err := c.Elastic.Materialize(node)
 	if err != nil {
 		return 0, err
 	}
-	if er == 0 {
+	if er.NodesInUse() == 0 {
 		return 0, fmt.Errorf("core: elastic plan needs zero servers")
 	}
-	return float64(mw) / float64(er), nil
+	return float64(mw.NodesInUse()) / float64(er.NodesInUse()), nil
 }
 
 // Table is a printable experiment result: the rows/series a paper figure

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/deploy"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
@@ -70,27 +69,17 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 	if err != nil {
 		return nil, err
 	}
-	cl, err := plan.Materialize(prof.Node, 0)
+	fleet, err := plan.Materialize(prof.Node)
 	if err != nil {
 		return nil, err
 	}
 
 	// One HPA controller per shard deployment, as configured by the plan.
-	type scaler struct {
-		hpa  *cluster.HPA
-		spec *deploy.ShardSpec
-	}
-	var scalers []scaler
+	hpas := make([]deploy.HPA, len(plan.Shards))
 	for i := range plan.Shards {
-		s := &plan.Shards[i]
-		pol := s.HPA
-		pol.ScaleDownStabilization = scaleDownStabilization
-		pol.MaxReplicas = 512
-		h, err := cluster.NewHPA(pol)
-		if err != nil {
-			return nil, fmt.Errorf("core: HPA for %s: %w", s.Name, err)
-		}
-		scalers = append(scalers, scaler{hpa: h, spec: s})
+		hpas[i].Policy = plan.Shards[i].HPA
+		hpas[i].Policy.ScaleDownStabilization = scaleDownStabilization
+		hpas[i].Policy.MaxReplicas = 512
 	}
 
 	// capacity returns the system's sustainable QPS: every query crosses
@@ -98,13 +87,8 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 	capacity := func() float64 {
 		minCap := -1.0
 		for i := range plan.Shards {
-			s := &plan.Shards[i]
-			d, ok := cl.Deployment(s.Name)
-			if !ok {
-				continue
-			}
-			_, ready := d.Replicas()
-			c := float64(ready) * s.QPSPerReplica
+			_, ready := fleet.Replicas(i)
+			c := float64(ready) * plan.Shards[i].QPSPerReplica
 			if minCap < 0 || c < minCap {
 				minCap = c
 			}
@@ -144,12 +128,9 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 	// stageLatency is the per-deployment tail the latency HPAs observe:
 	// the stage's own service time inflated by its own utilization —
 	// a saturated sparse stage must not drive dense scaling.
-	stageLatency := func(s *deploy.ShardSpec, offered float64) time.Duration {
-		d, ok := cl.Deployment(s.Name)
-		if !ok {
-			return maxLat
-		}
-		_, ready := d.Replicas()
+	stageLatency := func(d int, offered float64) time.Duration {
+		s := &plan.Shards[d]
+		_, ready := fleet.Replicas(d)
 		cap := float64(ready) * s.QPSPerReplica
 		if cap <= 0 {
 			return maxLat
@@ -161,14 +142,14 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 	series := &Fig19Series{Policy: policy}
 	scale := func(now time.Duration) {
 		offered := pattern.QPSAt(now)
-		for _, sc := range scalers {
-			metric := cluster.MetricSample{
+		for d := range hpas {
+			metric := deploy.MetricSample{
 				OfferedQPS:     offered,
-				LatencySeconds: stageLatency(sc.spec, offered).Seconds(),
+				LatencySeconds: stageLatency(d, offered).Seconds(),
 			}
 			// Scheduling failures surface as stalled scaling, which the
 			// timeline itself exposes; keep simulating.
-			_, _ = sc.hpa.Evaluate(cl, metric, now)
+			_, _ = hpas[d].Evaluate(fleet, d, metric, now)
 		}
 	}
 	sample := func(now time.Duration) {
@@ -178,7 +159,7 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 			achieved = cap
 		}
 		lat := tailLatency(offered)
-		mem := cl.AllocatedMemBytes()
+		mem := fleet.AllocatedMemBytes()
 		if mem > series.PeakMemBytes {
 			series.PeakMemBytes = mem
 		}
@@ -198,7 +179,7 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 	// the same instant run in a fixed order, which testdata/fig19.golden
 	// pins: at t = 0 the pods tick, then the first sample; after that the
 	// HPA steps, then the sample, then the pods tick.
-	cl.Tick(0)
+	fleet.Tick(0)
 	sample(0)
 	for now := podTick; now <= pattern.Duration(); now += podTick {
 		if now%hpaInterval == 0 {
@@ -207,7 +188,7 @@ func RunDynamicTraffic(cfg DynamicTrafficConfig, policy deploy.Policy) (*Fig19Se
 		if now%sampleEvery == 0 {
 			sample(now)
 		}
-		cl.Tick(now)
+		fleet.Tick(now)
 	}
 	return series, nil
 }

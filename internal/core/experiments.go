@@ -343,14 +343,15 @@ func serversFigure(platform perfmodel.Platform, title string) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mw, err := cmp.ModelWise.ServersNeeded(sys.Profile.Node)
+		mwFleet, err := cmp.ModelWise.Materialize(sys.Profile.Node)
 		if err != nil {
 			return nil, err
 		}
-		er, err := cmp.Elastic.ServersNeeded(sys.Profile.Node)
+		erFleet, err := cmp.Elastic.Materialize(sys.Profile.Node)
 		if err != nil {
 			return nil, err
 		}
+		mw, er := mwFleet.NodesInUse(), erFleet.NodesInUse()
 		t.Rows = append(t.Rows, []string{
 			cfg.Name,
 			fmt.Sprintf("%d", mw),

@@ -15,8 +15,9 @@ import (
 // in-process embedding shards: a scaled-down RM1 table is hotness-split
 // into three shards and each is ramped until its tail-latency knee. The
 // per-shard QPSmax values are a report: in the paper they set the sparse
-// shards' HPA thresholds, but nothing here reads them — the live loop
-// scales on queue depth.
+// shards' HPA thresholds, which deploy instead derives from perfmodel's
+// QPS regression (HPAPolicy.Target); nothing reads these values, and the
+// live loop scales on queue depth.
 func StressTable() (*Table, error) {
 	const rows = 200_000
 	const dim = 32

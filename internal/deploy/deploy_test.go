@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/perfmodel"
 )
@@ -83,14 +82,14 @@ func TestPlanElasticStructure(t *testing.T) {
 		if s.Replicas < 1 || s.QPSPerReplica <= 0 {
 			t.Fatalf("bad shard spec: %+v", s)
 		}
-		if s.HPA.Kind != cluster.MetricQPSPerReplica {
+		if s.HPA.Kind != MetricQPSPerReplica {
 			t.Fatal("sparse shards must use the throughput HPA target")
 		}
 	}
 	if covered != cfg.RowsPerTable {
 		t.Fatalf("table 0 covered %d of %d rows", covered, cfg.RowsPerTable)
 	}
-	if dense[0].HPA.Kind != cluster.MetricLatency {
+	if dense[0].HPA.Kind != MetricLatency {
 		t.Fatal("dense shard must use the latency HPA target")
 	}
 	if dense[0].HPA.Target != DefaultSLA.Seconds()*HPALatencyFraction {
@@ -123,15 +122,15 @@ func TestElasticBeatsModelWiseMemory(t *testing.T) {
 			if ratio < 2.0 || ratio > 12 {
 				t.Errorf("%s/%s: memory reduction %.2fx outside the paper's band", plat, cfg.Name, ratio)
 			}
-			srvMW, err := mw.ServersNeeded(pl.Profile.Node)
+			fleetMW, err := mw.Materialize(pl.Profile.Node)
 			if err != nil {
 				t.Fatal(err)
 			}
-			srvER, err := er.ServersNeeded(pl.Profile.Node)
+			fleetER, err := er.Materialize(pl.Profile.Node)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if srvER > srvMW {
+			if srvMW, srvER := fleetMW.NodesInUse(), fleetER.NodesInUse(); srvER > srvMW {
 				t.Errorf("%s/%s: ElasticRec needs more servers (%d > %d)", plat, cfg.Name, srvER, srvMW)
 			}
 		}
@@ -315,20 +314,16 @@ func TestMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := plan.Materialize(pl.Profile.Node, 0)
+	f, err := plan.Materialize(pl.Profile.Node)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Before any tick, pods are starting; after the longest cold start
 	// every shard's deployment has all its replicas ready.
-	cl.Tick(10 * time.Minute)
+	f.Tick(10 * time.Minute)
 	for i := range plan.Shards {
 		s := &plan.Shards[i]
-		d, ok := cl.Deployment(s.Name)
-		if !ok {
-			t.Fatalf("%s: no deployment", s.Name)
-		}
-		desired, ready := d.Replicas()
+		desired, ready := f.Replicas(i)
 		if desired != s.Replicas || ready != desired {
 			t.Fatalf("%s: %d desired, %d ready after 10m, want %d", s.Name, desired, ready, s.Replicas)
 		}
@@ -343,11 +338,11 @@ func TestMonolithOnePerNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers, err := plan.ServersNeeded(pl.Profile.Node)
+	f, err := plan.Materialize(pl.Profile.Node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if servers != plan.Shards[0].Replicas {
+	if servers := f.NodesInUse(); servers != plan.Shards[0].Replicas {
 		t.Fatalf("servers = %d, replicas = %d", servers, plan.Shards[0].Replicas)
 	}
 }

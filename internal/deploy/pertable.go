@@ -2,9 +2,7 @@ package deploy
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/partition"
 )
@@ -20,10 +18,7 @@ import (
 // partitioned against cdfs[t]. len(cdfs) must equal cfg.NumTables and each
 // CDF must cover cfg.RowsPerTable rows.
 func (pl *Planner) PlanElasticPerTable(cfg model.Config, targetQPS float64, cdfs []partition.CDF) (*Plan, error) {
-	if pl.Profile == nil {
-		return nil, fmt.Errorf("deploy: planner needs a hardware profile")
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := pl.check(cfg); err != nil {
 		return nil, err
 	}
 	if targetQPS <= 0 {
@@ -32,46 +27,8 @@ func (pl *Planner) PlanElasticPerTable(cfg model.Config, targetQPS float64, cdfs
 	if len(cdfs) != cfg.NumTables {
 		return nil, fmt.Errorf("deploy: %d CDFs for %d tables", len(cdfs), cfg.NumTables)
 	}
-
-	p := pl.Profile
-	qps, err := p.BuildQPSModel(cfg.BatchSize, cfg.EmbeddingDim, cfg.Pooling)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: QPS regression: %w", err)
-	}
-
-	plan := &Plan{
-		Policy:    PolicyElastic,
-		Model:     cfg,
-		Platform:  p.Platform,
-		TargetQPS: targetQPS,
-	}
-
-	denseQPS := p.DenseQPS(cfg)
-	denseName := fmt.Sprintf("%s-dense", cfg.Name)
-	plan.Shards = append(plan.Shards, ShardSpec{
-		Name:          denseName,
-		Kind:          KindDense,
-		Table:         -1,
-		Shard:         -1,
-		ParamBytes:    cfg.DenseBytes(),
-		MemBytes:      cfg.DenseBytes() + p.MinMemAlloc,
-		Resources:     pl.denseResources(cfg),
-		QPSPerReplica: denseQPS,
-		Replicas:      ceilDiv(targetQPS, denseQPS),
-		ColdStart:     p.ColdStart(cfg.DenseBytes()),
-		HPA: cluster.HPAPolicy{
-			Deployment:  denseName,
-			Kind:        cluster.MetricLatency,
-			Target:      pl.sla().Seconds() * HPALatencyFraction,
-			MinReplicas: 1,
-			QPSGuard:    denseQPS,
-		},
-	})
-
-	var maxShardLat time.Duration
-	contacted := 0
-	for t := 0; t < cfg.NumTables; t++ {
-		cdf := cdfs[t]
+	tables := make([]tablePart, cfg.NumTables)
+	for t, cdf := range cdfs {
 		if cdf == nil {
 			return nil, fmt.Errorf("deploy: nil CDF for table %d", t)
 		}
@@ -79,67 +36,17 @@ func (pl *Planner) PlanElasticPerTable(cfg model.Config, targetQPS float64, cdfs
 			return nil, fmt.Errorf("deploy: table %d CDF covers %d rows, want %d",
 				t, cdf.Rows(), cfg.RowsPerTable)
 		}
-		cm := &partition.CostModel{
-			CDF:             cdf,
-			PoolingPerInput: float64(cfg.Pooling),
-			BatchSize:       cfg.BatchSize,
-			VectorBytes:     int64(cfg.EmbeddingDim) * 4,
-			MinMemAlloc:     p.MinMemAlloc,
-			TargetTraffic:   pl.dpTarget(),
-			QPS:             qps,
-		}
-		if err := cm.Validate(); err != nil {
+		cm, err := pl.costModel(cfg, cdf)
+		if err != nil {
 			return nil, fmt.Errorf("deploy: table %d: %w", t, err)
 		}
-		var tablePlan partition.Plan
-		if pl.ForceShards > 0 {
-			tablePlan, err = pl.Partitioner.PartitionFixedShards(cfg.RowsPerTable, pl.ForceShards, cm.CostFunc())
-		} else {
-			tablePlan, err = pl.Partitioner.Partition(cfg.RowsPerTable, cm.CostFunc())
-		}
+		tablePlan, err := pl.partition(cfg, cm)
 		if err != nil {
 			return nil, fmt.Errorf("deploy: partitioning table %d: %w", t, err)
 		}
-		if t == 0 {
-			plan.TablePlan = tablePlan
-		}
-		ests, err := cm.Evaluate(tablePlan)
-		if err != nil {
-			return nil, fmt.Errorf("deploy: evaluating table %d: %w", t, err)
-		}
-		contacted += len(ests)
-		for s, e := range ests {
-			name := fmt.Sprintf("%s-t%d-s%d", cfg.Name, t, s)
-			lat := p.ShardLatency(cfg.BatchSize, e.NS, cfg.EmbeddingDim)
-			if lat > maxShardLat {
-				maxShardLat = lat
-			}
-			plan.Shards = append(plan.Shards, ShardSpec{
-				Name:          name,
-				Kind:          KindEmbedding,
-				Table:         t,
-				Shard:         s,
-				RowLo:         e.Lo,
-				RowHi:         e.Hi,
-				ParamBytes:    e.CapacityBytes,
-				MemBytes:      e.CapacityBytes + p.MinMemAlloc,
-				Resources:     pl.embeddingResources(e.CapacityBytes),
-				QPSPerReplica: e.QPS,
-				NSPerInput:    e.NS,
-				Replicas:      ceilDiv(targetQPS, e.QPS),
-				ColdStart:     p.ColdStart(e.CapacityBytes),
-				HPA: cluster.HPAPolicy{
-					Deployment:  name,
-					Kind:        cluster.MetricQPSPerReplica,
-					Target:      e.QPS * HPAQPSHeadroom,
-					MinReplicas: 1,
-					Tolerance:   0.05,
-				},
-			})
-		}
+		tables[t] = tablePart{tablePlan, cm}
 	}
-	plan.AvgLatency = p.ElasticLatency(cfg, contacted, maxShardLat)
-	return plan, nil
+	return pl.elasticPlan(cfg, targetQPS, tables)
 }
 
 // TableBoundaries extracts the per-table shard boundaries from a plan in

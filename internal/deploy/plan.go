@@ -3,15 +3,15 @@
 // replica counts, HPA policies and cold-start estimates. It implements the
 // three resource-allocation policies the paper compares: ElasticRec's
 // fine-grained shard allocation, the model-wise baseline, and model-wise
-// augmented with a GPU-side embedding cache (Sec. VI-E).
+// augmented with a GPU-side embedding cache (Sec. VI-E) — and, in
+// fleet.go, the Kubernetes model that schedules and autoscales a plan
+// (best-fit pods on auto-provisioned nodes, cold starts, HPA).
 package deploy
 
 import (
-	"fmt"
 	"math"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
@@ -56,7 +56,7 @@ type ShardSpec struct {
 	// MemBytes is ParamBytes plus the per-container minimum allocation.
 	MemBytes int64
 	// Resources is the pod resource request.
-	Resources cluster.ResourceSpec
+	Resources ResourceSpec
 	// QPSPerReplica is the per-replica sustainable throughput: the
 	// stress-tested QPSmax for sparse shards, the modelled throughput
 	// for dense/monolith.
@@ -69,7 +69,7 @@ type ShardSpec struct {
 	// ColdStart is a new replica's time-to-ready.
 	ColdStart time.Duration
 	// HPA is the autoscaling policy bound to the shard.
-	HPA cluster.HPAPolicy
+	HPA HPAPolicy
 }
 
 // TotalMemBytes returns MemBytes across the provisioned replicas.
@@ -121,45 +121,6 @@ func (p *Plan) shardsOf(kinds ...ShardKind) []*ShardSpec {
 		}
 	}
 	return out
-}
-
-// ServersNeeded packs every replica onto auto-provisioned nodes of the
-// platform's node spec and returns the node count — the server counts of
-// Figs. 15 and 18.
-func (p *Plan) ServersNeeded(node perfmodel.NodeSpec) (int, error) {
-	template := cluster.ResourceSpec{
-		CPUMilli: int64(node.Cores) * 1000,
-		MemBytes: node.MemBytes,
-		GPUs:     node.GPUs,
-	}
-	c := cluster.NewAutoProvisioned(template)
-	for i := range p.Shards {
-		s := &p.Shards[i]
-		_, err := c.CreateDeployment(s.Name, s.Resources, s.ColdStart, s.Replicas, 0)
-		if err != nil {
-			return 0, fmt.Errorf("deploy: packing %s: %w", s.Name, err)
-		}
-	}
-	return c.NodesInUse(), nil
-}
-
-// Materialize schedules the plan onto a fresh auto-provisioned cluster and
-// returns it with all deployments created — the starting state for the
-// dynamic-traffic simulation.
-func (p *Plan) Materialize(node perfmodel.NodeSpec, now time.Duration) (*cluster.Cluster, error) {
-	template := cluster.ResourceSpec{
-		CPUMilli: int64(node.Cores) * 1000,
-		MemBytes: node.MemBytes,
-		GPUs:     node.GPUs,
-	}
-	c := cluster.NewAutoProvisioned(template)
-	for i := range p.Shards {
-		s := &p.Shards[i]
-		if _, err := c.CreateDeployment(s.Name, s.Resources, s.ColdStart, s.Replicas, now); err != nil {
-			return nil, fmt.Errorf("deploy: materializing %s: %w", s.Name, err)
-		}
-	}
-	return c, nil
 }
 
 func ceilDiv(target, qps float64) int {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
@@ -78,16 +77,27 @@ func (pl *Planner) cdfFor(cfg model.Config) (partition.CDF, error) {
 // profiling sweep, fits the QPS regression and wires the CDF. Exposed so
 // experiments (Fig. 12) can evaluate partitioning costs directly.
 func (pl *Planner) CostModel(cfg model.Config) (*partition.CostModel, error) {
-	if pl.Profile == nil {
-		return nil, fmt.Errorf("deploy: planner needs a hardware profile")
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := pl.check(cfg); err != nil {
 		return nil, err
 	}
 	cdf, err := pl.cdfFor(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return pl.costModel(cfg, cdf)
+}
+
+// check rejects a model or planner no plan can be built for.
+func (pl *Planner) check(cfg model.Config) error {
+	if pl.Profile == nil {
+		return fmt.Errorf("deploy: planner needs a hardware profile")
+	}
+	return cfg.Validate()
+}
+
+// costModel is Algorithm 1's estimator for one of cfg's tables whose
+// accesses follow cdf.
+func (pl *Planner) costModel(cfg model.Config, cdf partition.CDF) (*partition.CostModel, error) {
 	qps, err := pl.Profile.BuildQPSModel(cfg.BatchSize, cfg.EmbeddingDim, cfg.Pooling)
 	if err != nil {
 		return nil, fmt.Errorf("deploy: QPS regression: %w", err)
@@ -116,55 +126,53 @@ func (pl *Planner) PartitionTable(cfg model.Config) (partition.Plan, *partition.
 	if err != nil {
 		return partition.Plan{}, nil, err
 	}
-	var plan partition.Plan
+	plan, err := pl.partition(cfg, cm)
+	return plan, cm, err
+}
+
+// partition runs Algorithm 2 over one table under cm, or the fixed-count
+// split when ForceShards is set.
+func (pl *Planner) partition(cfg model.Config, cm *partition.CostModel) (partition.Plan, error) {
 	if pl.ForceShards > 0 {
-		plan, err = pl.Partitioner.PartitionFixedShards(cfg.RowsPerTable, pl.ForceShards, cm.CostFunc())
-	} else {
-		plan, err = pl.Partitioner.Partition(cfg.RowsPerTable, cm.CostFunc())
+		return pl.Partitioner.PartitionFixedShards(cfg.RowsPerTable, pl.ForceShards, cm.CostFunc())
 	}
-	if err != nil {
-		return partition.Plan{}, nil, err
-	}
-	return plan, cm, nil
+	return pl.Partitioner.Partition(cfg.RowsPerTable, cm.CostFunc())
 }
 
 // denseResources sizes the dense shard's pod request: GPU-centric on
 // CPU-GPU platforms; on CPU-only, the core request grows with the model's
 // dense compute intensity (heavier MLPs keep more cores busy per query).
-func (pl *Planner) denseResources(cfg model.Config) cluster.ResourceSpec {
+func (pl *Planner) denseResources(cfg model.Config) ResourceSpec {
 	p := pl.Profile
 	mem := cfg.DenseBytes() + p.MinMemAlloc
 	if p.Platform == perfmodel.CPUGPU {
-		return cluster.ResourceSpec{CPUMilli: 8000, MemBytes: mem, GPUs: 1}
+		return ResourceSpec{CPUMilli: 8000, MemBytes: mem, GPUs: 1}
 	}
-	cores := int64(12 + 6*(cfg.DenseFLOPsPerQuery()/40_000_000))
-	if cores > int64(p.Node.Cores) {
-		cores = int64(p.Node.Cores)
-	}
-	return cluster.ResourceSpec{CPUMilli: cores * 1000, MemBytes: mem}
+	cores := min(int64(12+6*(cfg.DenseFLOPsPerQuery()/40_000_000)), int64(p.Node.Cores))
+	return ResourceSpec{CPUMilli: cores * 1000, MemBytes: mem}
 }
 
 // monolithResources sizes a model-wise replica: it owns the node's
 // execution resources (the whole model is one serving process using all
 // cores, plus the GPU on CPU-GPU nodes), which is why model-wise scaling
 // is server-granular.
-func (pl *Planner) monolithResources(cfg model.Config) cluster.ResourceSpec {
+func (pl *Planner) monolithResources(cfg model.Config) ResourceSpec {
 	p := pl.Profile
 	mem := cfg.DenseBytes() + cfg.SparseBytes() + p.MinMemAlloc
 	cores := int64(p.Node.Cores) * 1000 * 3 / 4
-	return cluster.ResourceSpec{CPUMilli: cores, MemBytes: mem, GPUs: p.Node.GPUs}
+	return ResourceSpec{CPUMilli: cores, MemBytes: mem, GPUs: p.Node.GPUs}
 }
 
 // embeddingResources sizes one embedding-shard pod: a half-core
 // CPU-centric container holding its row range (gathers are memory-bound,
 // not compute-bound).
-func (pl *Planner) embeddingResources(paramBytes int64) cluster.ResourceSpec {
-	return cluster.ResourceSpec{CPUMilli: 500, MemBytes: paramBytes + pl.Profile.MinMemAlloc}
+func (pl *Planner) embeddingResources(paramBytes int64) ResourceSpec {
+	return ResourceSpec{CPUMilli: 500, MemBytes: paramBytes + pl.Profile.MinMemAlloc}
 }
 
 // PlanElastic builds the ElasticRec deployment: one dense shard type plus
 // the DP-chosen embedding shards per table, each independently replicated
-// to meet targetQPS.
+// to meet targetQPS. Every table shares one partitioning.
 func (pl *Planner) PlanElastic(cfg model.Config, targetQPS float64) (*Plan, error) {
 	if targetQPS <= 0 {
 		return nil, fmt.Errorf("deploy: target QPS must be positive, got %v", targetQPS)
@@ -173,52 +181,65 @@ func (pl *Planner) PlanElastic(cfg model.Config, targetQPS float64) (*Plan, erro
 	if err != nil {
 		return nil, err
 	}
-	ests, err := cm.Evaluate(tablePlan)
-	if err != nil {
-		return nil, err
+	tables := make([]tablePart, cfg.NumTables)
+	for t := range tables {
+		tables[t] = tablePart{tablePlan, cm}
 	}
+	return pl.elasticPlan(cfg, targetQPS, tables)
+}
 
+// tablePart is one table's partitioning and the cost model it was chosen
+// under.
+type tablePart struct {
+	plan partition.Plan
+	cm   *partition.CostModel
+}
+
+// elasticPlan builds an ElasticRec plan from each table's partitioning:
+// the dense shard, then table t's embedding shards from tables[t], each
+// shard's replicas, HPA and cold start sized from its Algorithm 1
+// estimate.
+func (pl *Planner) elasticPlan(cfg model.Config, targetQPS float64, tables []tablePart) (*Plan, error) {
 	p := pl.Profile
+	denseQPS := p.DenseQPS(cfg)
 	plan := &Plan{
 		Policy:    PolicyElastic,
 		Model:     cfg,
 		Platform:  p.Platform,
 		TargetQPS: targetQPS,
-		TablePlan: tablePlan,
+		TablePlan: tables[0].plan,
+		Shards: []ShardSpec{{
+			Name:          fmt.Sprintf("%s-dense", cfg.Name),
+			Kind:          KindDense,
+			Table:         -1,
+			Shard:         -1,
+			ParamBytes:    cfg.DenseBytes(),
+			MemBytes:      cfg.DenseBytes() + p.MinMemAlloc,
+			Resources:     pl.denseResources(cfg),
+			QPSPerReplica: denseQPS,
+			Replicas:      ceilDiv(targetQPS, denseQPS),
+			ColdStart:     p.ColdStart(cfg.DenseBytes()),
+			HPA: HPAPolicy{
+				Kind:        MetricLatency,
+				Target:      pl.sla().Seconds() * HPALatencyFraction,
+				MinReplicas: 1,
+				QPSGuard:    denseQPS,
+			},
+		}},
 	}
-
-	denseQPS := p.DenseQPS(cfg)
-	denseSpec := ShardSpec{
-		Name:          fmt.Sprintf("%s-dense", cfg.Name),
-		Kind:          KindDense,
-		Table:         -1,
-		Shard:         -1,
-		ParamBytes:    cfg.DenseBytes(),
-		MemBytes:      cfg.DenseBytes() + p.MinMemAlloc,
-		Resources:     pl.denseResources(cfg),
-		QPSPerReplica: denseQPS,
-		Replicas:      ceilDiv(targetQPS, denseQPS),
-		ColdStart:     p.ColdStart(cfg.DenseBytes()),
-		HPA: cluster.HPAPolicy{
-			Deployment:  fmt.Sprintf("%s-dense", cfg.Name),
-			Kind:        cluster.MetricLatency,
-			Target:      pl.sla().Seconds() * HPALatencyFraction,
-			MinReplicas: 1,
-			QPSGuard:    denseQPS,
-		},
-	}
-	plan.Shards = append(plan.Shards, denseSpec)
 
 	var maxShardLat time.Duration
-	for t := 0; t < cfg.NumTables; t++ {
+	contacted := 0
+	for t, tp := range tables {
+		ests, err := tp.cm.Evaluate(tp.plan)
+		if err != nil {
+			return nil, fmt.Errorf("deploy: evaluating table %d: %w", t, err)
+		}
+		contacted += len(ests)
 		for s, e := range ests {
-			name := fmt.Sprintf("%s-t%d-s%d", cfg.Name, t, s)
-			lat := p.ShardLatency(cfg.BatchSize, e.NS, cfg.EmbeddingDim)
-			if lat > maxShardLat {
-				maxShardLat = lat
-			}
-			spec := ShardSpec{
-				Name:          name,
+			maxShardLat = max(maxShardLat, p.ShardLatency(cfg.BatchSize, e.NS, cfg.EmbeddingDim))
+			plan.Shards = append(plan.Shards, ShardSpec{
+				Name:          fmt.Sprintf("%s-t%d-s%d", cfg.Name, t, s),
 				Kind:          KindEmbedding,
 				Table:         t,
 				Shard:         s,
@@ -231,18 +252,15 @@ func (pl *Planner) PlanElastic(cfg model.Config, targetQPS float64) (*Plan, erro
 				NSPerInput:    e.NS,
 				Replicas:      ceilDiv(targetQPS, e.QPS),
 				ColdStart:     p.ColdStart(e.CapacityBytes),
-				HPA: cluster.HPAPolicy{
-					Deployment:  name,
-					Kind:        cluster.MetricQPSPerReplica,
+				HPA: HPAPolicy{
+					Kind:        MetricQPSPerReplica,
 					Target:      e.QPS * HPAQPSHeadroom, // below stress-tested QPSmax
 					MinReplicas: 1,
 					Tolerance:   0.05,
 				},
-			}
-			plan.Shards = append(plan.Shards, spec)
+			})
 		}
 	}
-	contacted := tablePlan.NumShards() * cfg.NumTables
 	plan.AvgLatency = p.ElasticLatency(cfg, contacted, maxShardLat)
 	return plan, nil
 }
@@ -271,10 +289,7 @@ func (pl *Planner) PlanModelWiseCache(cfg model.Config, targetQPS float64) (*Pla
 }
 
 func (pl *Planner) planMonolithic(cfg model.Config, targetQPS float64, policy Policy, sparseLatScale float64) (*Plan, error) {
-	if pl.Profile == nil {
-		return nil, fmt.Errorf("deploy: planner needs a hardware profile")
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := pl.check(cfg); err != nil {
 		return nil, err
 	}
 	if targetQPS <= 0 {
@@ -290,9 +305,8 @@ func (pl *Planner) planMonolithic(cfg model.Config, targetQPS float64, policy Po
 		qps = denseQPS
 	}
 	paramBytes := cfg.DenseBytes() + cfg.SparseBytes()
-	name := fmt.Sprintf("%s-%s", cfg.Name, policy)
 	spec := ShardSpec{
-		Name:          name,
+		Name:          fmt.Sprintf("%s-%s", cfg.Name, policy),
 		Kind:          KindMonolith,
 		Table:         -1,
 		Shard:         -1,
@@ -303,9 +317,8 @@ func (pl *Planner) planMonolithic(cfg model.Config, targetQPS float64, policy Po
 		QPSPerReplica: qps,
 		Replicas:      ceilDiv(targetQPS, qps),
 		ColdStart:     p.ColdStart(paramBytes),
-		HPA: cluster.HPAPolicy{
-			Deployment:  name,
-			Kind:        cluster.MetricQPSPerReplica,
+		HPA: HPAPolicy{
+			Kind:        MetricQPSPerReplica,
 			Target:      qps * HPAQPSHeadroom,
 			MinReplicas: 1,
 		},
