@@ -8,8 +8,8 @@
 // The heavy lifting lives in the focused packages: partition (Algorithms 1
 // and 2), deploy (policy planners and the Kubernetes fleet/HPA model),
 // perfmodel (hardware model), serving (live microservices), workload
-// (traffic) and model (DLRM). core re-exposes the common flows so a downstream user
-// rarely needs more than:
+// (traffic) and model (DLRM). core re-exposes the common flows so a
+// downstream user rarely needs more than:
 //
 //	sys, _ := core.NewSystem(perfmodel.CPUOnly)
 //	cmp, _ := sys.Compare(model.RM1(), 100)

@@ -84,8 +84,8 @@ func (f *Fleet) Scale(d, replicas int, now time.Duration) error {
 	s := &f.shards[d]
 	for len(f.pods[d]) < replicas {
 		best := -1
-		for n := range f.nodes {
-			if s.Resources.fits(f.nodes[n].free) && (best < 0 || f.nodes[n].free.MemBytes < f.nodes[best].free.MemBytes) {
+		for n, nd := range f.nodes {
+			if s.Resources.fits(nd.free) && (best < 0 || nd.free.MemBytes < f.nodes[best].free.MemBytes) {
 				best = n
 			}
 		}

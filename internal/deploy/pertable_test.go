@@ -72,19 +72,25 @@ func TestPlanElasticPerTable(t *testing.T) {
 func TestPlanElasticPerTableMatchesHomogeneous(t *testing.T) {
 	cfg := model.RM1()
 	cfg.NumTables = 3
-	cfg.RowsPerTable = 20_000
 	s, err := workload.NewPowerLawSampler(cfg.RowsPerTable, cfg.LocalityP, DefaultExponent)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cdf := s.Analytic()
+	// A 32-group DP grid keeps the four partitionings cheap.
+	grid := partition.Partitioner{Granularity: cfg.RowsPerTable / 32}
 	pl := planner(t, perfmodel.CPUOnly)
-	pl.CDF = cdf
+	pl.Partitioner, pl.CDF = grid, cdf
 	want, err := pl.PlanElastic(cfg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := planner(t, perfmodel.CPUOnly).PlanElasticPerTable(cfg, 100, []partition.CDF{cdf, cdf, cdf})
+	if want.TablePlan.NumShards() < 2 {
+		t.Fatalf("homogeneous plan has %d shard(s); the comparison needs a split table", want.TablePlan.NumShards())
+	}
+	perTable := planner(t, perfmodel.CPUOnly)
+	perTable.Partitioner = grid
+	got, err := perTable.PlanElasticPerTable(cfg, 100, []partition.CDF{cdf, cdf, cdf})
 	if err != nil {
 		t.Fatal(err)
 	}
