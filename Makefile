@@ -17,13 +17,15 @@ test-short:
 # lock-free dense hot path live in serving; metrics holds the lock-free
 # utility bitset every gather touches; workload drives goroutine-based
 # traffic generators, and deploy's Kubernetes model (fleet packing, HPA)
-# runs its short tests beside them. The scenario
-# harness runs without -short so its live runs (concurrent clients against
-# fault-injected pools) execute under the detector, and so does the
+# runs its short tests beside them. model.New and serving.Preprocess fill,
+# sort and permute tables on concurrent per-table workers
+# (embedding.ForEachTable). The scenario harness runs without -short so its
+# live runs (concurrent clients against fault-injected pools) execute under
+# the detector, and so does the
 # Sec. IV-D stress table, whose request generator runs on every stress
 # worker at once.
 race:
-	$(GO) test -race -short ./internal/serving/... ./internal/metrics/... ./internal/deploy/... ./internal/workload/...
+	$(GO) test -race -short ./internal/serving/... ./internal/metrics/... ./internal/deploy/... ./internal/workload/... ./internal/model/... ./internal/embedding/...
 	$(GO) test -race -count=1 ./internal/scenario/...
 	$(GO) test -race -count=1 -run 'TestStressTable$$' ./internal/core/
 

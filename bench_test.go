@@ -26,6 +26,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/perfmodel"
+	"repro/internal/serving"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -523,6 +524,97 @@ func BenchmarkKernel_BucketizeRM1Batch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := bucketize.Split(batch, boundaries); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// preprocessConfig is the gather workloads' geometry: 4 tables of 200k rows
+// of dimension 64 behind tiny MLPs.
+func preprocessConfig() model.Config {
+	return model.Config{
+		Name:          "bench-gather",
+		DenseInputDim: 13,
+		BottomMLP:     []int{16, 64},
+		TopMLP:        []int{16, 1},
+		NumTables:     4,
+		RowsPerTable:  200_000,
+		EmbeddingDim:  64,
+		Pooling:       128,
+		LocalityP:     0.9,
+		BatchSize:     32,
+	}
+}
+
+// powerLawBatches draws n batch-32, pooling-128 lookups (4096 indices each)
+// from the power-law sampler through a shuffled ID mapping, so the hot
+// rows are scattered over the table the way an unsorted table sees them.
+func powerLawBatches(b *testing.B, cfg model.Config, n int, seed uint64) []*embedding.Batch {
+	s, err := workload.NewPowerLawSampler(cfg.RowsPerTable, cfg.LocalityP, 0.9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, err := workload.NewQueryGenerator(s, workload.NewShuffledMapping(cfg.RowsPerTable, seed), cfg.BatchSize, cfg.Pooling, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]*embedding.Batch, n)
+	for i := range out {
+		out[i] = gen.Next()
+	}
+	return out
+}
+
+// BenchmarkKernel_RecordBatch times the profiling window's counting loop on
+// one batch of 4096 power-law indices.
+func BenchmarkKernel_RecordBatch(b *testing.B) {
+	cfg := preprocessConfig()
+	batch := powerLawBatches(b, cfg, 1, 5)[0]
+	st := embedding.NewAccessStats(cfg.RowsPerTable)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.RecordBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernel_ModelNew times model.New at the gather workloads'
+// geometry: four 200k x 64 tables filled with seeded values (the first
+// stage of every benchmark set-up).
+func BenchmarkKernel_ModelNew(b *testing.B) {
+	cfg := preprocessConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.New(cfg, 7); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernel_Preprocess times the epoch build's hotness sort, table
+// permutation, rank inversion and CDF on 4 x 200k x 64 tables whose counts
+// come from one million power-law lookups per table.
+func BenchmarkKernel_Preprocess(b *testing.B) {
+	cfg := preprocessConfig()
+	m, err := model.New(cfg, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stats := make([]*embedding.AccessStats, cfg.NumTables)
+	for t := range stats {
+		stats[t] = embedding.NewAccessStats(cfg.RowsPerTable)
+		for _, batch := range powerLawBatches(b, cfg, 256, uint64(t)+1) {
+			if err := stats[t].RecordBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serving.Preprocess(m, stats); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,7 @@ package embedding
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // AccessStats records per-row access counts for one embedding table over a
@@ -19,23 +19,19 @@ func NewAccessStats(rows int64) *AccessStats {
 	return &AccessStats{Counts: make([]int64, rows)}
 }
 
-// Record adds one access to row idx. Out-of-range indices are rejected.
-func (s *AccessStats) Record(idx int64) error {
-	if idx < 0 || idx >= int64(len(s.Counts)) {
-		return fmt.Errorf("%w: stats row %d of %d", ErrIndexRange, idx, len(s.Counts))
-	}
-	s.Counts[idx]++
-	s.Total++
-	return nil
-}
-
-// RecordBatch adds one access per index in the batch.
+// RecordBatch adds one access per index in the batch. On an out-of-range
+// index it returns ErrIndexRange with the accesses before that index
+// recorded and the rest of the batch not.
 func (s *AccessStats) RecordBatch(b *Batch) error {
-	for _, idx := range b.Indices {
-		if err := s.Record(idx); err != nil {
-			return err
+	counts := s.Counts
+	for i, idx := range b.Indices {
+		if uint64(idx) >= uint64(len(counts)) {
+			s.Total += int64(i)
+			return fmt.Errorf("%w: stats row %d of %d", ErrIndexRange, idx, len(counts))
 		}
+		counts[idx]++
 	}
+	s.Total += int64(len(b.Indices))
 	return nil
 }
 
@@ -47,27 +43,50 @@ func (s *AccessStats) Rows() int64 { return int64(len(s.Counts)) }
 // descending access count (ties broken by original index for determinism).
 // Applying Table.Permute with this permutation yields the Fig. 8(b) layout:
 // the hottest row at index 0.
+//
+// The sort is a stable LSD radix sort on the key maxCount - count, one
+// byte digit per pass, starting from index order: it runs in as many
+// linear passes as the largest key has bytes, and stability keeps equal
+// counts in ascending index order.
 func (s *AccessStats) HotnessPermutation() []int64 {
 	perm := make([]int64, len(s.Counts))
 	for i := range perm {
 		perm[i] = int64(i)
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		ca, cb := s.Counts[perm[a]], s.Counts[perm[b]]
-		if ca != cb {
-			return ca > cb
+	if len(perm) == 0 {
+		return perm
+	}
+	// The key of count c is hi - c, and span is the largest key; uint64
+	// arithmetic keeps hi - c exact for every pair of int64 counts.
+	hi := uint64(slices.Max(s.Counts))
+	span := hi - uint64(slices.Min(s.Counts))
+	tmp := make([]int64, len(perm))
+	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
+		var next [256]int
+		for _, row := range perm {
+			next[byte((hi-uint64(s.Counts[row]))>>shift)]++
 		}
-		return perm[a] < perm[b]
-	})
+		pos := 0
+		for d, n := range next {
+			next[d] = pos
+			pos += n
+		}
+		for _, row := range perm {
+			d := byte((hi - uint64(s.Counts[row])) >> shift)
+			tmp[next[d]] = row
+			next[d]++
+		}
+		perm, tmp = tmp, perm
+	}
 	return perm
 }
 
 // SortedCounts returns the access counts in descending order (the series
 // plotted in Fig. 6).
 func (s *AccessStats) SortedCounts() []int64 {
-	out := make([]int64, len(s.Counts))
-	copy(out, s.Counts)
-	sort.Slice(out, func(a, b int) bool { return out[a] > out[b] })
+	out := slices.Clone(s.Counts)
+	slices.Sort(out)
+	slices.Reverse(out)
 	return out
 }
 

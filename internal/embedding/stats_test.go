@@ -3,14 +3,22 @@ package embedding
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// record adds one access to row idx through a one-index batch.
+func record(s *AccessStats, idx int64) error {
+	return s.RecordBatch(&Batch{Indices: []int64{idx}, Offsets: []int32{0}})
+}
+
 func TestAccessStatsRecord(t *testing.T) {
 	s := NewAccessStats(4)
 	for _, idx := range []int64{0, 1, 1, 3, 3, 3} {
-		if err := s.Record(idx); err != nil {
+		if err := record(s, idx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -20,10 +28,10 @@ func TestAccessStatsRecord(t *testing.T) {
 	if s.Counts[3] != 3 || s.Counts[2] != 0 {
 		t.Fatalf("Counts = %v", s.Counts)
 	}
-	if err := s.Record(4); !errors.Is(err, ErrIndexRange) {
+	if err := record(s, 4); !errors.Is(err, ErrIndexRange) {
 		t.Fatalf("want ErrIndexRange, got %v", err)
 	}
-	if err := s.Record(-1); !errors.Is(err, ErrIndexRange) {
+	if err := record(s, -1); !errors.Is(err, ErrIndexRange) {
 		t.Fatalf("want ErrIndexRange, got %v", err)
 	}
 }
@@ -41,6 +49,16 @@ func TestRecordBatch(t *testing.T) {
 	if err := s.RecordBatch(bad); err == nil {
 		t.Fatal("want range error")
 	}
+	// A failing batch keeps the accesses before the bad index and drops
+	// the rest, in Counts and Total alike.
+	s = NewAccessStats(4)
+	partial := &Batch{Indices: []int64{0, 3, 3, -1, 2}, Offsets: []int32{0}}
+	if err := s.RecordBatch(partial); !errors.Is(err, ErrIndexRange) {
+		t.Fatalf("want ErrIndexRange, got %v", err)
+	}
+	if s.Total != 3 || s.Counts[0] != 1 || s.Counts[3] != 2 || s.Counts[2] != 0 {
+		t.Fatalf("after a failed batch Total = %d, Counts = %v; want 3, [1 0 0 2]", s.Total, s.Counts)
+	}
 }
 
 func TestHotnessPermutation(t *testing.T) {
@@ -53,6 +71,70 @@ func TestHotnessPermutation(t *testing.T) {
 	for i := range want {
 		if perm[i] != want[i] {
 			t.Fatalf("perm = %v, want %v", perm, want)
+		}
+	}
+}
+
+// comparatorHotnessPermutation is the comparator sort HotnessPermutation
+// must agree with: descending count, ties by ascending original index.
+func comparatorHotnessPermutation(counts []int64) []int64 {
+	perm := make([]int64, len(counts))
+	for i := range perm {
+		perm[i] = int64(i)
+	}
+	sort.SliceStable(perm, func(a, b int) bool {
+		ca, cb := counts[perm[a]], counts[perm[b]]
+		if ca != cb {
+			return ca > cb
+		}
+		return perm[a] < perm[b]
+	})
+	return perm
+}
+
+// TestHotnessSortMatchesComparatorSort checks the radix hotness sort and
+// SortedCounts against comparator sorts on corpora that stress ties,
+// digit counts and sizes.
+func TestHotnessSortMatchesComparatorSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	corpus := func(n int, gen func(i int) int64) []int64 {
+		c := make([]int64, n)
+		for i := range c {
+			c[i] = gen(i)
+		}
+		return c
+	}
+	cases := map[string][]int64{
+		"empty":      {},
+		"n=1":        {42},
+		"n=1 zero":   {0},
+		"all zeros":  make([]int64, 1000),
+		"all equal":  corpus(1000, func(int) int64 { return 7 }),
+		"many ties":  corpus(5000, func(int) int64 { return rng.Int63n(4) }),
+		"one digit":  corpus(3000, func(int) int64 { return rng.Int63n(256) }),
+		"two digits": corpus(3000, func(int) int64 { return rng.Int63n(1 << 16) }),
+		"zipf-like": corpus(20000, func(i int) int64 {
+			return int64(100000 / (1 + rng.Intn(i+1)))
+		}),
+		"at least 2^40": corpus(3000, func(int) int64 { return 1<<40 + rng.Int63n(1<<20) }),
+		"near 2^62": corpus(3000, func(int) int64 {
+			if rng.Intn(3) == 0 {
+				return 0
+			}
+			return 1<<62 - rng.Int63n(8)
+		}),
+		"max int64": {math.MaxInt64, 0, math.MaxInt64, 1, 0},
+	}
+	for name, counts := range cases {
+		s := &AccessStats{Counts: counts}
+		got, want := s.HotnessPermutation(), comparatorHotnessPermutation(counts)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: HotnessPermutation differs from the comparator sort", name)
+		}
+		sorted := slices.Clone(counts)
+		sort.Slice(sorted, func(a, b int) bool { return sorted[a] > sorted[b] })
+		if got := s.SortedCounts(); !slices.Equal(got, sorted) {
+			t.Errorf("%s: SortedCounts = %v, want %v", name, got, sorted)
 		}
 	}
 }
@@ -129,7 +211,7 @@ func TestCDFProportionalCuts(t *testing.T) {
 	s := NewAccessStats(10)
 	for i := int64(0); i < 10; i++ {
 		for n := int64(0); n < 10-i; n++ {
-			if err := s.Record(i); err != nil {
+			if err := record(s, i); err != nil {
 				t.Fatal(err)
 			}
 		}

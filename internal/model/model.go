@@ -102,15 +102,21 @@ func New(cfg Config, seed uint64) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("model %s: top MLP: %w", cfg.Name, err)
 	}
-	m := &Model{Config: cfg, Bottom: bottom, Top: top}
-	for t := 0; t < cfg.NumTables; t++ {
+	m := &Model{Config: cfg, Bottom: bottom, Top: top, Tables: make([]*embedding.Table, cfg.NumTables)}
+	// Every table has its own seed, so filling them concurrently gives the
+	// same values as filling them one after another.
+	err = embedding.ForEachTable(cfg.NumTables, func(t int) error {
 		tab, err := embedding.NewRandomTable(
 			fmt.Sprintf("%s-table%d", cfg.Name, t), cfg.RowsPerTable, cfg.EmbeddingDim,
 			seed+uint64(t)*0x9e3779b9)
 		if err != nil {
-			return nil, fmt.Errorf("model %s: table %d: %w", cfg.Name, t, err)
+			return fmt.Errorf("model %s: table %d: %w", cfg.Name, t, err)
 		}
-		m.Tables = append(m.Tables, tab)
+		m.Tables[t] = tab
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	m.initScratch()
 	return m, nil

@@ -197,6 +197,42 @@ func TestNewModelAndForward(t *testing.T) {
 	}
 }
 
+// TestNewMatchesSerialBuild checks that the concurrently filled tables of
+// New hold, bit for bit, what filling them one after another with the same
+// names and seeds gives — with more tables than any worker count.
+func TestNewMatchesSerialBuild(t *testing.T) {
+	cfg := tiny()
+	cfg.NumTables, cfg.RowsPerTable = 9, 300
+	const seed = 77
+	m, err := New(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Tables) != cfg.NumTables {
+		t.Fatalf("%d tables, want %d", len(m.Tables), cfg.NumTables)
+	}
+	for tab := 0; tab < cfg.NumTables; tab++ {
+		ref, err := embedding.NewRandomTable(fmt.Sprintf("%s-table%d", cfg.Name, tab),
+			cfg.RowsPerTable, cfg.EmbeddingDim, seed+uint64(tab)*0x9e3779b9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := m.Tables[tab]
+		if got.Name != ref.Name || got.Rows != ref.Rows || got.Dim != ref.Dim {
+			t.Fatalf("table %d is %s %dx%d, want %s %dx%d", tab, got.Name, got.Rows, got.Dim, ref.Name, ref.Rows, ref.Dim)
+		}
+		for r := int64(0); r < ref.Rows; r++ {
+			gv, _ := got.Vector(r)
+			rv, _ := ref.Vector(r)
+			for j := range rv {
+				if math.Float32bits(gv[j]) != math.Float32bits(rv[j]) {
+					t.Fatalf("table %d row %d col %d: %v, want %v", tab, r, j, gv[j], rv[j])
+				}
+			}
+		}
+	}
+}
+
 func TestForwardPooledMatchesForward(t *testing.T) {
 	m, err := New(tiny(), 2)
 	if err != nil {

@@ -248,9 +248,9 @@ func (b *Batcher) collect() {
 // own budget inside a fused batch (the old latest-deadline rule let a
 // permissive batchmate stretch a tight request far beyond its deadline).
 // The flip side — a permissive request can now fail because a tight
-// batchmate bounded the fused call — is accepted until slack-aware queue
-// admission lands (see ROADMAP "Deadline-aware batching"). Unbounded only
-// when no caller has a deadline.
+// batchmate bounded the fused call — is accepted: only slack-aware queue
+// admission, which is not built, would avoid it. Unbounded only when no
+// caller has a deadline.
 func batchContext(batch []*pendingPredict) (context.Context, context.CancelFunc) {
 	earliest := int64(0)
 	for _, p := range batch {

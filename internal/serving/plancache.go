@@ -203,8 +203,8 @@ func (c *planCache) clear() {
 // occupancy snapshots the cache's current footprint: entry counts per memo
 // kind and the bytes of cached sorted tables (the dominant cost — each
 // memoized Preprocess output holds a full sorted copy of every embedding
-// table). This is the per-model number the cross-variant cache budget
-// (ROADMAP) will aggregate into a global LRU.
+// table). BuildCounters reports it as CachedPres, CachedUnits and
+// CachedSortedBytes.
 func (c *planCache) occupancy() (pres, units int, sortedBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -3,6 +3,9 @@ package serving
 import (
 	"context"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -125,6 +128,131 @@ func TestPreprocessValidation(t *testing.T) {
 	}
 	if _, err := Preprocess(m, badStats); err == nil {
 		t.Fatal("want row-count mismatch error")
+	}
+	// With several tables at fault, the lowest-numbered one is reported.
+	mixed := append([]*embedding.AccessStats(nil), stats...)
+	mixed[3], mixed[1] = embedding.NewAccessStats(10), embedding.NewAccessStats(11)
+	if _, err := Preprocess(m, mixed); err == nil || !strings.Contains(err.Error(), "table 1 ") {
+		t.Fatalf("err = %v, want table 1's row-count mismatch", err)
+	}
+}
+
+// serialPreprocess is the reference Preprocess must match: each table in
+// turn, sorted by a comparator sort (descending count, ties by ascending
+// original index), permuted, ranked, and its CDF accumulated from counts
+// sorted the same way.
+func serialPreprocess(t *testing.T, m *model.Model, stats []*embedding.AccessStats) (sorted []*embedding.Table, rankOf [][]int64, cdfs [][]float64) {
+	t.Helper()
+	for tab, st := range stats {
+		perm := make([]int64, len(st.Counts))
+		for i := range perm {
+			perm[i] = int64(i)
+		}
+		sort.SliceStable(perm, func(a, b int) bool {
+			ca, cb := st.Counts[perm[a]], st.Counts[perm[b]]
+			if ca != cb {
+				return ca > cb
+			}
+			return perm[a] < perm[b]
+		})
+		s, err := m.Tables[tab].Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank := make([]int64, len(perm))
+		for r, orig := range perm {
+			rank[orig] = int64(r)
+		}
+		counts := append([]int64(nil), st.Counts...)
+		sort.Slice(counts, func(a, b int) bool { return counts[a] > counts[b] })
+		at := make([]float64, len(counts)+1) // at[j] = share of rows [0, j)
+		var run int64
+		for j, c := range counts {
+			run += c
+			if st.Total == 0 {
+				at[j+1] = float64(j+1) / float64(len(counts))
+			} else {
+				at[j+1] = float64(run) / float64(st.Total)
+			}
+		}
+		at[len(counts)] = 1
+		sorted, rankOf, cdfs = append(sorted, s), append(rankOf, rank), append(cdfs, at)
+	}
+	return sorted, rankOf, cdfs
+}
+
+// checkPreprocessed compares a Preprocess output with the serial reference:
+// every sorted row bit for bit, every rank, and the CDF at every row.
+func checkPreprocessed(t *testing.T, pre *Preprocessed, sorted []*embedding.Table, rankOf [][]int64, cdfs [][]float64) {
+	t.Helper()
+	if len(pre.Sorted) != len(sorted) || len(pre.RankOf) != len(rankOf) || len(pre.CDFs) != len(cdfs) {
+		t.Fatalf("%d/%d/%d sorted/rank/CDF tables, want %d", len(pre.Sorted), len(pre.RankOf), len(pre.CDFs), len(sorted))
+	}
+	for tab, ref := range sorted {
+		for r := int64(0); r < ref.Rows; r++ {
+			got, _ := pre.Sorted[tab].Vector(r)
+			want, _ := ref.Vector(r)
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("table %d sorted row %d col %d: %v, want %v", tab, r, j, got[j], want[j])
+				}
+			}
+		}
+		if !slices.Equal(pre.RankOf[tab], rankOf[tab]) {
+			t.Fatalf("table %d: RankOf differs from the serial reference", tab)
+		}
+		for j, want := range cdfs[tab] {
+			if got := pre.CDFs[tab].At(int64(j)); got != want {
+				t.Fatalf("table %d: CDF.At(%d) = %v, want %v", tab, j, got, want)
+			}
+		}
+	}
+}
+
+// TestPreprocessMatchesSerialReference runs Preprocess over more tables
+// than it has workers, one of them never accessed (identity order, uniform
+// CDF), and checks every output against the serial reference.
+func TestPreprocessMatchesSerialReference(t *testing.T) {
+	cfg := liveConfig()
+	cfg.NumTables = 7
+	m, stats, _ := buildFixture(t, cfg)
+	stats[4] = embedding.NewAccessStats(cfg.RowsPerTable)
+	pre, err := Preprocess(m, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted, rankOf, cdfs := serialPreprocess(t, m, stats)
+	checkPreprocessed(t, pre, sorted, rankOf, cdfs)
+}
+
+// TestConcurrentEpochBuilds builds two models and preprocesses both at the
+// same time, as two deployments re-planning at once do; under -race it
+// checks that the per-table workers share nothing, and each output must
+// still equal its serial reference.
+func TestConcurrentEpochBuilds(t *testing.T) {
+	cfg := liveConfig()
+	cfg.NumTables = 5
+	_, stats, _ := buildFixture(t, cfg)
+	models := make([]*model.Model, 2)
+	pres := make([]*Preprocessed, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range models {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if models[i], errs[i] = model.New(cfg, uint64(i)+1); errs[i] == nil {
+				pres[i], errs[i] = Preprocess(models[i], stats)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range models {
+		if errs[i] != nil {
+			t.Fatalf("build %d: %v", i, errs[i])
+		}
+		sorted, rankOf, cdfs := serialPreprocess(t, models[i], stats)
+		checkPreprocessed(t, pres[i], sorted, rankOf, cdfs)
 	}
 }
 

@@ -365,34 +365,40 @@ func DecodePredictRequest(data []byte, req *PredictRequest) error {
 	if nTables > r.rem() || nDense*4+nTables*8 > r.rem() {
 		return errShort
 	}
+	// Walk the table headers before copying anything: a frame is decoded
+	// only once every declared array is known to fit exactly, so a
+	// truncated or padded frame costs O(tables), not a copy of the tables
+	// before its cut.
+	walk := reader{data: data, off: r.off + nDense*4}
+	for t := 0; t < nTables; t++ {
+		nIdx, err := walk.count(8)
+		if err != nil {
+			return err
+		}
+		nOff, err := walk.u32()
+		if err != nil {
+			return err
+		}
+		if nOff > walk.rem() || nIdx*8+nOff*4 > walk.rem() {
+			return errShort
+		}
+		walk.off += nIdx*8 + nOff*4
+	}
+	if walk.rem() != 0 {
+		return errShort
+	}
 	req.Dense = GetFloat32(nDense)
 	decodeFloat32s(r.bytes(nDense*4), req.Dense)
 	req.Tables = tablePool.get(nTables)
-	for t := 0; t < nTables; t++ {
-		nIdx, err := r.count(8)
-		if err != nil {
-			req.Tables = req.Tables[:t]
-			FreePredictRequest(req)
-			return err
-		}
-		nOff, err := r.u32()
-		if err != nil || nOff > r.rem() || nIdx*8+nOff*4 > r.rem() {
-			req.Tables = req.Tables[:t]
-			FreePredictRequest(req)
-			if err == nil {
-				err = errShort
-			}
-			return err
-		}
+	for t := range req.Tables {
+		// The walk checked both counts, so neither read can fail.
+		nIdx, _ := r.u32()
+		nOff, _ := r.u32()
 		tb := &req.Tables[t]
 		tb.Indices = GetInt64(nIdx)
 		decodeInt64s(r.bytes(nIdx*8), tb.Indices)
 		tb.Offsets = GetInt32(nOff)
 		decodeInt32s(r.bytes(nOff*4), tb.Offsets)
-	}
-	if r.rem() != 0 {
-		FreePredictRequest(req)
-		return errShort
 	}
 	return nil
 }

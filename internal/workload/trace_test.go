@@ -18,7 +18,8 @@ func TestTraceRoundTrip(t *testing.T) {
 	stats := embedding.NewAccessStats(1000)
 	rng := NewRNG(7)
 	for i := 0; i < 50_000; i++ {
-		if err := stats.Record(mapping.RowOf(s.SampleRank(rng))); err != nil {
+		row := mapping.RowOf(s.SampleRank(rng))
+		if err := stats.RecordBatch(&embedding.Batch{Indices: []int64{row}, Offsets: []int32{0}}); err != nil {
 			t.Fatal(err)
 		}
 	}
