@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-contract fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants lint-deps loc ci
+.PHONY: build test test-short race race-repartition lifecycle-smoke bench bench-smoke bench-contract bench-pairs fuzz-smoke scenario-smoke scenario-guard fmt fmt-check vet lint-doc lint-invariants lint-deps loc ci
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,22 @@ bench-contract:
 			case "$$out" in *'"failed":0,'*) ;; *) echo "bench-contract: $$w: failed requests"; exit 1;; esac; \
 		fi; \
 	done
+
+# Paired benchmark runs of the working tree against BASE (a git ref):
+# BASE is extracted under .bench_build/pairs/, and each of N seeds runs
+# benchmark/run.sh on both trees in ABBA order, plus AA pairs of BASE
+# against itself. Prints per workload and end-to-end metric both medians
+# and quartiles, the ratio, the change's wins and the A/A row. Not part of
+# `make ci`: ~1 minute per pair on 2 vCPUs.
+#   make bench-pairs BASE=HEAD~1 WORKLOADS=gather_tcp,plan_swap N=10
+BASE ?= HEAD
+WORKLOADS ?= gather_tcp
+N ?= 10
+AA ?= 2
+SEED ?= 1001
+RUN_SECONDS ?= 20
+bench-pairs:
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workloads $(WORKLOADS) -n $(N) -aa $(AA) -seed $(SEED) -seconds $(RUN_SECONDS)
 
 # Fuzz smoke: run the wire fuzz targets briefly (the message codec, then
 # the admin frame header) — malformed frames must error, never panic or

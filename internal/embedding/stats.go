@@ -122,19 +122,41 @@ type CDF struct {
 // table with zero recorded accesses yields a uniform CDF, which matches the
 // behaviour of an unprofiled table.
 func NewCDF(s *AccessStats) *CDF {
-	n := len(s.Counts)
-	cum := make([]float64, n)
 	if s.Total == 0 {
-		for i := range cum {
-			cum[i] = float64(i+1) / float64(n)
-		}
-		return &CDF{cum: cum}
+		return uniformCDF(len(s.Counts))
 	}
 	sorted := s.SortedCounts()
+	cum := make([]float64, len(sorted))
 	var run int64
 	for i, c := range sorted {
 		run += c
 		cum[i] = float64(run) / float64(s.Total)
+	}
+	return &CDF{cum: cum}
+}
+
+// NewCDFFromPermutation builds the same CDF as NewCDF from perm, a
+// hotness order of s's rows (HotnessPermutation's result): it reads the
+// counts in perm's order instead of sorting a copy of them again. Equal
+// counts are interchangeable, so the result is bit-identical to NewCDF's.
+func NewCDFFromPermutation(s *AccessStats, perm []int64) *CDF {
+	if s.Total == 0 {
+		return uniformCDF(len(s.Counts))
+	}
+	cum := make([]float64, len(perm))
+	var run int64
+	for i, row := range perm {
+		run += s.Counts[row]
+		cum[i] = float64(run) / float64(s.Total)
+	}
+	return &CDF{cum: cum}
+}
+
+// uniformCDF is the CDF of an unprofiled n-row table.
+func uniformCDF(n int) *CDF {
+	cum := make([]float64, n)
+	for i := range cum {
+		cum[i] = float64(i+1) / float64(n)
 	}
 	return &CDF{cum: cum}
 }

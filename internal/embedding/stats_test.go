@@ -139,6 +139,55 @@ func TestHotnessSortMatchesComparatorSort(t *testing.T) {
 	}
 }
 
+// TestCDFFromPermutationMatchesNewCDF pins the one-sort CDF that
+// Preprocess builds from its hotness permutation Float64bits-identical to
+// NewCDF's, which sorts a copy of the counts: ties, skew, a single row, an
+// unprofiled table (the uniform CDF) and a profile recorded through
+// RecordBatch.
+func TestCDFFromPermutationMatchesNewCDF(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	gen := func(n int, f func(i int) int64) *AccessStats {
+		s := NewAccessStats(int64(n))
+		for i := range s.Counts {
+			s.Counts[i] = f(i)
+			s.Total += s.Counts[i]
+		}
+		return s
+	}
+	recorded := NewAccessStats(5000)
+	for i := 0; i < 50; i++ {
+		b := &Batch{Offsets: []int32{0}}
+		for j := 0; j < 400; j++ {
+			b.Indices = append(b.Indices, int64(rng.ExpFloat64()*300)%5000)
+		}
+		if err := recorded.RecordBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := map[string]*AccessStats{
+		"n=1":        gen(1, func(int) int64 { return 42 }),
+		"unprofiled": gen(1000, func(int) int64 { return 0 }),
+		"many ties":  gen(5000, func(int) int64 { return rng.Int63n(4) }),
+		"two digits": gen(3000, func(int) int64 { return rng.Int63n(1 << 16) }),
+		"zipf-like": gen(20000, func(i int) int64 {
+			return int64(100000 / (1 + rng.Intn(i+1)))
+		}),
+		"recorded": recorded,
+	}
+	for name, s := range cases {
+		want := NewCDF(s)
+		got := NewCDFFromPermutation(s, s.HotnessPermutation())
+		if len(got.cum) != len(want.cum) {
+			t.Fatalf("%s: %d rows, want %d", name, len(got.cum), len(want.cum))
+		}
+		for i := range want.cum {
+			if math.Float64bits(got.cum[i]) != math.Float64bits(want.cum[i]) {
+				t.Fatalf("%s: cum[%d] = %v, NewCDF has %v", name, i, got.cum[i], want.cum[i])
+			}
+		}
+	}
+}
+
 func TestSortedCountsDescending(t *testing.T) {
 	s := NewAccessStats(5)
 	s.Counts = []int64{3, 9, 1, 7, 7}

@@ -61,8 +61,7 @@ type predictScratch struct {
 	cursors []int    // per-shard fill cursors within idxBuf
 	idxBuf  []int64  // backing for every shard's rebased indices
 	offBuf  []int32  // backing for every shard's local offsets
-	localID []int64  // per index of the table being split, its shard-local id
-	shardNo []uint16 // per index of the table being split, its owning shard
+	code    []uint32 // per index of the table being split, its directory word
 	pooled  []float32
 
 	// Rows-mode (predictRows) working set.
@@ -195,14 +194,14 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 	defer d.scratch.Put(sc)
 
 	// Remap + bucketize every table's batch across the epoch's shards in
-	// one fused pass (Sec. IV-C): each original index is translated to
-	// sorted space through the epoch's remap and rebased into its owning
-	// shard's local ID space, with exact-size segments carved out of the
-	// reusable scratch backing (no intermediate remapped request, no
-	// append growth). bucketize.Split is the allocating reference
-	// implementation of the same count-then-carve partition;
-	// TestFusedBucketizeMatchesSplit pins this fused path against it
-	// exactly, so a carve fix must land in both.
+	// one fused pass (Sec. IV-C): each index is looked up once in the
+	// epoch's row directory, which already folds the preprocessing remap,
+	// the owning shard and the shard-local id into one word, and exact-size
+	// segments are carved out of the reusable scratch backing (no
+	// intermediate remapped request, no append growth). bucketize.Split is
+	// the allocating reference implementation of the same count-then-carve
+	// partition; TestFusedBucketizeMatchesSplit pins this fused path
+	// against it exactly, so a carve fix must land in both.
 	nt := d.cfg.NumTables
 	totalCalls, idxNeed := 0, 0
 	for t := 0; t < nt; t++ {
@@ -222,49 +221,28 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 	ci, idxPos, offPos := 0, 0, 0
 	for t := 0; t < nt; t++ {
 		tb := &req.Tables[t]
-		bnd := rt.Boundaries[t]
-		ns := len(bnd)
-		var rank []int64
-		if rt.Pre != nil {
-			rank = rt.Pre.RankOf[t]
-		}
+		ns := len(rt.Boundaries[t])
+		dir, shift := rt.dir[t], rt.dirShift[t]
+		mask := uint32(1)<<shift - 1
 		sc.counts = growInts(sc.counts, ns)
 		counts := sc.counts
 		for s := range counts {
 			counts[s] = 0
 		}
-		// Pass 1: remap and validate each index once, then record its
-		// shard-local id and owning shard while counting each shard's
-		// lookups, so pass 2 never repeats the cache-missing rank lookup
-		// or the boundary search. The remap runs as its own loop: free of
-		// the shard search's data-dependent branches, its rank[idx] misses
-		// overlap instead of being flushed with each mispredict.
-		if cap(sc.localID) < len(tb.Indices) {
-			sc.localID = make([]int64, len(tb.Indices))
-			sc.shardNo = make([]uint16, len(tb.Indices))
+		// Pass 1: validate each index and load its directory word once,
+		// counting each shard's lookups, so pass 2 never repeats the
+		// cache-missing directory read.
+		if cap(sc.code) < len(tb.Indices) {
+			sc.code = make([]uint32, len(tb.Indices))
 		}
-		localID := sc.localID[:len(tb.Indices)]
-		shardNo := sc.shardNo[:len(tb.Indices)]
+		code := sc.code[:len(tb.Indices)]
 		for p, idx := range tb.Indices {
-			r := idx
-			if rank != nil {
-				if idx < 0 || idx >= int64(len(rank)) {
-					return fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, len(rank))
-				}
-				r = rank[idx]
-			} else if idx < 0 || idx >= bnd[ns-1] {
-				return fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, bnd[ns-1])
+			if uint64(idx) >= uint64(len(dir)) {
+				return fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, len(dir))
 			}
-			localID[p] = r
-		}
-		for p, r := range localID {
-			s := bucketize.ShardOf(r, bnd)
-			counts[s]++
-			if s > 0 {
-				r -= bnd[s-1]
-			}
-			localID[p] = r
-			shardNo[p] = uint16(s)
+			w := dir[idx]
+			code[p] = w
+			counts[w>>shift]++
 		}
 		sc.starts = growInts(sc.starts, ns)
 		sc.cursors = growInts(sc.cursors, ns)
@@ -284,9 +262,9 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 			if i+1 < bs {
 				hi = int(tb.Offsets[i+1])
 			}
-			for p := lo; p < hi; p++ {
-				s := shardNo[p]
-				sc.idxBuf[sc.cursors[s]] = localID[p]
+			for _, w := range code[lo:hi] {
+				s := w >> shift
+				sc.idxBuf[sc.cursors[s]] = int64(w & mask)
 				sc.cursors[s]++
 			}
 		}

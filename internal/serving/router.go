@@ -4,11 +4,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bucketize"
+	"repro/internal/embedding"
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
@@ -81,38 +85,66 @@ type RoutingTable struct {
 	// (NewRoutingTable), which still own servers/closers per epoch.
 	units [][]*shardUnit
 
+	// dir[t][id] is the owning shard s and shard-local row of table t's
+	// request id packed as s<<dirShift[t] | local, where dirShift[t] is
+	// the bit width of the table's widest shard. Ids are original ids when
+	// Pre is set and sorted ids otherwise, so the pooled fan-out resolves
+	// each index with one 32-bit load: no remap read, no boundary search.
+	dir      [][]uint32
+	dirShift []uint8
+
 	servers  []*RPCServer
 	closers  []io.Closer
 	inflight atomic.Int64
 }
 
-// maxShardsPerTable bounds one table's plan so DenseShard.Predict can keep
-// each index's owning shard in a uint16 side array.
-const maxShardsPerTable = 1 << 16
-
 // NewRoutingTable validates plan geometry and wraps it as an immutable
 // epoch. boundaries[t] and clients[t][s] follow the DenseShard layout.
+// It also builds each table's row directory (see RoutingTable.dir), on
+// concurrent per-table workers; a plan whose directory cannot pack a
+// shard number and a shard-local row into 32 bits, or whose tables have
+// more rows than a u32 wire index can name, is refused before anything is
+// allocated.
 func NewRoutingTable(epoch int64, cfg model.Config, pre *Preprocessed, boundaries [][]int64, clients [][]GatherClient) (*RoutingTable, error) {
 	if len(boundaries) != cfg.NumTables || len(clients) != cfg.NumTables {
 		return nil, fmt.Errorf("serving: routing table needs %d tables of boundaries/clients, got %d/%d",
 			cfg.NumTables, len(boundaries), len(clients))
 	}
+	if pre != nil && len(pre.RankOf) != cfg.NumTables {
+		return nil, fmt.Errorf("serving: preprocessing remaps %d tables, want %d", len(pre.RankOf), cfg.NumTables)
+	}
+	shifts := make([]uint8, cfg.NumTables)
 	for t := range boundaries {
-		if len(boundaries[t]) == 0 {
+		bnd := boundaries[t]
+		if len(bnd) == 0 {
 			return nil, fmt.Errorf("serving: table %d has no shard boundaries", t)
 		}
-		if len(clients[t]) != len(boundaries[t]) {
+		if len(clients[t]) != len(bnd) {
 			return nil, fmt.Errorf("serving: table %d has %d clients for %d shards",
-				t, len(clients[t]), len(boundaries[t]))
+				t, len(clients[t]), len(bnd))
 		}
-		if len(boundaries[t]) > maxShardsPerTable {
-			return nil, fmt.Errorf("serving: table %d has %d shards, more than the %d a plan may number",
-				t, len(boundaries[t]), maxShardsPerTable)
-		}
-		if last := boundaries[t][len(boundaries[t])-1]; last != cfg.RowsPerTable {
+		if last := bnd[len(bnd)-1]; last != cfg.RowsPerTable {
 			return nil, fmt.Errorf("serving: table %d boundaries end at %d, want %d",
 				t, last, cfg.RowsPerTable)
 		}
+		if pre != nil && int64(len(pre.RankOf[t])) != cfg.RowsPerTable {
+			return nil, fmt.Errorf("serving: table %d remap covers %d rows, want %d",
+				t, len(pre.RankOf[t]), cfg.RowsPerTable)
+		}
+		shift, err := directoryShift(bnd)
+		if err != nil {
+			return nil, fmt.Errorf("serving: table %d: %w", t, err)
+		}
+		shifts[t] = shift
+	}
+	dir := make([][]uint32, cfg.NumTables)
+	err := embedding.ForEachTable(cfg.NumTables, func(t int) error {
+		d, err := buildDirectory(pre, t, boundaries[t], shifts[t])
+		dir[t] = d
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &RoutingTable{
 		Epoch:      epoch,
@@ -120,7 +152,60 @@ func NewRoutingTable(epoch int64, cfg model.Config, pre *Preprocessed, boundarie
 		Boundaries: boundaries,
 		Clients:    clients,
 		Served:     &metrics.Counter{},
+		dir:        dir,
+		dirShift:   shifts,
 	}, nil
+}
+
+// directoryShift returns the bit width of the widest shard under bnd, the
+// shift of a row directory word, or an error when the plan cannot use a
+// 32-bit directory: boundaries that decrease, a shard number and a
+// shard-local row that do not pack into 32 bits, or more rows than a u32
+// wire index can name below its sentinel (wire.Version 2).
+func directoryShift(bnd []int64) (uint8, error) {
+	widest, lo := int64(0), int64(0)
+	for s, hi := range bnd {
+		if hi < lo {
+			return 0, fmt.Errorf("boundary %d of shard %d is below %d, the shard's start", hi, s, lo)
+		}
+		widest = max(widest, hi-lo)
+		lo = hi
+	}
+	shift := bits.Len64(uint64(max(widest-1, 0)))
+	if lo > math.MaxUint32 || shift+bits.Len(uint(len(bnd)-1)) > 32 {
+		return 0, fmt.Errorf("a plan of %d rows in %d shards (widest %d) does not fit a 32-bit row directory",
+			lo, len(bnd), widest)
+	}
+	return uint8(shift), nil
+}
+
+// buildDirectory packs table t's row directory: for every id the request
+// may carry (original when pre remaps, sorted otherwise) its owning shard
+// s and shard-local row as s<<shift | local.
+func buildDirectory(pre *Preprocessed, t int, bnd []int64, shift uint8) ([]uint32, error) {
+	rows := bnd[len(bnd)-1]
+	d := make([]uint32, rows)
+	if pre == nil {
+		lo := int64(0)
+		for s, hi := range bnd {
+			for r := lo; r < hi; r++ {
+				d[r] = uint32(s)<<shift | uint32(r-lo)
+			}
+			lo = hi
+		}
+		return d, nil
+	}
+	for orig, r := range pre.RankOf[t] {
+		if r < 0 || r >= rows {
+			return nil, fmt.Errorf("serving: table %d remaps row %d to %d, outside %d rows", t, orig, r, rows)
+		}
+		s := bucketize.ShardOf(r, bnd)
+		if s > 0 {
+			r -= bnd[s-1]
+		}
+		d[orig] = uint32(s)<<shift | uint32(r)
+	}
+	return d, nil
 }
 
 // NumShards returns the shard count of table t's plan.

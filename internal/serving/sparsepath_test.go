@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -210,5 +212,94 @@ func TestFusedBucketizeMatchesSplit(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRoutingDirectoryMatchesRankAndShardOf checks every row directory
+// word against the lookups it replaces: for every id of a table remapped
+// by Preprocess and of an unremapped one, under plans with one shard, an
+// empty shard and a single-row shard, the word unpacks to
+// bucketize.ShardOf of the id's sorted row and that row rebased into its
+// shard.
+func TestRoutingDirectoryMatchesRankAndShardOf(t *testing.T) {
+	cfg := liveConfig()
+	m, stats, _ := buildFixture(t, cfg)
+	pre, err := Preprocess(m, stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := cfg.RowsPerTable
+	plans := [][]int64{{rows}, {50, 200, rows}, {10, 10, 57, rows}, {1, rows - 1, rows}}
+	for _, bnd := range plans {
+		for _, p := range []*Preprocessed{nil, pre} {
+			boundaries := make([][]int64, cfg.NumTables)
+			clients := make([][]GatherClient, cfg.NumTables)
+			for tb := range boundaries {
+				boundaries[tb] = bnd
+				clients[tb] = make([]GatherClient, len(bnd))
+			}
+			rt, err := NewRoutingTable(0, cfg, p, boundaries, clients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tb := 0; tb < cfg.NumTables; tb++ {
+				dir, shift := rt.dir[tb], rt.dirShift[tb]
+				if int64(len(dir)) != rows {
+					t.Fatalf("plan %v remap=%v t%d: directory of %d ids, want %d", bnd, p != nil, tb, len(dir), rows)
+				}
+				for id := int64(0); id < rows; id++ {
+					r := id
+					if p != nil {
+						r = p.RankOf[tb][id]
+					}
+					s := bucketize.ShardOf(r, bnd)
+					if s > 0 {
+						r -= bnd[s-1]
+					}
+					w := dir[id]
+					if gotS, gotR := int(w>>shift), int64(w&(1<<shift-1)); gotS != s || gotR != r {
+						t.Fatalf("plan %v remap=%v t%d id %d: directory says shard %d row %d, want shard %d row %d",
+							bnd, p != nil, tb, id, gotS, gotR, s, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRoutingTableRejectsPlanPast32Bits: a plan whose shard number and
+// widest shard cannot pack into a 32-bit directory word is refused before
+// its directory is allocated. Through NewRoutingTable the plan is 2^16
+// one-row shards plus one of 2^15+1 rows (17 + 16 bits, small enough that
+// a regression allocates little); directoryShift also refuses 2^33 rows in
+// three shards and 2^32 rows in one, whose last id would be the wire's
+// u32 sentinel.
+func TestRoutingTableRejectsPlanPast32Bits(t *testing.T) {
+	bnd := make([]int64, 0, 1<<16+1)
+	for r := int64(1); r <= 1<<16; r++ {
+		bnd = append(bnd, r)
+	}
+	bnd = append(bnd, 1<<16+1<<15+1)
+	cfg := liveConfig()
+	cfg.NumTables = 1
+	cfg.RowsPerTable = bnd[len(bnd)-1]
+	clients := [][]GatherClient{make([]GatherClient, len(bnd))}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewRoutingTable(0, cfg, nil, [][]int64{bnd}, clients)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "32-bit row directory") {
+		t.Fatalf("NewRoutingTable = %v, want the 32-bit directory refusal", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("the refused plan allocated %d bytes", grew)
+	}
+	for _, big := range [][]int64{{1 << 33 / 3, 2 << 33 / 3, 1 << 33}, {1 << 32}} {
+		if _, err := directoryShift(big); err == nil || !strings.Contains(err.Error(), "32-bit row directory") {
+			t.Fatalf("directoryShift(%v) = %v, want the 32-bit directory refusal", big, err)
+		}
+	}
+	if shift, err := directoryShift([]int64{1<<32 - 1}); err != nil || shift != 32 {
+		t.Fatalf("directoryShift of one 2^32−1-row shard = %d, %v; want 32, nil", shift, err)
 	}
 }

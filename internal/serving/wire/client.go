@@ -76,9 +76,19 @@ func Dial(addr, name string, kind byte, timeout time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
+	c, err := newConn(nc, name, kind, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+	}
+	return c, nil
+}
+
+// newConn negotiates the codec over an established connection and starts
+// the reader; on a refused handshake it closes nc.
+func newConn(nc net.Conn, name string, kind byte, timeout time.Duration) (*Conn, error) {
 	if err := clientHandshake(nc, name, kind, timeout); err != nil {
 		nc.Close()
-		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+		return nil, err
 	}
 	c := &Conn{conn: nc, pending: make(map[uint64]*pendingCall)}
 	go c.readLoop()
@@ -190,7 +200,7 @@ func (c *Conn) Call(ctx context.Context, encode func([]byte) []byte, decode func
 // The frame buffer is reused across replies: decode copies everything it
 // keeps into per-call storage before the loop moves on.
 func (c *Conn) readLoop() {
-	r := bufio.NewReader(c.conn)
+	r := bufio.NewReaderSize(c.conn, frameReadBuf)
 	var hdr [4]byte
 	var body []byte
 	for {

@@ -12,7 +12,7 @@ import (
 // whose body is opaque here). Everything is little-endian
 // with fixed headers followed by raw element arrays — no reflection, no
 // per-field tags — so encode/decode cost is a handful of bounds checks
-// plus bulk 4/8-byte loads and stores. Decoders validate every count
+// plus bulk 4-byte loads and stores. Decoders validate every count
 // against the bytes actually present before allocating, so a malformed
 // frame errors without over-allocating; decoded slices are drawn from the
 // shared pools (pool.go) and handed to the caller, who recycles them via
@@ -21,22 +21,33 @@ import (
 // Payload layouts (after the transport's frame header):
 //
 //	GatherRequest  = u32 table | u32 shard | u64 deadline |
-//	                 u32 nIdx | u32 nOff | nIdx × u64 | nOff × u32
+//	                 u32 nIdx | u32 nOff | nIdx × u32 | nOff × u32
 //	GatherReply    = u32 batchSize | u32 dim | u8 enc | rows
 //	                 enc 0: batchSize*dim × f32 (row-major)
 //	                 enc 1: per row, f32 scale | dim × i8
 //	PredictRequest = u16 modelLen | model | u32 batchSize | u32 denseDim |
 //	                 u64 deadline | u32 nDense | u32 nTables |
 //	                 nDense × f32 | per table (u32 nIdx | u32 nOff |
-//	                 nIdx × u64 | nOff × u32)
+//	                 nIdx × u32 | nOff × u32)
 //	PredictReply   = u32 n | n × f32
 //	AdminRequest   = u8 op | i64 deadline (unix ns, 0 = none) | body
 //	AdminReply     = body
+//
+// Indices are []int64 in memory and u32 on the wire (protocol version 2):
+// no table a plan can route has 2^32 rows (NewRoutingTable rejects one
+// whose directory cannot pack into 32 bits), so the upper half of every
+// u64 was always zero. An index outside [0, 2^32−1) — negative, or too
+// large for any table — encodes as the sentinel idxInvalid and decodes to
+// −1, so it still reaches the receiver's range check and is refused there
+// rather than being truncated into a valid-looking row.
 
 // errShort reports a frame that ended before its declared contents.
 var errShort = errors.New("wire: truncated frame")
 
 var le = binary.LittleEndian
+
+// idxInvalid is the wire form of every index outside [0, idxInvalid).
+const idxInvalid = math.MaxUint32
 
 // reader is a bounds-checked cursor over one frame body.
 type reader struct {
@@ -114,9 +125,15 @@ func appendFloat32s(b []byte, src []float32) []byte {
 	return b
 }
 
-func appendInt64s(b []byte, src []int64) []byte {
+// appendIndices writes each index as a u32, folding every value outside
+// [0, idxInvalid) onto the idxInvalid sentinel.
+func appendIndices(b []byte, src []int64) []byte {
 	for _, v := range src {
-		b = le.AppendUint64(b, uint64(v))
+		w := uint32(idxInvalid)
+		if uint64(v) < idxInvalid {
+			w = uint32(v)
+		}
+		b = le.AppendUint32(b, w)
 	}
 	return b
 }
@@ -134,9 +151,14 @@ func decodeFloat32s(data []byte, dst []float32) {
 	}
 }
 
-func decodeInt64s(data []byte, dst []int64) {
+// decodeIndices reads u32 indices, mapping the idxInvalid sentinel to −1.
+func decodeIndices(data []byte, dst []int64) {
 	for i := range dst {
-		dst[i] = int64(le.Uint64(data[8*i:]))
+		v := int64(le.Uint32(data[4*i:]))
+		if v == idxInvalid {
+			v = -1
+		}
+		dst[i] = v
 	}
 }
 
@@ -153,7 +175,7 @@ func AppendGatherRequest(b []byte, req *GatherRequest) []byte {
 	b = appendU64(b, uint64(req.Deadline))
 	b = appendU32(b, len(req.Indices))
 	b = appendU32(b, len(req.Offsets))
-	b = appendInt64s(b, req.Indices)
+	b = appendIndices(b, req.Indices)
 	b = appendInt32s(b, req.Offsets)
 	return b
 }
@@ -174,7 +196,7 @@ func DecodeGatherRequest(data []byte, req *GatherRequest) error {
 		return err
 	}
 	req.Deadline = int64(dl)
-	nIdx, err := r.count(8)
+	nIdx, err := r.count(4)
 	if err != nil {
 		return err
 	}
@@ -184,11 +206,11 @@ func DecodeGatherRequest(data []byte, req *GatherRequest) error {
 	if err != nil {
 		return err
 	}
-	if nIdx*8+nOff*4 != r.rem() || nOff > r.rem() {
+	if nIdx*4+nOff*4 != r.rem() || nOff > r.rem() {
 		return errShort
 	}
 	req.Indices = GetInt64(nIdx)
-	decodeInt64s(r.bytes(nIdx*8), req.Indices)
+	decodeIndices(r.bytes(nIdx*4), req.Indices)
 	req.Offsets = GetInt32(nOff)
 	decodeInt32s(r.bytes(nOff*4), req.Offsets)
 	return nil
@@ -324,7 +346,7 @@ func AppendPredictRequest(b []byte, req *PredictRequest) []byte {
 		tb := &req.Tables[i]
 		b = appendU32(b, len(tb.Indices))
 		b = appendU32(b, len(tb.Offsets))
-		b = appendInt64s(b, tb.Indices)
+		b = appendIndices(b, tb.Indices)
 		b = appendInt32s(b, tb.Offsets)
 	}
 	return b
@@ -371,7 +393,7 @@ func DecodePredictRequest(data []byte, req *PredictRequest) error {
 	// before its cut.
 	walk := reader{data: data, off: r.off + nDense*4}
 	for t := 0; t < nTables; t++ {
-		nIdx, err := walk.count(8)
+		nIdx, err := walk.count(4)
 		if err != nil {
 			return err
 		}
@@ -379,10 +401,10 @@ func DecodePredictRequest(data []byte, req *PredictRequest) error {
 		if err != nil {
 			return err
 		}
-		if nOff > walk.rem() || nIdx*8+nOff*4 > walk.rem() {
+		if nOff > walk.rem() || nIdx*4+nOff*4 > walk.rem() {
 			return errShort
 		}
-		walk.off += nIdx*8 + nOff*4
+		walk.off += nIdx*4 + nOff*4
 	}
 	if walk.rem() != 0 {
 		return errShort
@@ -396,7 +418,7 @@ func DecodePredictRequest(data []byte, req *PredictRequest) error {
 		nOff, _ := r.u32()
 		tb := &req.Tables[t]
 		tb.Indices = GetInt64(nIdx)
-		decodeInt64s(r.bytes(nIdx*8), tb.Indices)
+		decodeIndices(r.bytes(nIdx*4), tb.Indices)
 		tb.Offsets = GetInt32(nOff)
 		decodeInt32s(r.bytes(nOff*4), tb.Offsets)
 	}

@@ -14,7 +14,7 @@ func randGatherRequest(rng *rand.Rand, nIdx, nOff int) *GatherRequest {
 		Deadline: rng.Int63(),
 	}
 	for i := 0; i < nIdx; i++ {
-		req.Indices = append(req.Indices, rng.Int63())
+		req.Indices = append(req.Indices, rng.Int63n(idxInvalid))
 	}
 	for i := 0; i < nOff; i++ {
 		req.Offsets = append(req.Offsets, rng.Int31())
@@ -87,6 +87,38 @@ func TestGatherRequestRoundTrip(t *testing.T) {
 				t.Fatalf("truncated frame (%d of %d bytes) decoded without error", cut, len(b))
 			}
 		}
+	}
+}
+
+// TestIndexOutsideU32DecodesInvalid pins the u32 index encoding's edge:
+// every index outside [0, 2^32−1) rides the wire as the sentinel and
+// decodes to −1, in a gather and in a predict request alike, while the
+// largest valid index survives unchanged.
+func TestIndexOutsideU32DecodesInvalid(t *testing.T) {
+	const maxValid = 1<<32 - 2
+	in := []int64{-1, 1<<32 - 1, 1 << 40, maxValid, 0, -1 << 62}
+	want := []int64{-1, -1, -1, maxValid, 0, -1}
+	b := AppendGatherRequest(nil, &GatherRequest{Indices: in, Offsets: []int32{0}})
+	var g GatherRequest
+	if err := DecodeGatherRequest(b, &g); err != nil {
+		t.Fatal(err)
+	}
+	if !eqI64(g.Indices, want) {
+		t.Fatalf("gather indices %v decoded to %v, want %v", in, g.Indices, want)
+	}
+	b = AppendPredictRequest(nil, &PredictRequest{
+		BatchSize: 1, Tables: []TableBatch{{Indices: in, Offsets: []int32{0}}},
+	})
+	var p PredictRequest
+	if err := DecodePredictRequest(b, &p); err != nil {
+		t.Fatal(err)
+	}
+	if !eqI64(p.Tables[0].Indices, want) {
+		t.Fatalf("predict indices %v decoded to %v, want %v", in, p.Tables[0].Indices, want)
+	}
+	// Four bytes per index: the frame holds the header, 6 indices and 1 offset.
+	if got, wantLen := len(AppendGatherRequest(nil, &g)), 4+4+8+4+4+6*4+4; got != wantLen {
+		t.Fatalf("gather request is %d bytes, want %d", got, wantLen)
 	}
 }
 

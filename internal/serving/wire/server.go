@@ -125,7 +125,7 @@ func serveFrames(conn net.Conn, kind byte, ep Endpoint) {
 	var wmu sync.Mutex // serializes reply writes from handler goroutines
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	r := bufio.NewReader(conn)
+	r := bufio.NewReaderSize(conn, frameReadBuf)
 	var hdr [4]byte
 	var body []byte
 	for {

@@ -1,6 +1,6 @@
 // Package wire is the serving plane's one wire protocol: a
 // length-prefixed, little-endian codec for the four predict/gather
-// messages (raw []float32/[]int64/[]int32 payloads, no reflection) plus
+// messages (raw float32 and u32 payloads, no reflection) plus
 // the framed-TCP transport that carries it — a magic/version preamble
 // negotiated at dial time, pipelined request IDs with out-of-order
 // completion on sticky connections, per-connection pooled buffers, and an
@@ -25,8 +25,9 @@ import (
 var Magic = [4]byte{0xf5, 'E', 'R', 'W'}
 
 // Version is the protocol generation carried in the preamble; servers
-// reject a mismatch instead of misinterpreting frames.
-const Version = 1
+// reject a mismatch instead of misinterpreting frames. Version 2 carries
+// indices as u32 (version 1 sent u64), see codec.go.
+const Version = 2
 
 // Connection kinds named in the preamble.
 const (
@@ -54,6 +55,12 @@ const (
 // allocating, so a malformed or hostile length prefix cannot force an
 // oversized allocation.
 const MaxFrame = 64 << 20
+
+// frameReadBuf sizes the buffered reader of both frame loops (ServeConn's
+// and Conn's). Gather and reply frames run to tens of KiB, so with
+// bufio's 4 KiB default a frame took two or more read syscalls; a frame
+// no larger than this buffer costs one when it has fully arrived.
+const frameReadBuf = 64 << 10
 
 // MaxName bounds the service name in the preamble.
 const MaxName = 256

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -483,5 +484,48 @@ func TestWireOversizeCallFailsAlone(t *testing.T) {
 	var ok PredictReply
 	if err := client.Predict(bg, &PredictRequest{BatchSize: 1, DenseDim: 1, Dense: []float32{1}}, &ok); err != nil {
 		t.Fatalf("connection unusable after oversized call: %v", err)
+	}
+}
+
+// TestPredictIndexOutsideU32OverTCP sends a negative id and one past
+// 2^32 over the predict wire, whose u32 indices carry both as the
+// out-of-range sentinel: the frontend answers each with its index range
+// error, and the same connection keeps serving exact predictions.
+func TestPredictIndexOutsideU32OverTCP(t *testing.T) {
+	md, monos, reqs := multiFixture(t, BuildOptions{}, BuildOptions{})
+	addr, err := md.ExportPredict("Frontend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := DialPredict(addr, "Frontend")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, bad := range []int64{-1, 1 << 32} {
+		req := *reqs["a"][0]
+		req.Tables = slices.Clone(req.Tables)
+		req.Tables[1].Indices = slices.Clone(req.Tables[1].Indices)
+		req.Tables[1].Indices[0] = bad
+		var reply PredictReply
+		err := client.Predict(bg, &req, &reply)
+		var remote wire.ServerError
+		if !errors.As(err, &remote) || !strings.Contains(err.Error(), "index -1 outside table 1") {
+			t.Fatalf("id %d: Predict = %v, want the frontend's out-of-range error", bad, err)
+		}
+		for _, good := range reqs["a"][:3] {
+			var got, want PredictReply
+			if err := client.Predict(bg, good, &got); err != nil {
+				t.Fatalf("after id %d: %v", bad, err)
+			}
+			if err := monos["a"].Predict(bg, good, &want); err != nil {
+				t.Fatal(err)
+			}
+			for j := range want.Probs {
+				if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-4 {
+					t.Fatalf("after id %d: prob %d = %v, monolith %v", bad, j, got.Probs[j], want.Probs[j])
+				}
+			}
+		}
 	}
 }
