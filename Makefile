@@ -77,20 +77,20 @@ bench-contract:
 	done
 
 # Paired benchmark runs of the working tree against BASE (a git ref):
-# BASE is extracted under .bench_build/pairs/, and each of N seeds runs
-# benchmark/run.sh on both trees in ABBA order, plus AA pairs of BASE
-# against itself. Prints per workload and end-to-end metric both medians
-# and quartiles, the ratio, the change's wins and the A/A row. Not part of
-# `make ci`: ~1 minute per pair on 2 vCPUs.
+# BASE is extracted into a temporary directory (removed at the end), and
+# each of N seeds runs benchmark/run.sh on both trees in ABBA order for
+# BENCHMARK.json's run_seconds, plus AA pairs of BASE against itself. The
+# benchmark's own -compare judges the two sides (exit 1 on a regressed
+# metric or a larger failed share); the A/A table and per-pair wins are
+# printed beside it. Not part of `make ci`: ~1 minute per pair on 2 vCPUs.
 #   make bench-pairs BASE=HEAD~1 WORKLOADS=gather_tcp,plan_swap N=10
 BASE ?= HEAD
 WORKLOADS ?= gather_tcp
 N ?= 10
 AA ?= 2
 SEED ?= 1001
-RUN_SECONDS ?= 20
 bench-pairs:
-	$(GO) run ./cmd/benchpairs -base $(BASE) -workloads $(WORKLOADS) -n $(N) -aa $(AA) -seed $(SEED) -seconds $(RUN_SECONDS)
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workloads $(WORKLOADS) -n $(N) -aa $(AA) -seed $(SEED)
 
 # Fuzz smoke: run the wire fuzz targets briefly (the message codec, then
 # the admin frame header) — malformed frames must error, never panic or

@@ -1,112 +1,119 @@
 // Command benchpairs measures a change against a base commit with the
 // repository's benchmark (benchmark/run.sh, BENCHMARK.json) in paired,
-// interleaved runs. The base commit is extracted with `git archive` into
-// .bench_build/pairs/<sha>/ and the checkout it is run from is the change;
-// each pair runs one seed on both trees, in ABBA order (even pairs base
-// first, odd pairs change first) so drift over the session lands on both
-// sides alike. A same-session A/A set — the base against itself on further
-// seeds — shows how far two identical trees read apart on this box.
+// interleaved runs. The base commit is extracted with `git archive` into a
+// temporary directory outside the checkout, removed when the command ends;
+// the checkout it is run from is the change. Each pair runs one seed on
+// both trees in ABBA order (even pairs base first, odd pairs change first)
+// so drift over the session lands on both sides alike. A same-session A/A
+// set — the base against itself on further seeds — shows how far two
+// identical trees read apart on this box. Every run lasts BENCHMARK.json's
+// run_seconds.
 //
-// Per (workload, end-to-end metric) it prints both sides' median and
-// quartiles, the change ÷ base ratio of the medians, how many pairs the
-// change won (ties are not wins), the A/A ratio and wins beside them, and
-// a verdict against the metric's bound in BENCHMARK.json by benchmark/'s
-// -compare rule (unresolved, better, regressed or unchanged).
-// Every run's metrics are printed as it finishes, and -out keeps them all
-// as JSON. A run whose replies were not all correct stops the command,
-// and any regressed metric makes it exit non-zero after the table.
+// Each run's end-to-end metrics are printed as it lands. At the end both
+// sides' runs are judged by the benchmark's own `-compare base change`
+// (medians, ratio, spreads, the verdict against each metric's bound and
+// the failed-share gate), and the command exits with its status. The A/A
+// sets get the same table, for reference only, and a last table counts
+// per (workload, metric) the pairs the change won and the A/A pairs the
+// second run won. A run whose replies were not all correct stops the
+// command.
 //
 // Usage (from the repository root; `make bench-pairs` wraps it):
 //
-//	benchpairs -base <ref> [-workloads gather_tcp,plan_swap] [-n 10] \
-//	    [-aa 2] [-seed 1001] [-seconds 20] [-out pairs.json]
+//	benchpairs -base <ref> [-workloads gather_tcp,plan_swap] [-n 10] [-aa 2] [-seed 1001]
 package main
 
 import (
-	"archive/tar"
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
+	"syscall"
 )
 
-// metricSpec is one end-to-end metric of BENCHMARK.json.
-type metricSpec struct {
-	Name   string  `json:"name"`
-	Better string  `json:"better"`
-	Bound  float64 `json:"bound"`
+// spec is the part of BENCHMARK.json the pairing reads.
+type spec struct {
+	RunSeconds int `json:"run_seconds"`
+	EndToEnd   []struct {
+		Name   string `json:"name"`
+		Better string `json:"better"`
+	} `json:"end_to_end"`
 }
 
-// contractLine is the last line a benchmark run prints.
-type contractLine struct {
-	Correct   bool                               `json:"correct"`
-	Attempted int                                `json:"attempted"`
-	Failed    int                                `json:"failed"`
-	Metrics   map[string]struct{ Value float64 } `json:"metrics"`
-}
-
-// run is one benchmark process's outcome.
+// run is what the pairing reads of one benchmark run's -out file; raw
+// keeps the run whole for its side's set.
 type run struct {
-	Workload string             `json:"workload"`
-	Side     string             `json:"side"` // "base", "change", or "aa1"/"aa2" for the A/A set
-	Pair     int                `json:"pair"`
-	Seed     uint64             `json:"seed"`
-	Failed   int                `json:"failed"`
-	Metrics  map[string]float64 `json:"metrics"`
+	Workload string `json:"workload"`
+	Correct  bool   `json:"correct"`
+	Failed   int    `json:"failed"`
+	EndToEnd map[string]struct {
+		Value float64 `json:"value"`
+	} `json:"end_to_end"`
+	raw json.RawMessage
 }
 
 func main() {
-	if err := mainErr(os.Args[1:], os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := mainErr(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpairs:", err)
 		os.Exit(1)
 	}
 }
 
-func mainErr(args []string, stdout io.Writer) error {
+func mainErr(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchpairs", flag.ContinueOnError)
 	base := fs.String("base", "", "git ref of the base commit (required)")
 	workloads := fs.String("workloads", "gather_tcp", "comma-separated workloads")
 	n := fs.Int("n", 10, "pairs per workload")
 	aa := fs.Int("aa", 2, "A/A pairs (base against base) per workload")
 	seed := fs.Uint64("seed", 1001, "seed of the first pair; pair i runs seed+i, A/A pair j seed+n+j")
-	seconds := fs.Float64("seconds", 20, "measured seconds per run")
-	out := fs.String("out", "", "also write every run to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *base == "" || *n < 1 || *aa < 0 {
 		return errors.New("-base is required, -n must be at least 1 and -aa at least 0")
 	}
-	specs, err := readSpecs("BENCHMARK.json")
+	sp, err := readSpec("BENCHMARK.json")
 	if err != nil {
 		return err
 	}
-	baseDir, err := extract(*base)
+	tmp, err := os.MkdirTemp("", "benchpairs-")
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "base %s in %s; change: the working tree\n", *base, baseDir)
+	defer os.RemoveAll(tmp)
+	work, err := filepath.Abs(tmp)
+	if err != nil {
+		return err
+	}
+	baseDir := filepath.Join(work, "base")
+	sha, err := extract(ctx, *base, baseDir)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "base %s (%s) in %s; change: the working tree; %d s per run\n", *base, sha, baseDir, sp.RunSeconds)
 
-	var runs []run
-	measure := func(dir, w, side string, pair int, s uint64) error {
-		r, err := runOnce(dir, w, s, *seconds)
+	sides := map[string][]run{}
+	measure := func(dir, wl, side string, s uint64) error {
+		r, err := runOnce(ctx, dir, wl, s, sp.RunSeconds, filepath.Join(work, "run.json"))
 		if err != nil {
-			return fmt.Errorf("%s %s seed %d: %w", w, side, s, err)
+			return fmt.Errorf("%s %s seed %d: %w", wl, side, s, err)
 		}
-		r.Side, r.Pair = side, pair
-		runs = append(runs, r)
-		fmt.Fprintf(stdout, "%s pair %d seed %d %-6s %s\n", w, pair, s, side, brief(specs, r))
+		sides[side] = append(sides[side], r)
+		fmt.Fprintf(stdout, "%s seed %d %-6s %s\n", wl, s, side, brief(sp, r))
 		return nil
 	}
-	for _, w := range strings.Split(*workloads, ",") {
+	wls := strings.Split(*workloads, ",")
+	for _, wl := range wls {
 		for i := 0; i < *n; i++ {
 			s := *seed + uint64(i)
 			order := [2][2]string{{baseDir, "base"}, {".", "change"}}
@@ -114,7 +121,7 @@ func mainErr(args []string, stdout io.Writer) error {
 				order[0], order[1] = order[1], order[0]
 			}
 			for _, o := range order {
-				if err := measure(o[0], w, o[1], i, s); err != nil {
+				if err := measure(o[0], wl, o[1], s); err != nil {
 					return err
 				}
 			}
@@ -122,267 +129,181 @@ func mainErr(args []string, stdout io.Writer) error {
 		for j := 0; j < *aa; j++ {
 			s := *seed + uint64(*n+j)
 			for _, side := range []string{"aa1", "aa2"} {
-				if err := measure(baseDir, w, side, j, s); err != nil {
+				if err := measure(baseDir, wl, side, s); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	regressed := report(stdout, specs, runs)
-	if *out != "" {
-		data, err := json.MarshalIndent(runs, "", " ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			return err
+
+	if *aa > 0 {
+		fmt.Fprintln(stdout, "\nA/A: the base's second run of each seed against its first (reference only, not gated)")
+		if err := compare(ctx, stdout, work, sides, "aa1", "aa2"); err != nil {
+			fmt.Fprintln(stdout, "A/A:", err)
 		}
 	}
-	if regressed > 0 {
-		return fmt.Errorf("%d metric(s) regressed past their bound", regressed)
+	fmt.Fprintln(stdout, "\npairs won (change over base; A/A: second run over first; ties are not wins)")
+	fmt.Fprintf(stdout, "%-15s %-16s %8s %8s\n", "workload", "metric", "change", "A/A")
+	for _, wl := range wls {
+		for _, ms := range sp.EndToEnd {
+			cw, cn := wins(wl, ms.Name, ms.Better, sides["base"], sides["change"])
+			aw, an := wins(wl, ms.Name, ms.Better, sides["aa1"], sides["aa2"])
+			fmt.Fprintf(stdout, "%-15s %-16s %8s %8s\n", wl, ms.Name, fmt.Sprintf("%d/%d", cw, cn), fmt.Sprintf("%d/%d", aw, an))
+		}
 	}
-	return nil
+	fmt.Fprintln(stdout, "\nchange against base")
+	return compare(ctx, stdout, work, sides, "base", "change")
 }
 
-// readSpecs reads the end-to-end metrics of the benchmark contract.
-func readSpecs(path string) ([]metricSpec, error) {
+// readSpec reads the run length and end-to-end metrics of the contract.
+func readSpec(path string) (spec, error) {
+	var sp spec
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("run from the repository root: %w", err)
+		return sp, fmt.Errorf("run from the repository root: %w", err)
 	}
-	var spec struct {
-		EndToEnd []metricSpec `json:"end_to_end"`
+	if err := json.Unmarshal(data, &sp); err != nil {
+		return sp, fmt.Errorf("%s: %w", path, err)
 	}
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if sp.RunSeconds < 1 {
+		return sp, fmt.Errorf("%s: run_seconds is %d", path, sp.RunSeconds)
 	}
-	return spec.EndToEnd, nil
+	return sp, nil
 }
 
-// extract writes the tree of ref into .bench_build/pairs/<sha>/ (once:
-// an existing extraction of the same commit is reused) and returns it.
-func extract(ref string) (string, error) {
-	sha, err := exec.Command("git", "rev-parse", "--verify", ref+"^{commit}").Output()
+// extract writes the tree of ref into dir through `git archive | tar -x`
+// and returns the commit it resolved to.
+func extract(ctx context.Context, ref, dir string) (string, error) {
+	out, err := exec.CommandContext(ctx, "git", "rev-parse", "--verify", ref+"^{commit}").Output()
 	if err != nil {
 		return "", fmt.Errorf("resolving %q: %w", ref, err)
 	}
-	dir := filepath.Join(".bench_build", "pairs", strings.TrimSpace(string(sha)))
-	if _, err := os.Stat(filepath.Join(dir, "BENCHMARK.json")); err == nil {
-		return dir, nil
+	sha := strings.TrimSpace(string(out))
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return "", err
 	}
-	archive, err := exec.Command("git", "archive", "--format=tar", strings.TrimSpace(string(sha))).Output()
+	r, w, err := os.Pipe()
 	if err != nil {
-		return "", fmt.Errorf("git archive %s: %w", ref, err)
+		return "", err
 	}
-	tr := tar.NewReader(bytes.NewReader(archive))
-	for {
-		h, err := tr.Next()
-		if err == io.EOF {
-			return dir, nil
-		}
-		if err != nil {
-			return "", err
-		}
-		path := filepath.Join(dir, h.Name)
-		switch h.Typeflag {
-		case tar.TypeDir:
-			err = os.MkdirAll(path, 0o755)
-		case tar.TypeReg:
-			var data []byte
-			if data, err = io.ReadAll(tr); err == nil {
-				if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
-					err = os.WriteFile(path, data, os.FileMode(h.Mode)&0o777)
-				}
-			}
-		}
-		if err != nil {
-			return "", err
-		}
+	archive := exec.CommandContext(ctx, "git", "archive", "--format=tar", sha)
+	untar := exec.CommandContext(ctx, "tar", "-x", "-C", dir)
+	archive.Stdout, untar.Stdin = w, r
+	archive.Stderr, untar.Stderr = os.Stderr, os.Stderr
+	errArchive := archive.Start()
+	errUntar := untar.Start()
+	// Only the children hold the pipe now, so either one exiting ends
+	// the other.
+	r.Close()
+	w.Close()
+	if errArchive == nil {
+		errArchive = archive.Wait()
 	}
+	if errUntar == nil {
+		errUntar = untar.Wait()
+	}
+	if err := errors.Join(errArchive, errUntar); err != nil {
+		return "", fmt.Errorf("extracting %s: %w", sha, err)
+	}
+	return sha, nil
 }
 
-// runOnce runs one timed benchmark process in dir and parses its last line.
-func runOnce(dir, workload string, seed uint64, seconds float64) (run, error) {
-	cmd := exec.Command("sh", "benchmark/run.sh", "--workload", workload,
-		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0")
+// runOnce runs one timed benchmark process in dir, its set written to out.
+func runOnce(ctx context.Context, dir, workload string, seed uint64, seconds int, out string) (run, error) {
+	cmd := exec.CommandContext(ctx, "sh", "benchmark/run.sh", "--workload", workload,
+		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0", "--out", out)
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
-	stdout, err := cmd.Output()
+	if err := cmd.Run(); err != nil {
+		return run{}, err
+	}
+	r, err := readRun(out)
 	if err != nil {
 		return run{}, err
 	}
-	lines := strings.Split(strings.TrimSpace(string(stdout)), "\n")
-	var line contractLine
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &line); err != nil {
-		return run{}, fmt.Errorf("last line: %w", err)
-	}
-	if !line.Correct {
+	if !r.Correct {
 		return run{}, errors.New("replies not all correct")
-	}
-	r := run{Workload: workload, Seed: seed, Failed: line.Failed, Metrics: map[string]float64{}}
-	for name, m := range line.Metrics {
-		r.Metrics[name] = m.Value
 	}
 	return r, nil
 }
 
+// readRun reads the one run of a benchmark -out file.
+func readRun(path string) (run, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return run{}, err
+	}
+	var set struct {
+		Runs []json.RawMessage `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &set); err != nil {
+		return run{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(set.Runs) != 1 {
+		return run{}, fmt.Errorf("%s: %d runs, want 1", path, len(set.Runs))
+	}
+	r := run{raw: set.Runs[0]}
+	if err := json.Unmarshal(r.raw, &r); err != nil {
+		return run{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return r, nil
+}
+
+// writeSet writes runs as one benchmark -out file.
+func writeSet(path string, runs []run) error {
+	raws := make([]json.RawMessage, len(runs))
+	for i, r := range runs {
+		raws[i] = r.raw
+	}
+	data, err := json.Marshal(struct {
+		Runs []json.RawMessage `json:"runs"`
+	}{raws})
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// compare writes sides a and b as sets under work and prints the change
+// tree's `benchmark -compare` of them; its error is the comparison's
+// failure.
+func compare(ctx context.Context, stdout io.Writer, work string, sides map[string][]run, a, b string) error {
+	pa, pb := filepath.Join(work, a+".json"), filepath.Join(work, b+".json")
+	if err := writeSet(pa, sides[a]); err != nil {
+		return err
+	}
+	if err := writeSet(pb, sides[b]); err != nil {
+		return err
+	}
+	cmd := exec.CommandContext(ctx, "sh", "benchmark/run.sh", "-compare", pa, pb)
+	cmd.Stdout, cmd.Stderr = stdout, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("benchmark -compare %s %s: %w", a, b, err)
+	}
+	return nil
+}
+
 // brief formats one run's end-to-end metrics in contract order.
-func brief(specs []metricSpec, r run) string {
-	parts := make([]string, 0, len(specs)+1)
-	for _, ms := range specs {
-		parts = append(parts, fmt.Sprintf("%s=%.4g", ms.Name, r.Metrics[ms.Name]))
+func brief(sp spec, r run) string {
+	parts := make([]string, 0, len(sp.EndToEnd)+1)
+	for _, ms := range sp.EndToEnd {
+		parts = append(parts, fmt.Sprintf("%s=%.4g", ms.Name, r.EndToEnd[ms.Name].Value))
 	}
 	return strings.Join(append(parts, fmt.Sprintf("failed=%d", r.Failed)), " ")
 }
 
-// report prints the pair table of every workload and returns how many
-// metrics regressed.
-func report(w io.Writer, specs []metricSpec, runs []run) (regressed int) {
-	var order []string
-	for _, r := range runs {
-		if len(order) == 0 || order[len(order)-1] != r.Workload {
-			order = append(order, r.Workload)
-		}
-	}
-	for _, wl := range order {
-		side := func(name string) map[int]run {
-			m := map[int]run{}
-			for _, r := range runs {
-				if r.Workload == wl && r.Side == name {
-					m[r.Pair] = r
-				}
-			}
-			return m
-		}
-		base, change, aa1, aa2 := side("base"), side("change"), side("aa1"), side("aa2")
-		fmt.Fprintf(w, "\n%s: %d pairs, %d A/A pairs\n", wl, len(base), len(aa1))
-		fmt.Fprintf(w, "%-16s %-26s %-26s %8s %7s %8s %8s  %s\n",
-			"metric", "base q1/med/q3", "change q1/med/q3", "ratio", "wins", "A/A", "A/A wins", "verdict")
-		for _, ms := range specs {
-			b, c, bw := values(base, ms.Name), values(change, ms.Name), wins(ms, base, change)
-			a1, a2, aw := values(aa1, ms.Name), values(aa2, ms.Name), wins(ms, aa1, aa2)
-			v := verdict(ms, b, c)
-			if v == "regressed" {
-				regressed++
-			}
-			fmt.Fprintf(w, "%-16s %-26s %-26s %8.3f %7s %8.3f %8s  %s\n",
-				ms.Name, quart(b), quart(c), ratio(median(c), median(b)),
-				fmt.Sprintf("%d/%d", bw, len(base)), ratio(median(a2), median(a1)), fmt.Sprintf("%d/%d", aw, len(aa1)), v)
-		}
-	}
-	return regressed
-}
-
-// verdict judges the change against the base on one metric by the rule
-// of benchmark/'s -compare: unresolved when either side's own spread
-// (inter-quartile distance over the median) is wider than the bound;
-// otherwise better or regressed when the medians differ by more than the
-// bound, else unchanged.
-func verdict(ms metricSpec, base, change []float64) string {
-	if max(spread(base), spread(change)) > ms.Bound {
-		return "unresolved"
-	}
-	b, c := median(base), median(change)
-	if b == 0 {
-		return "unchanged"
-	}
-	gain := (b - c) / math.Abs(b)
-	if ms.Better == "higher" {
-		gain = -gain
-	}
-	switch {
-	case gain > ms.Bound:
-		return "better"
-	case -gain > ms.Bound:
-		return "regressed"
-	}
-	return "unchanged"
-}
-
-// spread is the inter-quartile distance as a share of the median.
-func spread(v []float64) float64 {
-	med := median(v)
-	if med == 0 || len(v) < 2 {
-		return 0
-	}
-	q1, q3 := quartiles(v)
-	return (q3 - q1) / math.Abs(med)
-}
-
-// values returns one metric of a side's runs, in pair order.
-func values(side map[int]run, name string) []float64 {
-	pairs := make([]int, 0, len(side))
-	for p := range side {
-		pairs = append(pairs, p)
-	}
-	sort.Ints(pairs)
-	out := make([]float64, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, side[p].Metrics[name])
-	}
-	return out
-}
-
-// wins counts the pairs in which b's run is strictly better than a's.
-func wins(ms metricSpec, a, b map[int]run) int {
-	n := 0
-	for p, ra := range a {
-		rb, ok := b[p]
-		if !ok {
+// wins counts, over the pairs of one workload, those in which b's run is
+// strictly better than a's on one metric; a and b pair by index.
+func wins(workload, metric, better string, a, b []run) (won, pairs int) {
+	for k := range min(len(a), len(b)) {
+		if a[k].Workload != workload {
 			continue
 		}
-		va, vb := ra.Metrics[ms.Name], rb.Metrics[ms.Name]
-		if (ms.Better == "higher" && vb > va) || (ms.Better == "lower" && vb < va) {
-			n++
+		pairs++
+		va, vb := a[k].EndToEnd[metric].Value, b[k].EndToEnd[metric].Value
+		if (better == "higher" && vb > va) || (better == "lower" && vb < va) {
+			won++
 		}
 	}
-	return n
-}
-
-func quart(v []float64) string {
-	q1, q3 := quartiles(v)
-	return fmt.Sprintf("%.4g/%.4g/%.4g", q1, median(v), q3)
-}
-
-func ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.NaN()
-	}
-	return a / b
-}
-
-// median returns the middle of v (mean of the two middles for an even
-// count).
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 0 {
-		return (s[n/2-1] + s[n/2]) / 2
-	}
-	return s[len(s)/2]
-}
-
-// quartiles returns the first and third quartile by the exclusive method
-// (Python's statistics.quantiles(v, n=4)), the one benchmark/'s -repeat
-// spreads use.
-func quartiles(v []float64) (q1, q3 float64) {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	ld := len(s)
-	if ld < 2 {
-		if ld == 1 {
-			return s[0], s[0]
-		}
-		return 0, 0
-	}
-	cut := func(i int) float64 {
-		m := ld + 1
-		j := min(max(i*m/4, 1), ld-1)
-		delta := i*m - j*4
-		return (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
-	}
-	return cut(1), cut(3)
+	return won, pairs
 }

@@ -1,67 +1,68 @@
 package main
 
-import "testing"
-
-// TestQuartilesMatchExclusiveMethod pins the quartiles to Python's
-// statistics.quantiles(v, n=4) on an even and an odd count.
-func TestQuartilesMatchExclusiveMethod(t *testing.T) {
-	for _, tc := range []struct {
-		v      []float64
-		q1, q3 float64
-	}{
-		{[]float64{10, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 2.75, 8.25},
-		{[]float64{5, 1, 3, 2, 4}, 1.5, 4.5},
-		{[]float64{7}, 7, 7},
-	} {
-		if q1, q3 := quartiles(tc.v); q1 != tc.q1 || q3 != tc.q3 {
-			t.Errorf("quartiles(%v) = %v, %v, want %v, %v", tc.v, q1, q3, tc.q1, tc.q3)
-		}
-	}
-}
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // TestWinsFollowTheMetricsDirection counts strict wins per pair in the
-// metric's better direction; ties and unpaired runs are not wins.
+// metric's better direction, over one workload's pairs only; ties are not
+// wins.
 func TestWinsFollowTheMetricsDirection(t *testing.T) {
-	mk := func(vals ...float64) map[int]run {
-		m := map[int]run{}
+	mk := func(vals ...float64) []run {
+		var rs []run
 		for i, v := range vals {
-			m[i] = run{Metrics: map[string]float64{"x": v}}
+			r := run{Workload: "w", EndToEnd: map[string]struct {
+				Value float64 `json:"value"`
+			}{"x": {v}}}
+			if i == 3 {
+				r.Workload = "other"
+			}
+			rs = append(rs, r)
 		}
-		return m
+		return rs
 	}
 	a, b := mk(5, 5, 5, 5), mk(4, 5, 6, 3)
-	delete(b, 3)
-	if got := wins(metricSpec{Name: "x", Better: "lower"}, a, b); got != 1 {
-		t.Errorf("lower-is-better wins = %d, want 1", got)
+	if won, pairs := wins("w", "x", "lower", a, b); won != 1 || pairs != 3 {
+		t.Errorf("lower-is-better: %d/%d, want 1/3", won, pairs)
 	}
-	if got := wins(metricSpec{Name: "x", Better: "higher"}, a, b); got != 1 {
-		t.Errorf("higher-is-better wins = %d, want 1", got)
+	if won, pairs := wins("w", "x", "higher", a, b); won != 1 || pairs != 3 {
+		t.Errorf("higher-is-better: %d/%d, want 1/3", won, pairs)
 	}
 }
 
-// TestVerdictUsesTheBound: a median that moves past the bound in the
-// metric's better direction is better, past it the other way regressed,
-// anything inside it unchanged, and either side spreading wider than the
-// bound is unresolved.
-func TestVerdictUsesTheBound(t *testing.T) {
-	lower := metricSpec{Name: "p99", Better: "lower", Bound: 0.25}
-	higher := metricSpec{Name: "qps", Better: "higher", Bound: 0.25}
-	for _, tc := range []struct {
-		ms           metricSpec
-		base, change []float64
-		want         string
-	}{
-		{lower, []float64{4, 4, 4}, []float64{2.9, 2.9, 2.9}, "better"},
-		{lower, []float64{4, 4, 4}, []float64{3.1, 3.1, 3.1}, "unchanged"},
-		{lower, []float64{4, 4, 4}, []float64{5.1, 5.1, 5.1}, "regressed"},
-		{higher, []float64{100, 100}, []float64{126, 126}, "better"},
-		{higher, []float64{100, 100}, []float64{74, 74}, "regressed"},
-		{higher, []float64{100, 100}, []float64{80, 80}, "unchanged"},
-		{higher, []float64{0, 0}, []float64{80, 80}, "unchanged"},
-		{higher, []float64{60, 100, 140}, []float64{200, 200, 200}, "unresolved"},
-	} {
-		if got := verdict(tc.ms, tc.base, tc.change); got != tc.want {
-			t.Errorf("%s %v -> %v: %s, want %s", tc.ms.Name, tc.base, tc.change, got, tc.want)
-		}
+// TestSetKeepsRunsWhole: a run read from a benchmark -out file is written
+// back into a side's set unchanged, fields the pairing does not read
+// included, so `benchmark -compare` sees the runs as the benchmark wrote
+// them.
+func TestSetKeepsRunsWhole(t *testing.T) {
+	dir := t.TempDir()
+	one := `{"runs":[{"workload":"gather_tcp","seed":7,"correct":true,"attempted":100,"failed":2,` +
+		`"end_to_end":{"qps":{"value":1500,"unit":"req/s"}},"phases":[{"name":"closed"}]}]}`
+	if err := os.WriteFile(filepath.Join(dir, "one.json"), []byte(one), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := readRun(filepath.Join(dir, "one.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Workload != "gather_tcp" || !r.Correct || r.Failed != 2 || r.EndToEnd["qps"].Value != 1500 {
+		t.Fatalf("read %+v", r)
+	}
+	if err := writeSet(filepath.Join(dir, "set.json"), []run{r, r}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "set.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var set struct{ Runs []map[string]any }
+	if err := json.Unmarshal(data, &set); err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Runs) != 2 || set.Runs[1]["attempted"] != 100.0 || set.Runs[1]["seed"] != 7.0 || set.Runs[1]["phases"] == nil {
+		t.Errorf("set %s", data)
 	}
 }
