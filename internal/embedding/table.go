@@ -138,7 +138,7 @@ func (t *Table) pool(dst []float32, indices []int64) {
 // + r1[j]) + r2[j]) + r3[j]. The float32 additions happen in exactly that
 // order — the order of four consecutive AddRow calls — so regrouping a
 // sum-pool into AddRows4 steps never changes a bit of the result. It is the
-// rows-mode merge kernel: serving's predictRows adds the fetched rows of a
+// rows-mode merge kernel: serving's mergeRows adds the fetched rows of a
 // bag through it, by slot. Every row must be at least len(dst) long.
 func AddRows4(dst, r0, r1, r2, r3 []float32) {
 	n := len(dst)

@@ -39,12 +39,10 @@ type DenseShard struct {
 	// reply itself.
 	scratch sync.Pool
 
-	// gatherRows switches Predict to the v2 rows-mode fan-out (dedup +
-	// raw-row gathers, see predictRows); rowCache is its optional
-	// frontend hot-row cache (nil = disabled). Both are set once at build
-	// time, before the shard serves traffic.
-	gatherRows bool
-	rowCache   *rowCache
+	// rowCache is the frontend hot-row cache; when set, Predict runs the
+	// v2 rows-mode fan-out (dedup + raw-row gathers, see rowsCalls). It is
+	// set once at build time, before the shard serves traffic.
+	rowCache *rowCache
 
 	Latency *metrics.LatencyRecorder
 	QPS     *metrics.QPSMeter
@@ -61,18 +59,18 @@ type predictScratch struct {
 	cursors []int    // per-shard fill cursors within idxBuf
 	idxBuf  []int64  // backing for every shard's rebased indices
 	offBuf  []int32  // backing for every shard's local offsets
-	code    []uint32 // per index of the table being split, its directory word
+	code    []uint32 // per index of the table being split, its directory word (rows mode: its sorted row)
 	pooled  []float32
 
-	// Rows-mode (predictRows) working set.
-	uniqBuf []int64     // per-table sorted-unique remapped ids, concatenated
+	// Rows-mode (rowsCalls, mergeRows) working set.
+	uniqBuf []int64     // per-table unique sorted rows, ascending, concatenated
 	needBuf []int64     // cache misses, rebased per shard segment
 	missPos []int32     // absolute uniq position of each miss
 	tabU    []int       // per-table uniq segment bounds within uniqBuf
 	slotBuf []int32     // per input index, its absolute uniq slot
 	rowView [][]float32 // per unique id, a view of its row (cache or reply)
 
-	// Hot-window dedup scoreboard (see predictRows pass 1): genBuf marks
+	// Hot-window dedup scoreboard (see rowsCalls pass 1): genBuf marks
 	// ids seen this table (stamped with genCtr, so no clearing between
 	// tables), slotHot records each marked id's uniq slot, and spillBuf
 	// collects the rare ids past the window as packed (row, position) keys.
@@ -82,10 +80,11 @@ type predictScratch struct {
 	genCtr   int64
 }
 
-// growInts resizes an int scratch slice to length n.
-func growInts(s []int, n int) []int {
+// grow resizes a scratch slice to length n, reallocating only when its
+// capacity is short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -120,38 +119,37 @@ func NewModelDenseShard(name string, denseModel *model.Model, router *Router) (*
 // frontend to validate requests before they join a fused batch).
 func (d *DenseShard) Config() model.Config { return d.cfg }
 
-// gatherCall is one (table, shard) RPC of the fan-out. In rows mode miss
-// records, per requested row, its absolute position in the uniq buffer so
-// the reply rows scatter straight back into the row-view table.
+// gatherCall is one (table, shard) RPC of the fan-out. rows is how many
+// reply rows the shard must return: the batch size for a pooled gather,
+// the requested row count in rows mode. In rows mode miss records, per
+// requested row, its absolute position in the uniq buffer so the reply
+// rows scatter straight back into the row-view table.
 type gatherCall struct {
-	table, shard int
-	req          GatherRequest
-	reply        GatherReply
-	miss         []int32
+	rows  int
+	req   GatherRequest
+	reply GatherReply
+	miss  []int32
 }
 
 // Rows-mode dedup constants. Ids below rowsModeHotWindow dedup through a
 // generation-stamped scoreboard — the id space is hotness-sorted, so at
 // CDF skew nearly every index lands there and no sorting happens at all.
 // Ids past the window spill to packed (row, position) int64 keys whose
-// high bits hold the remapped row id and low 24 bits the index's position
+// high bits hold the sorted row id and low 24 bits the index's position
 // within its table batch; sorting that small spill yields both its
-// sorted-unique rows and each position's uniq slot. The packing bounds a
-// table batch to 2^24 indices and a table to 2^38 rows (keys stay
-// positive); rowsModeFits falls back to the pooled v1 path for anything
-// bigger.
+// sorted-unique rows and each position's uniq slot. Sorted rows come from
+// the 32-bit row directory, so a key fits in 56 bits and stays positive;
+// a table batch of more than 2^24-1 indices does not fit, and rowsModeFits
+// sends such a request down the pooled path.
 const (
 	rowsModeHotWindow = int64(8192)
 	rowsModePosBits   = 24
 	rowsModePosMask   = 1<<rowsModePosBits - 1
-	rowsModeMaxRows   = int64(1) << (62 - rowsModePosBits)
 )
 
-// rowsModeFits reports whether the request fits the packed-key encoding.
-func (d *DenseShard) rowsModeFits(req *PredictRequest) bool {
-	if d.cfg.RowsPerTable >= rowsModeMaxRows {
-		return false
-	}
+// rowsModeFits reports whether every table batch fits the packed key's
+// position bits.
+func rowsModeFits(req *PredictRequest) bool {
 	for t := range req.Tables {
 		if len(req.Tables[t].Indices) > rowsModePosMask {
 			return false
@@ -160,9 +158,12 @@ func (d *DenseShard) rowsModeFits(req *PredictRequest) bool {
 	return true
 }
 
-// Predict services one query. When the pinned epoch carries a
-// preprocessing remap the request is in original-ID space; otherwise it is
-// already hotness-sorted.
+// Predict services one query. Indices are original ids when the pinned
+// epoch carries a preprocessing remap and hotness-sorted ids otherwise;
+// the epoch's row directory resolves either. Without a row cache the
+// gathers pool per input on the shards (pooledCalls, v1); with one they
+// fetch deduplicated raw rows that the cache does not hold (rowsCalls,
+// v2). Both modes share the fan-out and the dense forward.
 func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *PredictReply) error {
 	start := time.Now()
 	if err := req.Validate(d.cfg.NumTables); err != nil {
@@ -174,10 +175,6 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 	if got := canonicalModel(req.Model); got != d.model {
 		return fmt.Errorf("serving: request for model %q reached dense shard serving %q", got, d.model)
 	}
-	if d.gatherRows && d.rowsModeFits(req) {
-		return d.predictRows(ctx, req, reply, start)
-	}
-	bs := req.BatchSize
 
 	// Pin one routing epoch of this shard's model for the whole request;
 	// the epoch cannot be retired until this request releases it.
@@ -193,38 +190,63 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 	}
 	defer d.scratch.Put(sc)
 
-	// Remap + bucketize every table's batch across the epoch's shards in
-	// one fused pass (Sec. IV-C): each index is looked up once in the
-	// epoch's row directory, which already folds the preprocessing remap,
-	// the owning shard and the shard-local id into one word, and exact-size
-	// segments are carved out of the reusable scratch backing (no
-	// intermediate remapped request, no append growth). bucketize.Split is
-	// the allocating reference implementation of the same count-then-carve
-	// partition; TestFusedBucketizeMatchesSplit pins this fused path
-	// against it exactly, so a carve fix must land in both.
+	rowsMode := d.rowCache != nil && rowsModeFits(req)
+	var calls []gatherCall
+	if rowsMode {
+		calls, err = d.rowsCalls(rt, req, sc)
+	} else {
+		calls, err = d.pooledCalls(rt, req, sc)
+	}
+	if err != nil {
+		return err
+	}
+	if err := d.fanOut(ctx, rt, calls); err != nil {
+		return err
+	}
+	sc.pooled = grow(sc.pooled, d.cfg.NumTables*req.BatchSize*d.cfg.EmbeddingDim)
+	if rowsMode {
+		d.mergeRows(rt.Epoch, req, sc, calls)
+	} else {
+		d.mergePooled(req, sc, calls)
+	}
+
+	if err := d.forwardDense(req, sc.pooled, reply); err != nil {
+		return err
+	}
+	rt.Served.Inc(1)
+	d.Latency.Observe(time.Since(start))
+	d.QPS.Mark()
+	return nil
+}
+
+// pooledCalls builds the v1 fan-out: remap + bucketize every table's batch
+// across the epoch's shards in one fused pass (Sec. IV-C). Each index is
+// looked up once in the epoch's row directory, which already folds the
+// preprocessing remap, the owning shard and the shard-local id into one
+// word, and exact-size segments are carved out of the reusable scratch
+// backing (no intermediate remapped request, no append growth).
+// bucketize.Split is the allocating reference implementation of the same
+// count-then-carve partition; TestFusedBucketizeMatchesSplit pins this
+// fused path against it exactly, so a carve fix must land in both.
+func (d *DenseShard) pooledCalls(rt *RoutingTable, req *PredictRequest, sc *predictScratch) ([]gatherCall, error) {
+	bs := req.BatchSize
 	nt := d.cfg.NumTables
 	totalCalls, idxNeed := 0, 0
 	for t := 0; t < nt; t++ {
 		totalCalls += len(rt.Boundaries[t])
 		idxNeed += len(req.Tables[t].Indices)
 	}
-	if cap(sc.calls) < totalCalls {
-		sc.calls = make([]gatherCall, totalCalls)
-	}
-	calls := sc.calls[:totalCalls]
-	if cap(sc.idxBuf) < idxNeed {
-		sc.idxBuf = make([]int64, idxNeed)
-	}
-	if cap(sc.offBuf) < totalCalls*bs {
-		sc.offBuf = make([]int32, totalCalls*bs)
-	}
+	sc.calls = grow(sc.calls, totalCalls)
+	calls := sc.calls
+	sc.idxBuf = grow(sc.idxBuf, idxNeed)
+	sc.offBuf = grow(sc.offBuf, totalCalls*bs)
 	ci, idxPos, offPos := 0, 0, 0
 	for t := 0; t < nt; t++ {
 		tb := &req.Tables[t]
 		ns := len(rt.Boundaries[t])
 		dir, shift := rt.dir[t], rt.dirShift[t]
 		mask := uint32(1)<<shift - 1
-		sc.counts = growInts(sc.counts, ns)
+		sc.counts = grow(sc.counts, ns)
 		counts := sc.counts
 		for s := range counts {
 			counts[s] = 0
@@ -232,20 +254,18 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 		// Pass 1: validate each index and load its directory word once,
 		// counting each shard's lookups, so pass 2 never repeats the
 		// cache-missing directory read.
-		if cap(sc.code) < len(tb.Indices) {
-			sc.code = make([]uint32, len(tb.Indices))
-		}
-		code := sc.code[:len(tb.Indices)]
+		sc.code = grow(sc.code, len(tb.Indices))
+		code := sc.code
 		for p, idx := range tb.Indices {
 			if uint64(idx) >= uint64(len(dir)) {
-				return fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, len(dir))
+				return nil, fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, len(dir))
 			}
 			w := dir[idx]
 			code[p] = w
 			counts[w>>shift]++
 		}
-		sc.starts = growInts(sc.starts, ns)
-		sc.cursors = growInts(sc.cursors, ns)
+		sc.starts = grow(sc.starts, ns)
+		sc.cursors = grow(sc.cursors, ns)
 		pos := idxPos
 		for s := 0; s < ns; s++ {
 			sc.starts[s], sc.cursors[s] = pos, pos
@@ -271,8 +291,7 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 		for s := 0; s < ns; s++ {
 			off := offPos + s*bs
 			calls[ci] = gatherCall{
-				table: t,
-				shard: s,
+				rows: bs,
 				req: GatherRequest{
 					Table:   t,
 					Shard:   s,
@@ -285,11 +304,16 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 		offPos += ns * bs
 		idxPos = pos
 	}
+	return calls, nil
+}
 
-	// Fan the gathers out concurrently — one RPC per (table, shard) — in
-	// errgroup style: the first failure cancels the sibling gathers, and
-	// the wait ensures no straggler lands after Predict returns (which is
-	// also what makes recycling the scratch safe).
+// fanOut runs the gathers concurrently — one RPC per call — in errgroup
+// style: the first failure cancels the sibling gathers, and the wait
+// ensures no straggler lands after Predict returns (which is also what
+// makes recycling the scratch safe). Each reply must carry the call's
+// rows rows of the model's dimension. On failure the reply buffers that
+// did land go back to the wire pool.
+func (d *DenseShard) fanOut(ctx context.Context, rt *RoutingTable, calls []gatherCall) error {
 	gctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -301,60 +325,55 @@ func (d *DenseShard) Predict(ctx context.Context, req *PredictRequest, reply *Pr
 			cancel()
 		})
 	}
+	dim := d.cfg.EmbeddingDim
 	for i := range calls {
 		wg.Add(1)
 		go func(c *gatherCall) {
 			defer wg.Done()
-			if err := rt.Clients[c.table][c.shard].Gather(gctx, &c.req, &c.reply); err != nil {
-				fail(fmt.Errorf("serving: gather t%d s%d: %w", c.table, c.shard, err))
+			t, s := c.req.Table, c.req.Shard
+			if err := rt.Clients[t][s].Gather(gctx, &c.req, &c.reply); err != nil {
+				fail(fmt.Errorf("serving: gather t%d s%d: %w", t, s, err))
 				return
 			}
-			if c.reply.BatchSize != bs || c.reply.Dim != d.cfg.EmbeddingDim {
+			if c.reply.BatchSize != c.rows || c.reply.Dim != dim {
 				fail(fmt.Errorf("serving: gather t%d s%d returned %dx%d, want %dx%d",
-					c.table, c.shard, c.reply.BatchSize, c.reply.Dim, bs, d.cfg.EmbeddingDim))
+					t, s, c.reply.BatchSize, c.reply.Dim, c.rows, dim))
 			}
 		}(&calls[i])
 	}
 	wg.Wait()
 	if firstErr != nil {
-		// Recycle whatever reply buffers did land before the failure.
-		for i := range calls {
-			wire.PutFloat32(calls[i].reply.Pooled)
-			calls[i].reply.Pooled = nil
-		}
-		return firstErr
+		recycleReplies(calls)
 	}
+	return firstErr
+}
 
-	// Merge per-table partial sums (pooling is additive) into one scratch
-	// backing, returning every reply buffer to the shared wire pool. On
-	// the binary transport the reply rows were decoded into that pool —
-	// float32 either way, even when the wire encoding was int8-quantized —
-	// so local and remote gathers recycle identically.
-	dim := d.cfg.EmbeddingDim
-	if cap(sc.pooled) < nt*bs*dim {
-		sc.pooled = make([]float32, nt*bs*dim)
+// recycleReplies returns every call's reply rows to the shared wire pool.
+// On the binary transport they were decoded into that pool — float32
+// either way, even when the wire encoding was int8-quantized — so local
+// and remote gathers recycle identically.
+func recycleReplies(calls []gatherCall) {
+	for i := range calls {
+		wire.PutFloat32(calls[i].reply.Pooled)
+		calls[i].reply.Pooled = nil
 	}
-	pooled := sc.pooled[:nt*bs*dim]
-	for i := range pooled {
-		pooled[i] = 0
+}
+
+// mergePooled sums the v1 replies' per-table partial sums (pooling is
+// additive) into sc.pooled and recycles the reply buffers.
+func (d *DenseShard) mergePooled(req *PredictRequest, sc *predictScratch, calls []gatherCall) {
+	n := req.BatchSize * d.cfg.EmbeddingDim
+	for i := range sc.pooled {
+		sc.pooled[i] = 0
 	}
 	for i := range calls {
 		c := &calls[i]
-		dst := pooled[c.table*bs*dim : (c.table+1)*bs*dim]
+		dst := sc.pooled[c.req.Table*n : (c.req.Table+1)*n]
 		for j, v := range c.reply.Pooled {
 			dst[j] += v
 		}
-		wire.PutFloat32(c.reply.Pooled)
-		c.reply.Pooled = nil
 	}
-
-	if err := d.forwardDense(req, pooled, reply); err != nil {
-		return err
-	}
-	rt.Served.Inc(1)
-	d.Latency.Observe(time.Since(start))
-	d.QPS.Mark()
-	return nil
+	recycleReplies(calls)
 }
 
 // forwardDense runs the batched dense forward over the merged per-table
@@ -375,85 +394,63 @@ func (d *DenseShard) forwardDense(req *PredictRequest, pooled []float32, reply *
 	return nil
 }
 
-// predictRows is gather path v2: instead of bucketizing pooled-per-input
-// gathers, it dedups each table's remapped row ids (in-batch dedup — a
-// flash-crowd batch hitting the same hot rows 50× fetches them once),
-// serves unique rows from the frontend hot-row cache where it can, fans
-// out rows-mode gathers only for the misses — skipping shards with no
-// missing rows entirely — and re-expands multiplicities at merge time
-// through the slot map pass 1 built. The merge accumulates rows per
-// input in original index order, exactly the monolith's GatherPool
-// order, so equivalence is as tight as v1's.
-func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply *PredictReply, start time.Time) error {
-	bs := req.BatchSize
-
-	rt, err := d.router.AcquireModel(d.model)
-	if err != nil {
-		return err
-	}
-	defer rt.release()
-	epoch := rt.Epoch
-
-	sc, _ := d.scratch.Get().(*predictScratch)
-	if sc == nil {
-		sc = &predictScratch{}
-	}
-	defer d.scratch.Put(sc)
-
+// rowsCalls builds the gather path v2 fan-out: instead of bucketizing
+// pooled-per-input gathers, it dedups each table's sorted row ids
+// (in-batch dedup — a flash-crowd batch hitting the same hot rows 50×
+// fetches them once), serves unique rows from the frontend hot-row cache
+// where it can, and builds rows-mode gathers only for the misses —
+// skipping shards with no missing rows entirely. mergeRows re-expands
+// multiplicities through the slot map pass 1 builds.
+func (d *DenseShard) rowsCalls(rt *RoutingTable, req *PredictRequest, sc *predictScratch) ([]gatherCall, error) {
 	nt := d.cfg.NumTables
-	dim := d.cfg.EmbeddingDim
-	totalCalls, idxNeed := 0, 0
+	idxNeed := 0
 	for t := 0; t < nt; t++ {
-		totalCalls += len(rt.Boundaries[t])
 		idxNeed += len(req.Tables[t].Indices)
 	}
 
-	// Pass 1 per table: remap + validate each index, then dedup through
-	// the hot-window scoreboard. Hot ids (below rowsModeHotWindow — which
-	// is almost all of them, the id space is hotness-sorted) are marked in
-	// a generation-stamped direct map, so deduping them costs one array
-	// write per index and no sort. The cold tail spills to packed
-	// (row, position) keys and sorts small. Unique ids emit in ascending
-	// order (window scan first, sorted spill after — spill ids are all
-	// larger), which keeps each shard's miss slice contiguous in pass 2;
-	// slotBuf records every index position's absolute uniq slot for the
-	// merge. Segments concatenate in uniqBuf with bounds in tabU.
-	if cap(sc.uniqBuf) < idxNeed {
-		sc.uniqBuf = make([]int64, idxNeed)
-	}
-	if cap(sc.slotBuf) < idxNeed {
-		sc.slotBuf = make([]int32, idxNeed)
-	}
+	// Pass 1 per table: resolve each index to its sorted row through the
+	// row directory (one range check, one 32-bit load, the shard's base
+	// added back), then dedup through the hot-window scoreboard. Hot ids
+	// (below rowsModeHotWindow — which is almost all of them, the id space
+	// is hotness-sorted) are marked in a generation-stamped direct map, so
+	// deduping them costs one array write per index and no sort. The cold
+	// tail spills to packed (row, position) keys and sorts small. Unique
+	// ids emit in ascending order (window scan first, sorted spill after —
+	// spill ids are all larger), which keeps each shard's miss slice
+	// contiguous in pass 2; slotBuf records every index position's
+	// absolute uniq slot for the merge. Segments concatenate in uniqBuf
+	// with bounds in tabU.
+	sc.uniqBuf = grow(sc.uniqBuf, idxNeed)
+	sc.slotBuf = grow(sc.slotBuf, idxNeed)
 	if len(sc.genBuf) < int(rowsModeHotWindow) {
 		sc.genBuf = make([]int64, rowsModeHotWindow)
 		sc.slotHot = make([]int32, rowsModeHotWindow)
 	}
-	slotBuf := sc.slotBuf[:idxNeed]
-	sc.tabU = growInts(sc.tabU, nt+1)
+	slotBuf := sc.slotBuf
+	sc.tabU = grow(sc.tabU, nt+1)
 	tabU := sc.tabU
 	pos, ibase := 0, 0
 	for t := 0; t < nt; t++ {
 		tabU[t] = pos
 		tb := &req.Tables[t]
 		bnd := rt.Boundaries[t]
-		ns := len(bnd)
-		var rank []int64
-		if rt.Pre != nil {
-			rank = rt.Pre.RankOf[t]
-		}
+		dir, shift := rt.dir[t], rt.dirShift[t]
+		mask := uint32(1)<<shift - 1
+		sc.code = grow(sc.code, len(tb.Indices))
+		ranks := sc.code
 		sc.genCtr++
 		g := sc.genCtr
 		spill := sc.spillBuf[:0]
 		for p, idx := range tb.Indices {
-			r := idx
-			if rank != nil {
-				if idx < 0 || idx >= int64(len(rank)) {
-					return fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, len(rank))
-				}
-				r = rank[idx]
-			} else if idx < 0 || idx >= bnd[ns-1] {
-				return fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, bnd[ns-1])
+			if uint64(idx) >= uint64(len(dir)) {
+				return nil, fmt.Errorf("serving: index %d outside table %d (%d rows)", idx, t, len(dir))
 			}
+			w := dir[idx]
+			r := int64(w & mask)
+			if s := w >> shift; s > 0 {
+				r += bnd[s-1]
+			}
+			ranks[p] = uint32(r)
 			if r < rowsModeHotWindow {
 				sc.genBuf[r] = g
 			} else {
@@ -463,11 +460,7 @@ func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply
 		sc.spillBuf = spill // keep any growth for the next table
 		// Emit hot uniques by scanning the window in id order.
 		seg := sc.uniqBuf[pos:pos]
-		w := rowsModeHotWindow
-		if bnd[ns-1] < w {
-			w = bnd[ns-1]
-		}
-		for r := int64(0); r < w; r++ {
+		for r, w := int64(0), min(rowsModeHotWindow, int64(len(dir))); r < w; r++ {
 			if sc.genBuf[r] == g {
 				sc.slotHot[r] = int32(pos + len(seg))
 				seg = append(seg, r)
@@ -484,14 +477,9 @@ func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply
 			}
 			slotBuf[ibase+int(key&rowsModePosMask)] = int32(pos + len(seg) - 1)
 		}
-		// Hot positions resolve through the scoreboard (indices were
-		// validated above, so the bare remap is safe).
-		for p, idx := range tb.Indices {
-			r := idx
-			if rank != nil {
-				r = rank[idx]
-			}
-			if r < rowsModeHotWindow {
+		// Hot positions resolve through the scoreboard.
+		for p, r := range ranks {
+			if int64(r) < rowsModeHotWindow {
 				slotBuf[ibase+p] = sc.slotHot[r]
 			}
 		}
@@ -507,23 +495,15 @@ func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply
 	// so each shard's slice is contiguous) into rebased per-shard gather
 	// calls, skipping shards with nothing missing — at a skewed steady
 	// state most shards drop out of the fan-out here.
-	if cap(sc.rowView) < totalUniq {
-		sc.rowView = make([][]float32, totalUniq)
-	}
-	rowView := sc.rowView[:totalUniq]
-	if cap(sc.needBuf) < totalUniq {
-		sc.needBuf = make([]int64, totalUniq)
-	}
-	if cap(sc.missPos) < totalUniq {
-		sc.missPos = make([]int32, totalUniq)
-	}
-	if cap(sc.calls) < totalCalls {
-		sc.calls = make([]gatherCall, totalCalls)
-	}
+	sc.rowView = grow(sc.rowView, totalUniq)
+	rowView := sc.rowView
+	sc.needBuf = grow(sc.needBuf, totalUniq)
+	sc.missPos = grow(sc.missPos, totalUniq)
 	calls := sc.calls[:0]
 	needAll := sc.needBuf[:0]
 	missAll := sc.missPos[:0]
 	var hits, misses int64
+	epoch := rt.Epoch
 	pref := d.rowCache.prefixView(epoch)
 	for t := 0; t < nt; t++ {
 		bnd := rt.Boundaries[t]
@@ -567,74 +547,38 @@ func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply
 				needAll[k] -= base
 			}
 			calls = append(calls, gatherCall{
-				table: t,
-				shard: s,
-				req:   GatherRequest{Table: t, Shard: s, Indices: needAll[a:b:b]},
-				miss:  missAll[a:b:b],
+				rows: b - a,
+				req:  GatherRequest{Table: t, Shard: s, Indices: needAll[a:b:b]},
+				miss: missAll[a:b:b],
 			})
 			a = b
 		}
 	}
+	sc.calls = calls // keep any growth for the next request
 	d.rowCache.note(hits, misses)
+	return calls, nil
+}
 
-	// Fan out the rows-mode gathers exactly like v1 (first failure cancels
-	// siblings; the wait makes scratch recycling safe).
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for i := range calls {
-		wg.Add(1)
-		go func(c *gatherCall) {
-			defer wg.Done()
-			if err := rt.Clients[c.table][c.shard].Gather(gctx, &c.req, &c.reply); err != nil {
-				fail(fmt.Errorf("serving: gather t%d s%d: %w", c.table, c.shard, err))
-				return
-			}
-			if c.reply.BatchSize != len(c.req.Indices) || c.reply.Dim != dim {
-				fail(fmt.Errorf("serving: gather t%d s%d returned %dx%d, want %dx%d",
-					c.table, c.shard, c.reply.BatchSize, c.reply.Dim, len(c.req.Indices), dim))
-			}
-		}(&calls[i])
-	}
-	wg.Wait()
-	if firstErr != nil {
-		for i := range calls {
-			wire.PutFloat32(calls[i].reply.Pooled)
-			calls[i].reply.Pooled = nil
-		}
-		return firstErr
-	}
-
-	// Scatter: point each missed uniq slot's view at its reply row and
-	// fill the cache (fills for a retiring epoch are dropped inside fill).
-	// Reply buffers stay alive until after the merge reads them.
+// mergeRows finishes a rows-mode request into sc.pooled. It points each
+// missed uniq slot's view at its reply row and fills the cache (fills for
+// a retiring epoch are dropped inside fill), then re-expands
+// multiplicities: for each input, every index resolves to its uniq slot
+// through the slot map and its row accumulates into the input's pooled
+// sum — float32 adds in original index order, matching the monolith bit
+// for bit. Reply buffers stay alive until the merge has read them.
+func (d *DenseShard) mergeRows(epoch int64, req *PredictRequest, sc *predictScratch, calls []gatherCall) {
+	bs, dim := req.BatchSize, d.cfg.EmbeddingDim
+	rowView, slotBuf, pooled := sc.rowView, sc.slotBuf, sc.pooled
 	for i := range calls {
 		c := &calls[i]
 		for k, u := range c.miss {
 			row := c.reply.Pooled[k*dim : (k+1)*dim]
 			rowView[u] = row
-			d.rowCache.fill(epoch, c.table, sc.uniqBuf[u], row)
+			d.rowCache.fill(epoch, c.req.Table, sc.uniqBuf[u], row)
 		}
 	}
-
-	// Merge: re-expand multiplicities. For each input, every index
-	// resolves to its uniq slot through the argsort's slot map and its row
-	// accumulates into the input's pooled sum — float32 adds in original
-	// index order, matching the monolith bit for bit.
-	if cap(sc.pooled) < nt*bs*dim {
-		sc.pooled = make([]float32, nt*bs*dim)
-	}
-	pooled := sc.pooled[:nt*bs*dim]
-	ibase = 0
-	for t := 0; t < nt; t++ {
+	ibase := 0
+	for t := range req.Tables {
 		tb := &req.Tables[t]
 		for i := 0; i < bs; i++ {
 			lo := int(tb.Offsets[i])
@@ -671,21 +615,10 @@ func (d *DenseShard) predictRows(ctx context.Context, req *PredictRequest, reply
 
 	// Replies are merged; recycle their buffers and drop the views into
 	// them (and into cache entries) so the pooled scratch retains nothing.
-	for i := range calls {
-		wire.PutFloat32(calls[i].reply.Pooled)
-		calls[i].reply.Pooled = nil
-	}
+	recycleReplies(calls)
 	for u := range rowView {
 		rowView[u] = nil
 	}
-
-	if err := d.forwardDense(req, pooled, reply); err != nil {
-		return err
-	}
-	rt.Served.Inc(1)
-	d.Latency.Observe(time.Since(start))
-	d.QPS.Mark()
-	return nil
 }
 
 var _ PredictClient = (*DenseShard)(nil)

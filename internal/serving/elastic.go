@@ -37,19 +37,16 @@ type BuildOptions struct {
 	// for ~4x smaller gather replies (dim 32). Ignored on the local
 	// transport.
 	WireQuant bool
-	// GatherRows switches the dense fan-out to gather path v2: per-table
-	// in-batch row dedup (sorted-unique ids, multiplicities re-expanded at
-	// merge time) with rows-mode gathers returning raw rows instead of
-	// pooled-per-input sums. Over TCP rows-mode replies take the
-	// zero-copy encode path straight from sorted-table storage.
-	// Implied by RowCacheBytes > 0.
-	GatherRows bool
-	// RowCacheBytes, when positive, enables the frontend hot-row cache
-	// (gather path v2) with this total byte budget: unique rows resolve
-	// against the cache before the fan-out, so hot rows never leave the
-	// frontend. Entries are epoch-scoped (a plan swap lazily invalidates
-	// them) and the cache is re-seeded from the fresh plan's hot CDF
-	// before each publish. Implies GatherRows.
+	// RowCacheBytes, when positive, switches the dense fan-out to gather
+	// path v2 and gives its frontend hot-row cache this total byte budget.
+	// v2 dedups each table's rows in the batch (multiplicities re-expanded
+	// at merge time), resolves unique rows against the cache before the
+	// fan-out, so hot rows never leave the frontend, and fetches the
+	// misses with rows-mode gathers returning raw rows instead of
+	// pooled-per-input sums (over TCP straight from sorted-table storage).
+	// Entries are epoch-scoped (a plan swap lazily invalidates them) and
+	// the cache is re-seeded from the fresh plan's hot CDF before each
+	// publish.
 	RowCacheBytes int64
 	// Replicas[s] is the initial replica count of shard s in every
 	// table's pool (nil = one replica each). Replicas share the sorted
@@ -166,9 +163,6 @@ func buildModelDeployment(router *Router, name string, m *model.Model, stats []*
 	if opts.Transport == "" {
 		opts.Transport = TransportLocal
 	}
-	if opts.RowCacheBytes > 0 {
-		opts.GatherRows = true
-	}
 	ld := &LiveDeployment{
 		Router:       router,
 		EpochUtility: metrics.NewGaugeVec(),
@@ -210,7 +204,6 @@ func buildModelDeployment(router *Router, name string, m *model.Model, stats []*
 	if err != nil {
 		return fail(err)
 	}
-	dense.gatherRows = opts.GatherRows
 	dense.rowCache = ld.rowCache
 	ld.Dense = dense
 	if opts.Batching != nil {

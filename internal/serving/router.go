@@ -88,7 +88,7 @@ type RoutingTable struct {
 	// dir[t][id] is the owning shard s and shard-local row of table t's
 	// request id packed as s<<dirShift[t] | local, where dirShift[t] is
 	// the bit width of the table's widest shard. Ids are original ids when
-	// Pre is set and sorted ids otherwise, so the pooled fan-out resolves
+	// Pre is set and sorted ids otherwise, so both gather modes resolve
 	// each index with one 32-bit load: no remap read, no boundary search.
 	dir      [][]uint32
 	dirShift []uint8

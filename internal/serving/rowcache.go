@@ -101,7 +101,8 @@ func newRowCache(budgetBytes int64) *rowCache {
 }
 
 // rowKey packs (table, global row id) into one map key. Row ids fit in 48
-// bits by construction (MaxFrame alone bounds them far below that).
+// bits by construction: they are sorted rows resolved through the epoch's
+// 32-bit row directory, so all are below 2^32.
 func rowKey(table int, row int64) uint64 {
 	return uint64(table)<<48 ^ uint64(row)&(1<<48-1)
 }

@@ -64,12 +64,15 @@ func TestRowCacheEquivalence(t *testing.T) {
 // the same row with different multiplicities — the exact shape the
 // in-batch dedup must re-expand correctly. A dropped or double-counted
 // multiplicity shifts the pooled sum and diverges from the monolith.
+// Rows mode adds each bag's rows in the monolith's order, so the replies
+// must match bit for bit. A 1-byte cache budget holds no row: every row
+// is a miss, which covers rows mode with the cache effectively off.
 func TestGatherRowsDedupMultiplicity(t *testing.T) {
 	cfg := liveConfig()
 	m, stats, _ := buildFixture(t, cfg)
 	mono := NewMonolith(m.Clone())
 	for _, opts := range []BuildOptions{
-		{Transport: TransportLocal, GatherRows: true},
+		{Transport: TransportLocal, RowCacheBytes: 1},
 		{Transport: TransportLocal, RowCacheBytes: 1 << 18},
 	} {
 		ld, err := BuildElastic(m.Clone(), stats, []int64{50, 200, cfg.RowsPerTable}, opts)
@@ -106,7 +109,7 @@ func TestGatherRowsDedupMultiplicity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for j := range monoReply.Probs {
-					if math.Abs(float64(monoReply.Probs[j]-shardReply.Probs[j])) > 1e-5 {
+					if math.Float32bits(monoReply.Probs[j]) != math.Float32bits(shardReply.Probs[j]) {
 						t.Fatalf("opts %+v query %d pass %d input %d: monolith %v vs dedup %v",
 							opts, q, pass, j, monoReply.Probs[j], shardReply.Probs[j])
 					}
@@ -114,6 +117,86 @@ func TestGatherRowsDedupMultiplicity(t *testing.T) {
 			}
 		}
 		ld.Close()
+	}
+}
+
+// TestRowsModeSpillBitExact drives rows mode past its hot window. On
+// 20 000-row tables a uniform draw sends most indices past the first
+// rowsModeHotWindow sorted rows, into the spill whose packed
+// (row, position) keys sort into both the unique rows and each position's
+// uniq slot. Cuts on and around the window edge, a single shard, a budget
+// that holds no row and one that holds some, and bags that repeat rows
+// within and across bags must all reproduce the monolith bit for bit.
+func TestRowsModeSpillBitExact(t *testing.T) {
+	cfg := liveConfig()
+	cfg.NumTables = 2
+	cfg.RowsPerTable = 20000
+	m, stats, _ := buildFixture(t, cfg)
+	mono := NewMonolith(m.Clone())
+	rows := cfg.RowsPerTable
+	for _, cuts := range [][]int64{{100, 8192, 9000, rows}, {8191, 8193, rows}, {rows}} {
+		for _, budget := range []int64{1, 64 << 10} {
+			ld, err := BuildElastic(m.Clone(), stats, cuts,
+				BuildOptions{Transport: TransportLocal, RowCacheBytes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rank := ld.Router.LoadModel(DefaultModel).Pre.RankOf
+			rng := workload.NewRNG(uint64(len(cuts))<<32 | uint64(budget))
+			hot, spilled := 0, 0
+			for q := 0; q < 15; q++ {
+				req := &PredictRequest{
+					BatchSize: cfg.BatchSize,
+					DenseDim:  cfg.DenseInputDim,
+					Dense:     make([]float32, cfg.BatchSize*cfg.DenseInputDim),
+				}
+				for i := range req.Dense {
+					req.Dense[i] = float32(rng.Float64()*2 - 1)
+				}
+				for tb := 0; tb < cfg.NumTables; tb++ {
+					// Bags of 1-8 draws from six uniform rows, so rows
+					// repeat within a bag and across bags.
+					var pool [6]int64
+					for k := range pool {
+						pool[k] = rng.Intn(rows)
+					}
+					var b TableBatch
+					for i := 0; i < cfg.BatchSize; i++ {
+						b.Offsets = append(b.Offsets, int32(len(b.Indices)))
+						for n := 1 + rng.Intn(8); n > 0; n-- {
+							idx := pool[rng.Intn(int64(len(pool)))]
+							if rank[tb][idx] < rowsModeHotWindow {
+								hot++
+							} else {
+								spilled++
+							}
+							b.Indices = append(b.Indices, idx)
+						}
+					}
+					req.Tables = append(req.Tables, b)
+				}
+				// Twice: the second run replays the rows through the warm cache.
+				for pass := 0; pass < 2; pass++ {
+					var monoReply, shardReply PredictReply
+					if err := mono.Predict(bg, req, &monoReply); err != nil {
+						t.Fatal(err)
+					}
+					if err := ld.Predict(bg, req, &shardReply); err != nil {
+						t.Fatal(err)
+					}
+					for j := range monoReply.Probs {
+						if math.Float32bits(monoReply.Probs[j]) != math.Float32bits(shardReply.Probs[j]) {
+							t.Fatalf("cuts %v budget %d query %d pass %d input %d: monolith %v vs rows mode %v",
+								cuts, budget, q, pass, j, monoReply.Probs[j], shardReply.Probs[j])
+						}
+					}
+				}
+			}
+			ld.Close()
+			if hot == 0 || spilled == 0 {
+				t.Fatalf("cuts %v: %d hot-window and %d spilled indices, want both", cuts, hot, spilled)
+			}
+		}
 	}
 }
 

@@ -311,15 +311,16 @@ func TestWireQuantPredictAccuracy(t *testing.T) {
 // TestGatherRowsOverTCP runs gather path v2 (rows-mode requests, shard-
 // side zero-copy reply encoding) over the binary TCP transport at full
 // float32 precision: raw rows ride the wire exactly, and the frontend
-// re-expansion accumulates in the monolith's order, so the 1e-5
-// equivalence bound of the v1 path must hold unchanged.
+// re-expansion accumulates in the monolith's order, so every reply must
+// match the monolith bit for bit. The 1-byte cache budget holds no row,
+// so every row crosses the wire.
 func TestGatherRowsOverTCP(t *testing.T) {
 	cfg := liveConfig()
 	cfg.NumTables = 2 // fewer sockets
 	m, stats, gen := buildFixture(t, cfg)
 	mono := NewMonolith(m.Clone())
 	ld, err := BuildElastic(m, stats, []int64{50, cfg.RowsPerTable},
-		BuildOptions{Transport: TransportTCP, GatherRows: true})
+		BuildOptions{Transport: TransportTCP, RowCacheBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +335,7 @@ func TestGatherRowsOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range want.Probs {
-			if math.Abs(float64(got.Probs[j]-want.Probs[j])) > 1e-5 {
+			if math.Float32bits(got.Probs[j]) != math.Float32bits(want.Probs[j]) {
 				t.Fatalf("req %d input %d: rows-mode TCP %v != monolith %v", i, j, got.Probs[j], want.Probs[j])
 			}
 		}
